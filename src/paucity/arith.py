@@ -32,6 +32,22 @@ def chi4(n: int) -> int:
     return 0
 
 
+def is_prime(n: int) -> bool:
+    """Primality by trial division over odd factors up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Prime factorization of `value` as an ascending tuple of (prime, exponent)."""

@@ -23,33 +23,27 @@ from . import __version__
 from .arith import build_spf_table
 from .congruence import FormParams, nu_closed, nu_oracle, rho_closed, rho_oracle
 from .constants import (
+    BLOCK,
+    DEFAULT_STATISTICS,
+    SCAN,
+    STATISTICS,
     catalan,
     landau_ramanujan,
-    normalized_value,
-    predicted_constant,
     sieve_density_product,
 )
 from .errors import CapacityError, PaucityError, ValidationError
 from .meanvalue import (
     CheckpointGrid,
-    MeanValueSeries,
     accumulate,
-    landau_counts,
-    lemma_sums,
+    csv_fields,
     partition_s12,
     read_csv,
+    scan_sums,
     write_csv,
 )
 from .quadruples import enumerate_n1_params, enumerate_offdiag
 from .sieve import SieveConfig, sieve_all, write_blocks
 from . import arith
-
-_BLOCK_STATS = (
-    "S00", "S01", "S02", "S11", "S12", "S22",
-    "M1", "M2", "R2CUBE", "SUPP1", "SUPP2", "DISPERSION",
-)
-_SCAN_STATS = ("LEMMA31", "LEMMA32", "LANDAU_B", "COUNT_A")
-_ALL_STATS = _BLOCK_STATS + _SCAN_STATS
 
 _CENSUS_NOTE = (
     "classification over normalized quadruples (q <= r); N1'' interval (p,a) "
@@ -96,37 +90,46 @@ def _thread_count(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(spec: str, limit: int) -> CheckpointGrid:
+    """Checkpoints from the --grid spec; each must be >= 3, where rows can be normalized."""
     kind, _, rest = spec.partition(":")
+    try:
+        numbers = [int(tok) for tok in rest.split(",")] if rest else []
+    except ValueError:
+        raise ValidationError(f"grid spec {spec!r} holds a non-integer") from None
     if kind == "geometric":
-        ratio = int(rest) if rest else 10
-        if ratio < 2:
-            raise ValidationError(f"grid ratio must be >= 2, got {ratio}")
-        return CheckpointGrid.geometric(limit, ratio=ratio)
-    if kind == "explicit":
-        if not rest:
+        ratio = numbers[0] if numbers else 10
+        if len(numbers) > 1 or ratio < 2:
+            raise ValidationError(f"grid ratio must be one integer >= 2, got {rest!r}")
+        grid = CheckpointGrid.geometric(limit, ratio=ratio)
+    elif kind == "explicit":
+        if not numbers:
             raise ValidationError("explicit grid needs comma-separated points")
-        points = tuple(int(tok) for tok in rest.split(","))
-        if points and points[-1] > limit:
-            raise ValidationError(f"grid point {points[-1]} exceeds limit {limit}")
-        return CheckpointGrid(points=points)
-    raise ValidationError(f"unknown grid spec {spec!r} (use geometric:R or explicit:p1,p2,...)")
+        if numbers[-1] > limit:
+            raise ValidationError(f"grid point {numbers[-1]} exceeds limit {limit}")
+        grid = CheckpointGrid(points=tuple(numbers))
+    else:
+        raise ValidationError(f"unknown grid spec {spec!r} (use geometric:R or explicit:p1,p2,...)")
+    if grid.points[0] < 3:
+        raise ValidationError(f"checkpoints must be >= 3 to be normalized, got {grid.points[0]}")
+    return grid
 
 
 def _parse_stats(spec: str) -> list[str]:
     if spec.strip().lower() == "all":
-        return list(_ALL_STATS)
+        return list(STATISTICS)
     stats = [tok.strip() for tok in spec.split(",") if tok.strip()]
     if not stats:
         raise ValidationError("no statistics requested")
     for s in stats:
-        if s not in _ALL_STATS:
-            raise ValidationError(f"unknown statistic {s!r}; known: {', '.join(_ALL_STATS)}")
+        if s not in STATISTICS:
+            raise ValidationError(f"unknown statistic {s!r}; known: {', '.join(STATISTICS)}")
+    if len(set(stats)) < len(stats):
+        raise ValidationError(f"duplicate statistic in {spec!r}")
     return stats
 
 
 def _cmd_sieve(args: argparse.Namespace, out_dir: Path) -> list[str]:
-    threads = _thread_count(args)
-    cfg = SieveConfig(limit=args.limit, block_size=args.block_size, thread_count=threads)
+    cfg = SieveConfig(limit=args.limit, block_size=args.block_size, thread_count=args.threads)
     outputs = []
     dump_path = out_dir / "blocks.pcty"
     with open(dump_path, "wb") as fh:
@@ -137,36 +140,25 @@ def _cmd_sieve(args: argparse.Namespace, out_dir: Path) -> list[str]:
 
 
 def _cmd_mean(args: argparse.Namespace, out_dir: Path) -> list[str]:
-    threads = _thread_count(args)
     if args.limit < 2:
         raise ValidationError(f"limit must be >= 2, got {args.limit}")
     stats = _parse_stats(args.stats)
     grid = _parse_grid(args.grid, args.limit)
-    block_stats = [s for s in stats if s in _BLOCK_STATS]
-    scan_stats = [s for s in stats if s in _SCAN_STATS]
-    series: dict[str, MeanValueSeries] = {}
-    if block_stats:
-        cfg = SieveConfig(limit=args.limit, block_size=args.block_size, thread_count=threads)
-        for s in accumulate(
-            sieve_all(cfg), grid, block_stats,
+    by_source = {
+        source: [s for s in stats if STATISTICS[s].source == source] for source in (BLOCK, SCAN)
+    }
+    produced = {}
+    if by_source[BLOCK]:
+        cfg = SieveConfig(limit=args.limit, block_size=args.block_size, thread_count=args.threads)
+        produced[BLOCK] = iter(accumulate(
+            sieve_all(cfg), grid, by_source[BLOCK],
             r0_convention=args.r0_convention, dispersion_c=args.dispersion_c,
-        ):
-            series[s.statistic] = s
-    if scan_stats:
+        ))
+    if by_source[SCAN]:
         spf = build_spf_table(args.limit)
-        if "LEMMA31" in scan_stats or "LEMMA32" in scan_stats:
-            l31, l32 = lemma_sums(args.limit, grid, spf)
-            series[l31.statistic] = l31
-            series[l32.statistic] = l32
-        if "LANDAU_B" in scan_stats or "COUNT_A" in scan_stats:
-            lb, ca = landau_counts(args.limit, grid, spf)
-            series[lb.statistic] = lb
-            series[ca.statistic] = ca
-    ordered = []
-    for s in stats:
-        key = f"DISPERSION(c={args.dispersion_c:g})" if s == "DISPERSION" else s
-        if key in series:
-            ordered.append(series[key])
+        produced[SCAN] = iter(scan_sums(args.limit, grid, spf, by_source[SCAN]))
+    # Each source returns its series in request order; interleave them back.
+    ordered = [next(produced[STATISTICS[s].source]) for s in stats]
     csv_path = out_dir / "mean.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         write_csv(fh, ordered, grid)
@@ -231,14 +223,19 @@ def _cmd_congruence(args: argparse.Namespace, out_dir: Path) -> list[str]:
 
 
 def _cmd_offdiag(args: argparse.Namespace, out_dir: Path) -> list[str]:
-    threads = _thread_count(args)
+    if args.emit_quadruples and args.mode == "param":
+        raise ValidationError("--emit-quadruples lists the census; use --mode direct or both")
     outputs = []
     rows: list[tuple[str, object]] = [("limit", args.limit), ("note", f"\"{_CENSUS_NOTE}\"")]
     census = None
     if args.mode in ("direct", "both"):
         census = enumerate_offdiag(
-            args.limit, collect=args.emit_quadruples, thread_count=threads
+            args.limit, collect=args.emit_quadruples, thread_count=args.threads
         )
+        if args.emit_quadruples and census.quadruples is None:
+            raise CapacityError(
+                "quadruple list exceeds the collection cap; rerun with a smaller limit"
+            )
         rows += [
             ("N", census.n),
             ("N1", census.n1),
@@ -269,10 +266,6 @@ def _cmd_offdiag(args: argparse.Namespace, out_dir: Path) -> list[str]:
     for key, value in rows[2:]:
         print(f"  {key} = {value}")
     if args.emit_quadruples:
-        if census is None or census.quadruples is None:
-            raise CapacityError(
-                "quadruple list exceeds the collection cap; rerun with a smaller limit"
-            )
         quad_path = out_dir / "quadruples.csv"
         with open(quad_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("a,p,q,r,n\n")
@@ -287,9 +280,18 @@ def _plot_name(statistic: str) -> str:
     return f"plot_{safe}.csv"
 
 
+def _report_fields(stat: str, row: dict) -> tuple[str, str, str, str]:
+    # Values read back as floats; integral ones print as the integers they were.
+    raw = row["raw_value"]
+    return csv_fields(stat, row["x"], int(raw) if raw.is_integer() else raw)
+
+
 def _cmd_report(args: argparse.Namespace, out_dir: Path) -> list[str]:
     if not args.inputs:
         raise ValidationError("report needs at least one input CSV")
+    missing = [path for path in args.inputs if not os.path.isfile(path)]
+    if missing:
+        raise ValidationError(f"input CSV not found: {', '.join(missing)}")
     rows = []
     for path in args.inputs:
         with open(path, "r", encoding="utf-8") as fh:
@@ -304,22 +306,16 @@ def _cmd_report(args: argparse.Namespace, out_dir: Path) -> list[str]:
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("statistic,x,raw_value,normalized_value,predicted_constant,deviation\n")
         for stat in sorted(by_stat):
-            const = predicted_constant(stat)
             for row in sorted(by_stat[stat], key=lambda r: r["x"]):
-                norm = normalized_value(stat, row["x"], row["raw_value"])
-                pred = f"{const:.15g}" if const is not None else "nan"
-                dev = f"{norm - const:.15g}" if const is not None else "nan"
-                raw = row["raw_value"]
-                raw_s = f"{int(raw)}" if float(raw).is_integer() else f"{raw:.15g}"
-                fh.write(f"{stat},{row['x']},{raw_s},{norm:.15g},{pred},{dev}\n")
+                fields = _report_fields(stat, row)
+                fh.write(f"{stat},{row['x']},{','.join(fields)}\n")
     outputs.append(report_path.name)
     for stat in sorted(by_stat):
         plot_path = out_dir / _plot_name(stat)
         with open(plot_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,ratio\n")
             for row in sorted(by_stat[stat], key=lambda r: r["x"]):
-                norm = normalized_value(stat, row["x"], row["raw_value"])
-                fh.write(f"{row['x']},{norm:.15g}\n")
+                fh.write(f"{row['x']},{_report_fields(stat, row)[1]}\n")
         outputs.append(plot_path.name)
     print(f"report over {len(by_stat)} statistics -> {report_path}")
     return outputs
@@ -346,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mean", help="checkpointed mean values")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--stats", default="S01,S02,S22", help="comma list or 'all'")
+    p.add_argument("--stats", default=",".join(DEFAULT_STATISTICS), help="comma list or 'all'")
     p.add_argument("--grid", default="geometric:10")
     p.add_argument("--block-size", type=int, default=1 << 20)
     p.add_argument("--r0-convention", choices=("pair", "div"), default="pair")
@@ -395,6 +391,9 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if hasattr(args, "threads"):
+        # The manifest then records the count that actually ran.
+        args.threads = _thread_count(args)
     started = _timestamp()
     outputs = _DISPATCH[args.command](args, out_dir)
     config = {k: v for k, v in vars(args).items() if k not in ("command",)}

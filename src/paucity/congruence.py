@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import Factorization
+from .arith import Factorization, is_prime
 from .errors import ValidationError
 
 _NU_ORACLE_CAP = 3000
@@ -56,21 +56,6 @@ class FormParams:
             raise ValidationError(f"(t, d) must be positive, got ({self.t}, {self.d})")
         if math.gcd(self.t, self.d) != 1:
             raise ValidationError(f"(t, d) must be coprime, got ({self.t}, {self.d})")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def rho_closed(f: Factorization) -> CongruenceCount:
@@ -107,7 +92,7 @@ def sqrt_minus_one(p: int) -> int | None:
     Small p use direct search; larger p = 1 mod 4 use i = g^((p-1)/4) for a
     quadratic non-residue g found by Euler's criterion.
     """
-    if not _is_prime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise ValidationError(f"sqrt_minus_one needs an odd prime, got {p}")
     if p & 3 == 3:
         return None
@@ -130,7 +115,7 @@ def nu_prime_closed(p: int, params: FormParams) -> CongruenceCount:
     otherwise; for odd p, 2p - 1 when td = 0 or d = +-t or d = +-it, else
     3p - 2 (three distinct lines through the origin).
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValidationError(f"nu_prime_closed needs a prime, got {p}")
     t, d = params.t, params.d
     if p == 2:

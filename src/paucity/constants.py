@@ -2,8 +2,9 @@
 
 G (Catalan) comes from the alternating series sum (-1)^k/(2k+1)^2 with
 pairwise term grouping; K (Landau-Ramanujan) from either Euler product form,
-evaluated in log space with an explicit tail bound.  Predicted main terms and
-normalizations for each reported statistic live here so that every CSV row is
+evaluated in log space with an explicit tail bound.  The statistic registry
+(STATISTICS) defines every reported statistic once: its term, its source, its
+normalization and its predicted constant, so that every CSV row is
 recomputable from this module alone.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -109,101 +111,168 @@ def sieve_density_product(z: float) -> ConstantValue:
     return out
 
 
-# statistic -> (normalization label, predicted limit constant or None)
+# ---------------------------------------------------------------- registry
+#
+# Each reported statistic is defined once, in STATISTICS: its source (the
+# sieve's r0/r1/r2 blocks or the factor_scan of [1, limit]), exact int64 or
+# compensated float summation, its per-n term, its normalization and its
+# limit constant.  Constants are thunks evaluated on first use, so only
+# LANDAU_B and COUNT_A pay for landau_ramanujan's prime sieve.
+
+BLOCK = "block"
+SCAN = "scan"
 _PI = math.pi
 
 
-def _constant_table() -> dict[str, tuple[str, float | None]]:
-    g = catalan().value
-    k = landau_ramanujan().value
-    return {
-        "S01": ("S/x", 0.5),
-        "S02": ("S*log(x)/x", 12.0 * g / _PI**2),
-        "S11": ("S*log(x)/x", _PI / 2.0 + 9.0 / 4.0),
-        "S22": ("S*log(x)^2/x", 2.0 * _PI),
-        "M1": ("S*log(x)/x", _PI / 2.0),
-        "M2": ("S*log(x)^2/x", _PI),
-        "R2CUBE": ("S*log(x)^2/x", 4.0 * _PI),
-        "SUPP1": ("S*log(x)/x", _PI / 2.0),
-        "SUPP2": ("S*log(x)^2/x", _PI / 2.0),
-        "LANDAU_B": ("S*sqrt(log(x))/x", k),
-        "COUNT_A": ("S*sqrt(log(x))/x", 1.0 / (4.0 * k)),
-        "LEMMA31": ("S/log(x)", 1.0 / _PI),
-        "LEMMA32": ("S/log(x)", 12.0 * g / _PI**3),
-        "S00": ("(S - x*log(x)/4)*4/x", None),
-        "S12": ("S*log(x)^2/x", None),
-        "DISPERSION": ("S*log(x)/x", None),
-    }
+class Tallies(NamedTuple):
+    """One sieve block's tallies as int64 (r0 under the chosen convention)."""
+
+    lo: int
+    r0: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    c: float  # the dispersion parameter
+
+
+@dataclass(frozen=True)
+class Normalization:
+    """scale(raw, x, log x): the normalized value; main_term(k, x, log x): predicted S(x)."""
+
+    label: str
+    scale: Callable[[float, int, float], float]
+    main_term: Callable[[float, float, float], float] | None
+
+
+_PER_X = Normalization("S/x", lambda raw, x, lx: raw / x, lambda k, x, lx: k * x)
+_LOG = Normalization("S*log(x)/x", lambda raw, x, lx: raw * lx / x, lambda k, x, lx: k * x / lx)
+_LOG2 = Normalization(
+    "S*log(x)^2/x", lambda raw, x, lx: raw * lx * lx / x, lambda k, x, lx: k * x / (lx * lx)
+)
+_SQRT_LOG = Normalization(
+    "S*sqrt(log(x))/x",
+    lambda raw, x, lx: raw * math.sqrt(lx) / x,
+    lambda k, x, lx: k * x / math.sqrt(lx),
+)
+_PER_LOG = Normalization("S/log(x)", lambda raw, x, lx: raw / lx, lambda k, x, lx: k * lx)
+_AFFINE = Normalization(
+    "(S - x*log(x)/4)*4/x", lambda raw, x, lx: (raw - x * lx / 4.0) * 4.0 / x, None
+)
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """One mean-value statistic: the sum of `term` over n <= x at each checkpoint x.
+
+    `term` maps a Tallies (BLOCK) or a FactorScan (SCAN) to the terms of its
+    range; `constant` is None where no limit is claimed; `parameter` names
+    the argument carried in the reported label.
+    """
+
+    name: str
+    source: str
+    exact: bool
+    term: Callable[[Any], np.ndarray]
+    normalization: Normalization
+    constant: Callable[[], float] | None = None
+    parameter: str | None = None
+
+    def label(self, value: float) -> str:
+        """The identifier written to CSV, e.g. DISPERSION(c=1)."""
+        return f"{self.name}({self.parameter}={value:g})" if self.parameter else self.name
+
+
+def _dispersion_terms(v: Tallies) -> np.ndarray:
+    n = np.arange(v.lo, v.lo + v.r1.size, dtype=np.float64)
+    res = v.r1 - v.c * v.r0 / np.log(np.maximum(n, 2.0))
+    if v.lo == 1:
+        res[0] = 0.0  # sum starts at n = 2
+    return res * res
+
+
+def _lemma_weight(scan) -> np.ndarray:
+    # 2^omega(n) f_A(n); f_A(1) = 1.
+    return np.where(scan.in_a, np.exp2(scan.omega.astype(np.float64)), 0.0)
+
+
+def _g() -> float:
+    return catalan().value
+
+
+def _k() -> float:
+    return landau_ramanujan().value
+
+
+STATISTICS: dict[str, Statistic] = {s.name: s for s in (
+    Statistic("S00", BLOCK, True, lambda v: v.r0 * v.r0, _AFFINE),
+    Statistic("S01", BLOCK, True, lambda v: v.r0 * v.r1, _PER_X, lambda: 0.5),
+    Statistic("S02", BLOCK, True, lambda v: v.r0 * v.r2, _LOG, lambda: 12.0 * _g() / _PI**2),
+    Statistic("S11", BLOCK, True, lambda v: v.r1 * v.r1, _LOG, lambda: _PI / 2.0 + 9.0 / 4.0),
+    Statistic("S12", BLOCK, True, lambda v: v.r1 * v.r2, _LOG2),
+    Statistic("S22", BLOCK, True, lambda v: v.r2 * v.r2, _LOG2, lambda: 2.0 * _PI),
+    Statistic("M1", BLOCK, True, lambda v: v.r1, _LOG, lambda: _PI / 2.0),
+    Statistic("M2", BLOCK, True, lambda v: v.r2, _LOG2, lambda: _PI),
+    Statistic("R2CUBE", BLOCK, True, lambda v: v.r2 * v.r2 * v.r2, _LOG2, lambda: 4.0 * _PI),
+    Statistic("SUPP1", BLOCK, True, lambda v: (v.r1 > 0).astype(np.int64), _LOG, lambda: _PI / 2.0),
+    Statistic("SUPP2", BLOCK, True, lambda v: (v.r2 > 0).astype(np.int64), _LOG2, lambda: _PI / 2.0),
+    Statistic("DISPERSION", BLOCK, False, _dispersion_terms, _LOG, parameter="c"),
+    Statistic(
+        "LEMMA31", SCAN, False, lambda s: _lemma_weight(s) / np.arange(s.lo, s.hi, dtype=np.float64),
+        _PER_LOG, lambda: 1.0 / _PI,
+    ),
+    Statistic(
+        "LEMMA32", SCAN, False, lambda s: _lemma_weight(s) / s.phi.astype(np.float64),
+        _PER_LOG, lambda: 12.0 * _g() / _PI**3,
+    ),
+    Statistic("LANDAU_B", SCAN, True, lambda s: s.b.astype(np.int64), _SQRT_LOG, _k),
+    Statistic(
+        "COUNT_A", SCAN, True, lambda s: s.in_a.astype(np.int64), _SQRT_LOG,
+        lambda: 1.0 / (4.0 * _k()),
+    ),
+)}
+
+# What `paucity mean` reports when no --stats is given.
+DEFAULT_STATISTICS = ("S01", "S02", "S22")
+
+
+def find_statistic(identifier: str) -> Statistic:
+    """Registry entry for a statistic name or a reported label like DISPERSION(c=1)."""
+    name, paren, _ = identifier.partition("(")
+    stat = STATISTICS.get(name)
+    if stat is None or (paren and stat.parameter is None):
+        raise ValidationError(f"unknown statistic {identifier!r}")
+    return stat
 
 
 def known_statistics() -> tuple[str, ...]:
-    return tuple(_constant_table())
-
-
-def _base_statistic(statistic: str) -> str:
-    # DISPERSION carries its parameter in the identifier, e.g. DISPERSION(c=1).
-    return "DISPERSION" if statistic.startswith("DISPERSION") else statistic
+    return tuple(STATISTICS)
 
 
 def predicted_constant(statistic: str) -> float | None:
     """Limit constant of the normalized statistic, or None where no limit is claimed."""
-    table = _constant_table()
-    base = _base_statistic(statistic)
-    if base not in table:
-        raise ValidationError(f"unknown statistic {statistic!r}")
-    return table[base][1]
+    constant = find_statistic(statistic).constant
+    return None if constant is None else constant()
 
 
 def normalization_label(statistic: str) -> str:
-    table = _constant_table()
-    base = _base_statistic(statistic)
-    if base not in table:
-        raise ValidationError(f"unknown statistic {statistic!r}")
-    return table[base][0]
+    return find_statistic(statistic).normalization.label
 
 
 def normalized_value(statistic: str, x: int, raw: float) -> float:
     """Rescale a raw partial sum to the quantity that should converge."""
     if x < 3:
         raise ValidationError(f"normalization needs x >= 3, got {x}")
-    base = _base_statistic(statistic)
-    lx = math.log(x)
-    if base == "S01":
-        return raw / x
-    if base in ("S02", "S11", "M1", "SUPP1", "DISPERSION"):
-        return raw * lx / x
-    if base in ("S22", "M2", "R2CUBE", "SUPP2", "S12"):
-        return raw * lx * lx / x
-    if base in ("LANDAU_B", "COUNT_A"):
-        return raw * math.sqrt(lx) / x
-    if base in ("LEMMA31", "LEMMA32"):
-        return raw / lx
-    if base == "S00":
-        return (raw - x * lx / 4.0) * 4.0 / x
-    raise ValidationError(f"unknown statistic {statistic!r}")
+    return find_statistic(statistic).normalization.scale(raw, x, math.log(x))
 
 
 def predicted_main_term(statistic: str, x: float) -> float:
     """Predicted main term at x for the statistics with a proven constant.
 
-    Raises ValidationError for statistics whose constant the source material
-    leaves unspecified (S00, S12, DISPERSION) and for unknown identifiers.
+    Raises ValidationError for statistics without a predicted constant and
+    for unknown identifiers.
     """
     if x < 3:
         raise ValidationError(f"predicted_main_term needs x >= 3, got {x}")
-    base = _base_statistic(statistic)
-    const = predicted_constant(base)
-    if const is None:
+    stat = find_statistic(statistic)
+    if stat.constant is None or stat.normalization.main_term is None:
         raise ValidationError(f"no predicted constant for {statistic!r}")
-    lx = math.log(x)
-    if base == "S01":
-        return const * x
-    if base in ("S02", "S11", "M1", "SUPP1"):
-        return const * x / lx
-    if base in ("S22", "M2", "R2CUBE", "SUPP2"):
-        return const * x / (lx * lx)
-    if base in ("LANDAU_B", "COUNT_A"):
-        return const * x / math.sqrt(lx)
-    if base in ("LEMMA31", "LEMMA32"):
-        return const * lx
-    raise ValidationError(f"unknown statistic {statistic!r}")
+    return stat.normalization.main_term(stat.constant(), x, math.log(x))

@@ -11,33 +11,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .arith import SpfTable, factor_scan
-from .constants import normalized_value, predicted_constant
+from .constants import (
+    BLOCK,
+    SCAN,
+    STATISTICS,
+    Statistic,
+    Tallies,
+    normalized_value,
+    predicted_constant,
+)
 from .errors import CapacityError, ValidationError
 from .sieve import RepresentationBlock, sieve_primes
 
 _ATOM = 1 << 16
 _SCAN_CHUNK = 1 << 18
 _PARTITION_CAP = 2 * 10**7
-
-INTEGER_STATISTICS = (
-    "S00",
-    "S01",
-    "S02",
-    "S11",
-    "S12",
-    "S22",
-    "M1",
-    "M2",
-    "R2CUBE",
-    "SUPP1",
-    "SUPP2",
-)
-
 
 @dataclass(frozen=True)
 class CheckpointGrid:
@@ -185,53 +178,23 @@ class _FloatAccumulator:
                 self.out.append(self.total + self.comp)
                 self.ci += 1
 
-    def finish(self) -> None:
-        self._flush_to(self.start + self.size)
 
-
-def _r0_array(block: RepresentationBlock, convention: str) -> np.ndarray:
-    if convention == "pair":
-        return block.r0_pair
-    if convention == "div":
-        return block.r0_div
-    raise ValidationError(f"unknown r0 convention {convention!r}")
-
-
-def _block_terms(
-    block: RepresentationBlock, stat: str, convention: str, c: float
-) -> np.ndarray:
-    r0 = _r0_array(block, convention).astype(np.int64)
-    r1 = block.r1.astype(np.int64)
-    r2 = block.r2.astype(np.int64)
-    if stat == "S00":
-        return r0 * r0
-    if stat == "S01":
-        return r0 * r1
-    if stat == "S02":
-        return r0 * r2
-    if stat == "S11":
-        return r1 * r1
-    if stat == "S12":
-        return r1 * r2
-    if stat == "S22":
-        return r2 * r2
-    if stat == "M1":
-        return r1
-    if stat == "M2":
-        return r2
-    if stat == "R2CUBE":
-        return r2 * r2 * r2
-    if stat == "SUPP1":
-        return (r1 > 0).astype(np.int64)
-    if stat == "SUPP2":
-        return (r2 > 0).astype(np.int64)
-    if stat == "DISPERSION":
-        n = np.arange(block.lo, block.hi, dtype=np.float64)
-        res = r1 - c * r0 / np.log(np.maximum(n, 2.0))
-        if block.lo == 1:
-            res[0] = 0.0  # sum starts at n = 2
-        return res * res
-    raise ValidationError(f"unknown statistic {stat!r}")
+def _accumulators(
+    statistics: Sequence[str], source: str, grid: CheckpointGrid
+) -> tuple[list[Statistic], list[_IntAccumulator | _FloatAccumulator]]:
+    """Registry entries of the requested statistics of one source, with their accumulators."""
+    if not statistics:
+        raise ValidationError("no statistics requested")
+    stats: list[Statistic] = []
+    for name in statistics:
+        stat = STATISTICS.get(name)
+        if stat is None or stat.source != source:
+            raise ValidationError(f"unknown {source} statistic {name!r}")
+        if stat in stats:
+            raise ValidationError(f"duplicate statistic {name!r}")
+        stats.append(stat)
+    accs = [(_IntAccumulator if s.exact else _FloatAccumulator)(grid.points) for s in stats]
+    return stats, accs
 
 
 def accumulate(
@@ -241,30 +204,18 @@ def accumulate(
     r0_convention: str = "pair",
     dispersion_c: float = 1.0,
 ) -> list[MeanValueSeries]:
-    """Exact partial sums of the requested statistics at every checkpoint.
+    """Exact partial sums of the requested sieve-block statistics at every checkpoint.
 
     Blocks must arrive in ascending order covering [1, limit] with
-    limit >= the last checkpoint; S01/S02/S00/DISPERSION use r0 under the
-    given convention ("pair" or "div").
+    limit >= the last checkpoint; r0 follows the given convention ("pair" or
+    "div").  Each block's tallies are widened to int64 once and shared by
+    every statistic.
     """
-    stats = list(statistics)
-    if not stats:
-        raise ValidationError("no statistics requested")
-    seen = set()
-    for s in stats:
-        if s in seen:
-            raise ValidationError(f"duplicate statistic {s!r}")
-        seen.add(s)
+    stats, accs = _accumulators(statistics, BLOCK, grid)
     if dispersion_c < 0:
         raise ValidationError(f"dispersion c must be >= 0, got {dispersion_c}")
-    accs: dict[str, _IntAccumulator | _FloatAccumulator] = {}
-    for s in stats:
-        if s == "DISPERSION":
-            accs[s] = _FloatAccumulator(grid.points)
-        elif s in INTEGER_STATISTICS:
-            accs[s] = _IntAccumulator(grid.points)
-        else:
-            raise ValidationError(f"unknown statistic {s!r}")
+    if r0_convention not in ("pair", "div"):
+        raise ValidationError(f"unknown r0 convention {r0_convention!r}")
     expected = 1
     covered = 0
     for block in blocks:
@@ -272,83 +223,47 @@ def accumulate(
             raise ValidationError(f"blocks out of order: expected lo={expected}, got {block.lo}")
         expected = block.hi
         covered = block.hi - 1
-        for s in stats:
-            accs[s].feed(block.lo, _block_terms(block, s, r0_convention, dispersion_c))
+        r0 = block.r0_pair if r0_convention == "pair" else block.r0_div
+        tallies = Tallies(
+            block.lo,
+            r0.astype(np.int64),
+            block.r1.astype(np.int64),
+            block.r2.astype(np.int64),
+            dispersion_c,
+        )
+        for stat, acc in zip(stats, accs):
+            acc.feed(block.lo, stat.term(tallies))
+        del tallies  # free the int64 copies before the next block arrives
     if covered < grid.points[-1]:
         raise ValidationError(
             f"checkpoint {grid.points[-1]} beyond covered range [1, {covered}]"
         )
-    out = []
-    for s in stats:
-        acc = accs[s]
-        label = f"DISPERSION(c={dispersion_c:g})" if s == "DISPERSION" else s
-        out.append(MeanValueSeries(statistic=label, values=tuple(acc.out), limit=covered))
-    return out
+    return [
+        MeanValueSeries(stat.label(dispersion_c), tuple(acc.out), covered)
+        for stat, acc in zip(stats, accs)
+    ]
 
 
-def support_counts(
-    blocks: Iterable[RepresentationBlock], grid: CheckpointGrid
-) -> tuple[MeanValueSeries, MeanValueSeries]:
-    """#{n <= x: r1(n) > 0} and #{n <= x: r2(n) > 0} per checkpoint."""
-    pair = accumulate(blocks, grid, ["SUPP1", "SUPP2"])
-    return pair[0], pair[1]
+def scan_sums(
+    limit: int, grid: CheckpointGrid, spf: SpfTable, statistics: Sequence[str]
+) -> list[MeanValueSeries]:
+    """Partial sums of the requested factor_scan statistics at every checkpoint.
 
-
-def dispersion(
-    c: float, blocks: Iterable[RepresentationBlock], grid: CheckpointGrid,
-    r0_convention: str = "pair",
-) -> MeanValueSeries:
-    """sum_{2<=n<=x} (r1(n) - c*r0(n)/log n)^2 with deterministic float accumulation."""
-    return accumulate(
-        blocks, grid, ["DISPERSION"], r0_convention=r0_convention, dispersion_c=c
-    )[0]
-
-
-def lemma_sums(
-    limit: int, grid: CheckpointGrid, spf: SpfTable
-) -> tuple[MeanValueSeries, MeanValueSeries]:
-    """sum_{n<=x} 2^omega(n) f_A(n)/n and the phi-weighted twin, per checkpoint.
-
-    Compensated summation in ascending n; f_A(1) = 1 contributes 1 to both.
+    One factor_scan pass over [1, limit], in ascending chunks, feeds every
+    requested statistic; float sums are compensated, integer sums exact.
     """
+    stats, accs = _accumulators(statistics, SCAN, grid)
     if limit < 2 or limit > spf.limit:
-        raise ValidationError(f"lemma_sums needs 2 <= limit <= {spf.limit}, got {limit}")
+        raise ValidationError(f"scan_sums needs 2 <= limit <= {spf.limit}, got {limit}")
     if grid.points[-1] > limit:
         raise ValidationError(f"checkpoint {grid.points[-1]} beyond limit {limit}")
-    acc31 = _FloatAccumulator(grid.points)
-    acc32 = _FloatAccumulator(grid.points)
     for lo in range(1, limit + 1, _SCAN_CHUNK):
-        hi = min(lo + _SCAN_CHUNK, limit + 1)
-        scan = factor_scan(lo, hi, spf)
-        weight = np.where(scan.in_a, np.exp2(scan.omega.astype(np.float64)), 0.0)
-        n = np.arange(lo, hi, dtype=np.float64)
-        acc31.feed(lo, weight / n)
-        acc32.feed(lo, weight / scan.phi.astype(np.float64))
-    return (
-        MeanValueSeries("LEMMA31", tuple(acc31.out), limit),
-        MeanValueSeries("LEMMA32", tuple(acc32.out), limit),
-    )
-
-
-def landau_counts(
-    limit: int, grid: CheckpointGrid, spf: SpfTable
-) -> tuple[MeanValueSeries, MeanValueSeries]:
-    """sum_{n<=x} b(n) and #{n <= x: n in A} per checkpoint (exact integers)."""
-    if limit < 2 or limit > spf.limit:
-        raise ValidationError(f"landau_counts needs 2 <= limit <= {spf.limit}, got {limit}")
-    if grid.points[-1] > limit:
-        raise ValidationError(f"checkpoint {grid.points[-1]} beyond limit {limit}")
-    acc_b = _IntAccumulator(grid.points)
-    acc_a = _IntAccumulator(grid.points)
-    for lo in range(1, limit + 1, _SCAN_CHUNK):
-        hi = min(lo + _SCAN_CHUNK, limit + 1)
-        scan = factor_scan(lo, hi, spf)
-        acc_b.feed(lo, scan.b.astype(np.int64))
-        acc_a.feed(lo, scan.in_a.astype(np.int64))
-    return (
-        MeanValueSeries("LANDAU_B", tuple(acc_b.out), limit),
-        MeanValueSeries("COUNT_A", tuple(acc_a.out), limit),
-    )
+        scan = factor_scan(lo, min(lo + _SCAN_CHUNK, limit + 1), spf)
+        for stat, acc in zip(stats, accs):
+            acc.feed(lo, stat.term(scan))
+    return [
+        MeanValueSeries(stat.name, tuple(acc.out), limit) for stat, acc in zip(stats, accs)
+    ]
 
 
 def partition_s12(limit: int) -> PartitionReport:
@@ -429,12 +344,24 @@ def divisor_split(n: int, A_exponent: float = 6.0, x: int | None = None) -> tupl
     return s1, s2, s3
 
 
+def csv_fields(statistic: str, x: int, raw: int | float) -> tuple[str, str, str, str]:
+    """raw_value, normalized_value, predicted_constant and deviation as CSV text.
+
+    Exact sums print as integers, floats with 15 significant digits;
+    statistics without a proven constant carry nan in the last two fields.
+    """
+    norm = normalized_value(statistic, x, float(raw))
+    const = predicted_constant(statistic)
+    raw_s = str(raw) if isinstance(raw, int) else f"{raw:.15g}"
+    if const is None:
+        return raw_s, f"{norm:.15g}", "nan", "nan"
+    return raw_s, f"{norm:.15g}", f"{const:.15g}", f"{norm - const:.15g}"
+
+
 def write_csv(handle: IO[str], series_list: Sequence[MeanValueSeries], grid: CheckpointGrid) -> None:
     """One row per (statistic, checkpoint): x, statistic, raw_value, normalized_value, predicted_constant, deviation.
 
-    Floats use 15 significant digits; statistics without a proven constant
-    carry nan in the last two columns.  Output is plain '\\n'-terminated text
-    so reruns are byte-comparable.
+    Output is plain '\\n'-terminated text so reruns are byte-comparable.
     """
     handle.write("x,statistic,raw_value,normalized_value,predicted_constant,deviation\n")
     for series in series_list:
@@ -443,18 +370,9 @@ def write_csv(handle: IO[str], series_list: Sequence[MeanValueSeries], grid: Che
                 f"series {series.statistic} has {len(series.values)} values "
                 f"for {len(grid.points)} checkpoints"
             )
-        const = predicted_constant(series.statistic)
         for x, raw in zip(grid.points, series.values):
-            norm = normalized_value(series.statistic, x, float(raw))
-            if const is None:
-                pred_s = dev_s = "nan"
-            else:
-                pred_s = f"{const:.15g}"
-                dev_s = f"{norm - const:.15g}"
-            raw_s = str(raw) if isinstance(raw, int) else f"{raw:.15g}"
-            handle.write(
-                f"{x},{series.statistic},{raw_s},{norm:.15g},{pred_s},{dev_s}\n"
-            )
+            fields = ",".join(csv_fields(series.statistic, x, raw))
+            handle.write(f"{x},{series.statistic},{fields}\n")
 
 
 def read_csv(handle: IO[str]) -> list[dict]:
@@ -471,14 +389,17 @@ def read_csv(handle: IO[str]) -> list[dict]:
         parts = line.split(",")
         if len(parts) != 6:
             raise ValidationError(f"malformed CSV row: {line!r}")
-        rows.append(
-            {
-                "x": int(parts[0]),
-                "statistic": parts[1],
-                "raw_value": float(parts[2]),
-                "normalized_value": float(parts[3]),
-                "predicted_constant": float(parts[4]),
-                "deviation": float(parts[5]),
-            }
-        )
+        try:
+            rows.append(
+                {
+                    "x": int(parts[0]),
+                    "statistic": parts[1],
+                    "raw_value": float(parts[2]),
+                    "normalized_value": float(parts[3]),
+                    "predicted_constant": float(parts[4]),
+                    "deviation": float(parts[5]),
+                }
+            )
+        except ValueError:
+            raise ValidationError(f"malformed CSV row: {line!r}") from None
     return rows

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import is_prime
 from .errors import CapacityError, ValidationError
 from .sieve import PrimeTable, sieve_primes
 
@@ -316,21 +317,6 @@ def enumerate_n1_params(limit: int, collect: bool = False) -> ParamCensus:
     return ParamCensus(limit=limit, n1=total, tuples=tuple(found) if collect else None)
 
 
-def _is_prime_slow(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def check_ell_pair(a: int, p: int, q: int, r: int, limit: int) -> int:
     """Number of violated l-substitution conditions for one quadruple.
 
@@ -343,7 +329,7 @@ def check_ell_pair(a: int, p: int, q: int, r: int, limit: int) -> int:
         bad += 1
     if not q - a < q + a:
         bad += 1
-    if not (_is_prime_slow(q) and q != 2):
+    if not (is_prime(q) and q != 2):
         bad += 1
     if (q - a) * (q + a) != p * p - r * r:
         bad += 1

@@ -14,7 +14,7 @@ import pytest
 from paucity.arith import build_spf_table, factorize
 from paucity.congruence import FormParams, nu_closed, nu_oracle, nu_prime_closed, rho_closed, rho_oracle
 from paucity.constants import catalan, landau_ramanujan, predicted_constant
-from paucity.meanvalue import CheckpointGrid, accumulate, lemma_sums, partition_s12
+from paucity.meanvalue import CheckpointGrid, accumulate, partition_s12, scan_sums
 from paucity.quadruples import enumerate_n1_params, enumerate_offdiag, param_apply, param_invert
 from paucity.sieve import SieveConfig, sieve_all
 from paucity.cli import main as cli_main
@@ -211,7 +211,7 @@ def test_criterion_09_lemma_slopes():
     within +-10% of 1/pi and 12G/pi^3 (measured: both within 0.01%)."""
     spf = build_spf_table(10**7)
     grid = CheckpointGrid(points=(10**6, 10**7))
-    l31, l32 = lemma_sums(10**7, grid, spf)
+    l31, l32 = scan_sums(10**7, grid, spf, ["LEMMA31", "LEMMA32"])
     dlog = math.log(10**7) - math.log(10**6)
     slope31 = (l31.values[1] - l31.values[0]) / dlog
     slope32 = (l32.values[1] - l32.values[0]) / dlog

@@ -14,6 +14,7 @@ from paucity.arith import (
     factor_scan,
     factorize,
     in_A,
+    is_prime,
     is_sum_two_squares,
     omega,
     phi,
@@ -72,6 +73,12 @@ def test_divisor_chi4_sum_direct_loop():
     for n in range(1, 800):
         f = factorize(n, TABLE)
         assert divisor_chi4_sum(f) == oracles.divisor_chi4_sum_slow(n), n
+
+
+def test_is_prime_matches_oracle():
+    assert [n for n in range(-2, 2000) if is_prime(n)] == [
+        n for n in range(2, 2000) if oracles.is_prime_slow(n)
+    ]
 
 
 def test_predicate_classes():

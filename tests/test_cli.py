@@ -1,11 +1,14 @@
 """End-to-end command-line runs: files, manifests, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import paucity
 from paucity.cli import main
 from paucity.constants import catalan
 from paucity.meanvalue import read_csv
@@ -53,6 +56,8 @@ def test_thread_env_override(tmp_path, monkeypatch):
     out = tmp_path / "env"
     monkeypatch.setenv("PAUCITY_THREADS", "3")
     assert run_cli("mean", "--limit", "5000", "--stats", "S01", "--out-dir", str(out)) == 0
+    manifest = json.loads((out / "mean_manifest.json").read_text())
+    assert manifest["config"]["threads"] == 3
     monkeypatch.setenv("PAUCITY_THREADS", "zero-ish")
     assert run_cli("mean", "--limit", "5000", "--stats", "S01", "--out-dir", str(out)) == 2
 
@@ -63,6 +68,12 @@ def test_validation_exit_codes(tmp_path):
     assert run_cli("mean", "--limit", "-3", "--stats", "S01", "--out-dir", out) == 2
     assert run_cli("mean", "--limit", "1000", "--grid", "weird:1", "--out-dir", out) == 2
     assert run_cli("report", "--out-dir", out) == 2
+    assert run_cli("mean", "--limit", "1000", "--grid", "explicit:10,abc", "--out-dir", out) == 2
+    assert run_cli("mean", "--limit", "1000", "--grid", "geometric:x", "--out-dir", out) == 2
+    assert run_cli("report", "--inputs", str(tmp_path / "missing.csv"), "--out-dir", out) == 2
+    assert run_cli("mean", "--limit", "1000", "--grid", "explicit:2,1000", "--out-dir", out) == 2
+    assert run_cli("mean", "--limit", "2", "--out-dir", out) == 2
+    assert not (tmp_path / "mean.csv").exists()
 
 
 def test_capacity_exit_code(tmp_path):
@@ -70,9 +81,14 @@ def test_capacity_exit_code(tmp_path):
 
 
 def test_argparse_errors_exit_two():
+    # The child imports the package under test even when it is not installed.
+    src = str(Path(paucity.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "paucity.cli", "definitely-not-a-command"],
         capture_output=True,
+        env=env,
     )
     assert proc.returncode == 2
 
@@ -136,6 +152,22 @@ def test_offdiag_smallest_case(tmp_path):
     assert quads == ["a,p,q,r,n", "1,7,5,5,50"]
 
 
+def test_offdiag_emit_needs_census(tmp_path):
+    rc = run_cli(
+        "offdiag", "--limit", "1000", "--mode", "param", "--emit-quadruples",
+        "--out-dir", str(tmp_path),
+    )
+    assert rc == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_offdiag_emit_over_cap_writes_nothing(tmp_path):
+    # 105280 canonical quadruples at 5e6, above the 1e5 collection cap.
+    rc = run_cli("offdiag", "--limit", "5000000", "--emit-quadruples", "--out-dir", str(tmp_path))
+    assert rc == 3
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_joins_and_plots(tmp_path):
     mean_dir = tmp_path / "m"
     assert run_cli(
@@ -162,4 +194,7 @@ def test_report_joins_and_plots(tmp_path):
 def test_report_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,nope\n1,2\n")
+    assert run_cli("report", "--inputs", str(bad), "--out-dir", str(tmp_path)) == 2
+    header = "x,statistic,raw_value,normalized_value,predicted_constant,deviation\n"
+    bad.write_text(header + "ten,S01,1,2,3,4\n")
     assert run_cli("report", "--inputs", str(bad), "--out-dir", str(tmp_path)) == 2

@@ -9,20 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paucity.arith import build_spf_table, divisor_chi4_sum, factorize, in_A, omega, phi
+from paucity.constants import BLOCK, STATISTICS
 from paucity.errors import ValidationError
 from paucity.meanvalue import (
-    INTEGER_STATISTICS,
     CheckpointGrid,
     MeanValueSeries,
     PartitionReport,
     accumulate,
-    dispersion,
     divisor_split,
-    landau_counts,
-    lemma_sums,
     partition_s12,
     read_csv,
-    support_counts,
+    scan_sums,
     write_csv,
 )
 from paucity.sieve import SieveConfig, sieve_all
@@ -53,8 +50,13 @@ def test_grid_validation():
     assert geo.points == (1000, 10000, 25000)
 
 
+def _dispersion(c, blocks, r0_convention="pair"):
+    return accumulate(
+        blocks, GRID, ["DISPERSION"], r0_convention=r0_convention, dispersion_c=c
+    )[0]
+
+
 def test_integer_statistics_match_direct_sums():
-    series = accumulate(_blocks(), GRID, list(INTEGER_STATISTICS))
     expected = {
         "S00": _slow_sum(R0 * R0),
         "S01": _slow_sum(R0 * R1),
@@ -68,6 +70,9 @@ def test_integer_statistics_match_direct_sums():
         "SUPP1": _slow_sum((R1 > 0).astype(np.int64)),
         "SUPP2": _slow_sum((R2 > 0).astype(np.int64)),
     }
+    exact_block = {s.name for s in STATISTICS.values() if s.source == BLOCK and s.exact}
+    assert set(expected) == exact_block
+    series = accumulate(_blocks(), GRID, list(expected))
     for s in series:
         assert list(s.values) == expected[s.statistic], s.statistic
         assert all(isinstance(v, int) for v in s.values)
@@ -110,7 +115,7 @@ def test_cauchy_schwarz():
 
 def test_dispersion_matches_fsum():
     for c, convention, r0 in ((1.0, "pair", R0), (0.0, "pair", R0), (2.5, "div", R0D)):
-        series = dispersion(c, _blocks(), GRID, r0_convention=convention)
+        series = _dispersion(c, _blocks(), r0_convention=convention)
         assert series.statistic == f"DISPERSION(c={c:g})"
         for x, got in zip(GRID.points, series.values):
             terms = [
@@ -118,13 +123,13 @@ def test_dispersion_matches_fsum():
             ]
             assert got == pytest.approx(math.fsum(terms), rel=1e-12, abs=1e-9), (c, x)
     with pytest.raises(ValidationError):
-        dispersion(-1.0, _blocks(), GRID)
+        _dispersion(-1.0, _blocks())
 
 
 def test_float_determinism_across_geometry():
-    base = dispersion(1.0, _blocks(block_size=LIMIT), GRID).values
+    base = _dispersion(1.0, _blocks(block_size=LIMIT)).values
     for block_size, threads in ((7777, 1), (512, 4), (4096, 3), (99, 2)):
-        other = dispersion(1.0, _blocks(block_size=block_size, threads=threads), GRID).values
+        other = _dispersion(1.0, _blocks(block_size=block_size, threads=threads)).values
         assert other == base, (block_size, threads)
 
 
@@ -135,20 +140,29 @@ def test_accumulate_validation():
         accumulate(_blocks(), GRID, ["S01", "S01"])
     with pytest.raises(ValidationError):
         accumulate(_blocks(), GRID, ["S99"])
+    with pytest.raises(ValidationError):
+        accumulate(_blocks(), GRID, ["LEMMA31"])
     short = sieve_all(SieveConfig(limit=5000))
     with pytest.raises(ValidationError):
         accumulate(short, GRID, ["S01"])
+    spf = build_spf_table(LIMIT)
+    with pytest.raises(ValidationError):
+        scan_sums(LIMIT, GRID, spf, ["S01"])
+    with pytest.raises(ValidationError):
+        scan_sums(LIMIT, GRID, spf, ["COUNT_A", "COUNT_A"])
+    with pytest.raises(ValidationError):
+        scan_sums(LIMIT + 1, GRID, spf, ["COUNT_A"])
 
 
 def test_support_counts():
-    supp1, supp2 = support_counts(_blocks(), GRID)
+    supp1, supp2 = accumulate(_blocks(), GRID, ["SUPP1", "SUPP2"])
     assert list(supp1.values) == _slow_sum((R1 > 0).astype(np.int64))
     assert list(supp2.values) == _slow_sum((R2 > 0).astype(np.int64))
 
 
 def test_lemma_sums_match_fsum():
     spf = build_spf_table(LIMIT)
-    l31, l32 = lemma_sums(LIMIT, GRID, spf)
+    l31, l32 = scan_sums(LIMIT, GRID, spf, ["LEMMA31", "LEMMA32"])
     w = np.zeros(LIMIT + 1)
     ph = np.zeros(LIMIT + 1)
     for n in range(1, LIMIT + 1):
@@ -163,7 +177,7 @@ def test_lemma_sums_match_fsum():
 
 def test_landau_counts_exact():
     spf = build_spf_table(LIMIT)
-    lb, ca = landau_counts(LIMIT, GRID, spf)
+    lb, ca = scan_sums(LIMIT, GRID, spf, ["LANDAU_B", "COUNT_A"])
     b = np.array([0] + [oracles.two_squares_slow(n) for n in range(1, LIMIT + 1)], dtype=np.int64)
     a = np.array([0] + [oracles.in_a_slow(n) for n in range(1, LIMIT + 1)], dtype=np.int64)
     assert list(lb.values) == _slow_sum(b)
@@ -230,7 +244,7 @@ def test_divisor_split_validation():
 
 def test_csv_round_trip():
     series = accumulate(_blocks(), GRID, ["S01", "S22"])
-    series.append(dispersion(1.0, _blocks(), GRID))
+    series.append(_dispersion(1.0, _blocks()))
     buf = io.StringIO()
     write_csv(buf, series, GRID)
     text = buf.getvalue()

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paucity.errors import CapacityError, ValidationError
@@ -165,14 +165,34 @@ def test_exceptional_counts_match_slow():
         exceptional_set_count(9999)
 
 
+def _n_windows(d: int, t: int) -> list[tuple[int, int]]:
+    """Coprime (n1, n2), n1 <= 12 and 2 <= n2 <= 20, with 2 < a < q < r < p.
+
+    a < q and r < p always hold; q < r is n2 > n1(t+d)/(t-d) and a >= 3 is
+    n2 <= (n1 t - 3)/d, and together they imply both positivity conditions.
+    """
+    return [
+        (n1, n2)
+        for n1 in range(1, 13)
+        for n2 in range(max(2, n1 * (t + d) // (t - d) + 1), min(20, (n1 * t - 3) // d) + 1)
+        if math.gcd(n1, n2) == 1
+    ]
+
+
+@st.composite
+def _n1_param_tuples(draw) -> ParamTuple:
+    d = draw(st.integers(1, 6))
+    t = draw(st.sampled_from(
+        [t for t in range(d + 1, 31) if math.gcd(d, t) == 1 and _n_windows(d, t)]
+    ))
+    n1, n2 = draw(st.sampled_from(_n_windows(d, t)))
+    return ParamTuple(d=d, t=t, n1=n1, n2=n2)
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.integers(1, 6), st.integers(2, 30), st.integers(1, 12), st.integers(2, 20))
-def test_param_round_trip_property(d, t, n1, n2):
-    assume(math.gcd(d, t) == 1 and d < t)
-    assume(math.gcd(n1, n2) == 1)
-    assume(n2 * t > n1 * d and n1 * t > n2 * d)
-    pt = ParamTuple(d=d, t=t, n1=n1, n2=n2)
+@given(_n1_param_tuples())
+def test_param_round_trip_property(pt):
     r, q, p, a = param_apply(pt)
-    assume(2 < a < q < r < p)
+    assert 2 < a < q < r < p
     quad = Quadruple(a=a, p=p, q=q, r=r, n=a * a + p * p)
     assert param_invert(quad) == pt
