@@ -1,10 +1,12 @@
 """Elementary multiplicative machinery shared by every other module.
 
-Everything here is exact integer arithmetic: the non-principal character
-mod 4, smallest-prime-factor tables, factorizations, and the multiplicative
-functions omega, tau, phi, the sum-of-two-squares indicator b(n), the
-indicator of the set A (all prime factors 1 mod 4), and the divisor sum
-sum_{d | n} chi4(d).
+Everything here is exact integer arithmetic on single integers: the
+non-principal character mod 4, trial-division primality, smallest-prime-factor
+tables, factorizations, and the multiplicative functions omega, tau, phi, the
+sum-of-two-squares indicator b(n), the indicator of the set A (all prime
+factors 1 mod 4), and the divisor sum sum_{d | n} chi4(d).  The congruence
+closed forms factor through these; the sieve computes the same functions for
+whole blocks, and the tests check it against them.
 """
 
 from __future__ import annotations
@@ -172,72 +174,3 @@ def divisor_chi4_sum(f: Factorization) -> int:
         elif r == 3 and e & 1 == 1:
             return 0
     return out
-
-
-@dataclass(frozen=True)
-class FactorScan:
-    """Vectorized multiplicative data for a half-open range [lo, hi).
-
-    Arrays are indexed by n - lo and hold omega(n), phi(n), b(n) and the
-    indicator of n in A.  Used by the mean-value engines that need these
-    values for every n up to 1e7 without per-n Python work.
-    """
-
-    lo: int
-    hi: int
-    omega: np.ndarray
-    phi: np.ndarray
-    b: np.ndarray
-    in_a: np.ndarray
-
-
-def factor_scan(lo: int, hi: int, table: SpfTable) -> FactorScan:
-    """Compute omega, phi, b and the A-indicator for every n in [lo, hi).
-
-    Parameters
-    ----------
-    lo, hi : int
-        Half-open range with 1 <= lo < hi <= table.limit + 1.
-    table : SpfTable
-        Must cover hi - 1.
-
-    Returns
-    -------
-    FactorScan
-
-    Notes
-    -----
-    Walks smallest prime factors over the whole range at once: each round
-    strips the full power of the current smallest prime from every still
-    active entry, so the number of rounds is max omega(n), about 8 at 1e7.
-    """
-    if lo < 1 or hi <= lo:
-        raise ValidationError(f"factor_scan needs 1 <= lo < hi, got [{lo}, {hi})")
-    if hi - 1 > table.limit:
-        raise ValidationError(f"factor_scan range end {hi} exceeds table limit {table.limit}")
-    width = hi - lo
-    spf = table.spf
-    val = np.arange(lo, hi, dtype=np.int64)
-    om = np.zeros(width, dtype=np.int16)
-    ph = np.ones(width, dtype=np.int64)
-    b = np.ones(width, dtype=bool)
-    ina = np.ones(width, dtype=bool)
-    active = np.flatnonzero(val > 1)
-    while active.size:
-        v = val[active]
-        p = spf[v].astype(np.int64)
-        e = np.ones(active.size, dtype=np.int64)
-        v //= p
-        idx = np.flatnonzero(v % p == 0)
-        while idx.size:
-            v[idx] //= p[idx]
-            e[idx] += 1
-            idx = idx[v[idx] % p[idx] == 0]
-        res = p & 3
-        om[active] += 1
-        ph[active] *= (p - 1) * np.power(p, e - 1)
-        ina[active] &= res == 1
-        b[active] &= (res != 3) | (e & 1 == 0)
-        val[active] = v
-        active = active[v > 1]
-    return FactorScan(lo=lo, hi=hi, omega=om, phi=ph, b=b, in_a=ina)

@@ -21,11 +21,17 @@ from pathlib import Path
 
 from . import __version__
 from .arith import build_spf_table
-from .congruence import FormParams, nu_closed, nu_oracle, rho_closed, rho_oracle
+from .congruence import (
+    NU_ORACLE_CAP,
+    RHO_ORACLE_CAP,
+    FormParams,
+    nu_closed,
+    nu_oracle,
+    rho_closed,
+    rho_oracle,
+)
 from .constants import (
-    BLOCK,
     DEFAULT_STATISTICS,
-    SCAN,
     STATISTICS,
     catalan,
     landau_ramanujan,
@@ -38,7 +44,6 @@ from .meanvalue import (
     csv_fields,
     partition_s12,
     read_csv,
-    scan_sums,
     write_csv,
 )
 from .quadruples import enumerate_n1_params, enumerate_offdiag
@@ -144,25 +149,18 @@ def _cmd_mean(args: argparse.Namespace, out_dir: Path) -> list[str]:
         raise ValidationError(f"limit must be >= 2, got {args.limit}")
     stats = _parse_stats(args.stats)
     grid = _parse_grid(args.grid, args.limit)
-    by_source = {
-        source: [s for s in stats if STATISTICS[s].source == source] for source in (BLOCK, SCAN)
-    }
-    produced = {}
-    if by_source[BLOCK]:
-        cfg = SieveConfig(limit=args.limit, block_size=args.block_size, thread_count=args.threads)
-        produced[BLOCK] = iter(accumulate(
-            sieve_all(cfg), grid, by_source[BLOCK],
-            r0_convention=args.r0_convention, dispersion_c=args.dispersion_c,
-        ))
-    if by_source[SCAN]:
-        spf = build_spf_table(args.limit)
-        produced[SCAN] = iter(scan_sums(args.limit, grid, spf, by_source[SCAN]))
-    # Each source returns its series in request order; interleave them back.
-    ordered = [next(produced[STATISTICS[s].source]) for s in stats]
+    cfg = SieveConfig(
+        limit=args.limit, block_size=args.block_size, thread_count=args.threads,
+        multiplicative=any(STATISTICS[s].multiplicative for s in stats),
+    )
+    series = accumulate(
+        sieve_all(cfg), grid, stats,
+        r0_convention=args.r0_convention, dispersion_c=args.dispersion_c,
+    )
     csv_path = out_dir / "mean.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        write_csv(fh, ordered, grid)
-    print(f"wrote {len(ordered)} series at {len(grid.points)} checkpoints -> {csv_path}")
+        write_csv(fh, series, grid)
+    print(f"wrote {len(series)} series at {len(grid.points)} checkpoints -> {csv_path}")
     return [csv_path.name]
 
 
@@ -198,13 +196,20 @@ def _cmd_constants(args: argparse.Namespace, out_dir: Path) -> list[str]:
 
 
 def _cmd_congruence(args: argparse.Namespace, out_dir: Path) -> list[str]:
+    params = FormParams(t=args.t, d=args.d)
+    for flag, value, cap in (
+        ("--rho-max", args.rho_max, RHO_ORACLE_CAP), ("--nu-max", args.nu_max, NU_ORACLE_CAP)
+    ):
+        if value < 0:
+            raise ValidationError(f"{flag} must be >= 0, got {value}")
+        if value > cap:
+            raise CapacityError(f"{flag} {value} exceeds the oracle cap {cap}")
     spf = build_spf_table(max(args.rho_max, args.nu_max, 2))
     rows = []
     for d in range(1, args.rho_max + 1):
         closed = rho_closed(arith.factorize(d, spf)).count
         oracle = rho_oracle(d).count
         rows.append(("rho", d, "", "", closed, oracle, int(closed == oracle)))
-    params = FormParams(t=args.t, d=args.d)
     for delta in range(1, args.nu_max + 1):
         f = arith.factorize(delta, spf)
         if any(e > 1 for _, e in f.factors):

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import Factorization, is_prime
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
-_NU_ORACLE_CAP = 3000
-_RHO_ORACLE_CAP = 10**5
+# Largest moduli the exhaustive oracles accept.
+NU_ORACLE_CAP = 3000
+RHO_ORACLE_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,10 @@ def rho_closed(f: Factorization) -> CongruenceCount:
 
 def rho_oracle(d: int) -> CongruenceCount:
     """Exhaustive rho(d): counts every residue pair via a bincount of u^2 mod d."""
-    if d < 1 or d > _RHO_ORACLE_CAP:
-        raise ValidationError(f"rho_oracle needs 1 <= d <= {_RHO_ORACLE_CAP}, got {d}")
+    if d < 1:
+        raise ValidationError(f"rho_oracle needs d >= 1, got {d}")
+    if d > RHO_ORACLE_CAP:
+        raise CapacityError(f"rho_oracle modulus {d} exceeds cap {RHO_ORACLE_CAP}")
     u = np.arange(d, dtype=np.int64)
     squares = np.bincount((u * u) % d, minlength=d)
     v = u[np.gcd(u, d) == 1]
@@ -139,8 +142,10 @@ def nu_oracle(delta: int, params: FormParams) -> CongruenceCount:
     and (k*d) mod delta, shifted into [0, 2*delta), so the grid pass needs a
     single modulo per pair; 8*delta^3 stays well inside int64.
     """
-    if delta < 1 or delta > _NU_ORACLE_CAP:
-        raise ValidationError(f"nu_oracle needs 1 <= delta <= {_NU_ORACLE_CAP}, got {delta}")
+    if delta < 1:
+        raise ValidationError(f"nu_oracle needs delta >= 1, got {delta}")
+    if delta > NU_ORACLE_CAP:
+        raise CapacityError(f"nu_oracle modulus {delta} exceeds cap {NU_ORACLE_CAP}")
     n = np.arange(delta, dtype=np.int64)
     vt = (n * params.t) % delta
     vd = (n * params.d) % delta

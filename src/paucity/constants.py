@@ -3,8 +3,8 @@
 G (Catalan) comes from the alternating series sum (-1)^k/(2k+1)^2 with
 pairwise term grouping; K (Landau-Ramanujan) from either Euler product form,
 evaluated in log space with an explicit tail bound.  The statistic registry
-(STATISTICS) defines every reported statistic once: its term, its source, its
-normalization and its predicted constant, so that every CSV row is
+(STATISTICS) defines every reported statistic once: its term over a sieve
+block, its normalization and its predicted constant, so that every CSV row is
 recomputable from this module alone.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -113,25 +113,33 @@ def sieve_density_product(z: float) -> ConstantValue:
 
 # ---------------------------------------------------------------- registry
 #
-# Each reported statistic is defined once, in STATISTICS: its source (the
-# sieve's r0/r1/r2 blocks or the factor_scan of [1, limit]), exact int64 or
-# compensated float summation, its per-n term, its normalization and its
-# limit constant.  Constants are thunks evaluated on first use, so only
-# LANDAU_B and COUNT_A pay for landau_ramanujan's prime sieve.
+# Each reported statistic is defined once, in STATISTICS: exact int64 or
+# compensated float summation, its per-n term over a slice of a sieve block,
+# its normalization, its limit constant, and whether its term reads the
+# multiplicative arrays (omega, phi, in_a), which the sieve then computes.
+# Constants are thunks evaluated on first use, so only LANDAU_B and COUNT_A
+# pay for landau_ramanujan's prime sieve.
 
-BLOCK = "block"
-SCAN = "scan"
 _PI = math.pi
 
 
 class Tallies(NamedTuple):
-    """One sieve block's tallies as int64 (r0 under the chosen convention)."""
+    """A slice of one sieve block, starting at n = lo.
+
+    r0 (under the chosen convention), r1 and r2 are widened to int64; r0_div
+    and the multiplicative arrays are the block's own, the latter None unless
+    the block was sieved with them.
+    """
 
     lo: int
     r0: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
     c: float  # the dispersion parameter
+    r0_div: np.ndarray
+    omega: np.ndarray | None = None
+    phi: np.ndarray | None = None
+    in_a: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -163,18 +171,19 @@ _AFFINE = Normalization(
 class Statistic:
     """One mean-value statistic: the sum of `term` over n <= x at each checkpoint x.
 
-    `term` maps a Tallies (BLOCK) or a FactorScan (SCAN) to the terms of its
-    range; `constant` is None where no limit is claimed; `parameter` names
-    the argument carried in the reported label.
+    `term` maps a Tallies to the terms of its range; `constant` is None where
+    no limit is claimed; `parameter` names the argument carried in the
+    reported label; `multiplicative` marks a term that reads omega, phi or
+    in_a.
     """
 
     name: str
-    source: str
     exact: bool
-    term: Callable[[Any], np.ndarray]
+    term: Callable[[Tallies], np.ndarray]
     normalization: Normalization
     constant: Callable[[], float] | None = None
     parameter: str | None = None
+    multiplicative: bool = False
 
     def label(self, value: float) -> str:
         """The identifier written to CSV, e.g. DISPERSION(c=1)."""
@@ -189,9 +198,9 @@ def _dispersion_terms(v: Tallies) -> np.ndarray:
     return res * res
 
 
-def _lemma_weight(scan) -> np.ndarray:
+def _lemma_weight(v: Tallies) -> np.ndarray:
     # 2^omega(n) f_A(n); f_A(1) = 1.
-    return np.where(scan.in_a, np.exp2(scan.omega.astype(np.float64)), 0.0)
+    return np.where(v.in_a, np.exp2(v.omega.astype(np.float64)), 0.0)
 
 
 def _g() -> float:
@@ -203,30 +212,32 @@ def _k() -> float:
 
 
 STATISTICS: dict[str, Statistic] = {s.name: s for s in (
-    Statistic("S00", BLOCK, True, lambda v: v.r0 * v.r0, _AFFINE),
-    Statistic("S01", BLOCK, True, lambda v: v.r0 * v.r1, _PER_X, lambda: 0.5),
-    Statistic("S02", BLOCK, True, lambda v: v.r0 * v.r2, _LOG, lambda: 12.0 * _g() / _PI**2),
-    Statistic("S11", BLOCK, True, lambda v: v.r1 * v.r1, _LOG, lambda: _PI / 2.0 + 9.0 / 4.0),
-    Statistic("S12", BLOCK, True, lambda v: v.r1 * v.r2, _LOG2),
-    Statistic("S22", BLOCK, True, lambda v: v.r2 * v.r2, _LOG2, lambda: 2.0 * _PI),
-    Statistic("M1", BLOCK, True, lambda v: v.r1, _LOG, lambda: _PI / 2.0),
-    Statistic("M2", BLOCK, True, lambda v: v.r2, _LOG2, lambda: _PI),
-    Statistic("R2CUBE", BLOCK, True, lambda v: v.r2 * v.r2 * v.r2, _LOG2, lambda: 4.0 * _PI),
-    Statistic("SUPP1", BLOCK, True, lambda v: (v.r1 > 0).astype(np.int64), _LOG, lambda: _PI / 2.0),
-    Statistic("SUPP2", BLOCK, True, lambda v: (v.r2 > 0).astype(np.int64), _LOG2, lambda: _PI / 2.0),
-    Statistic("DISPERSION", BLOCK, False, _dispersion_terms, _LOG, parameter="c"),
+    Statistic("S00", True, lambda v: v.r0 * v.r0, _AFFINE),
+    Statistic("S01", True, lambda v: v.r0 * v.r1, _PER_X, lambda: 0.5),
+    Statistic("S02", True, lambda v: v.r0 * v.r2, _LOG, lambda: 12.0 * _g() / _PI**2),
+    Statistic("S11", True, lambda v: v.r1 * v.r1, _LOG, lambda: _PI / 2.0 + 9.0 / 4.0),
+    Statistic("S12", True, lambda v: v.r1 * v.r2, _LOG2),
+    Statistic("S22", True, lambda v: v.r2 * v.r2, _LOG2, lambda: 2.0 * _PI),
+    Statistic("M1", True, lambda v: v.r1, _LOG, lambda: _PI / 2.0),
+    Statistic("M2", True, lambda v: v.r2, _LOG2, lambda: _PI),
+    Statistic("R2CUBE", True, lambda v: v.r2 * v.r2 * v.r2, _LOG2, lambda: 4.0 * _PI),
+    Statistic("SUPP1", True, lambda v: (v.r1 > 0).astype(np.int64), _LOG, lambda: _PI / 2.0),
+    Statistic("SUPP2", True, lambda v: (v.r2 > 0).astype(np.int64), _LOG2, lambda: _PI / 2.0),
+    Statistic("DISPERSION", False, _dispersion_terms, _LOG, parameter="c"),
     Statistic(
-        "LEMMA31", SCAN, False, lambda s: _lemma_weight(s) / np.arange(s.lo, s.hi, dtype=np.float64),
-        _PER_LOG, lambda: 1.0 / _PI,
+        "LEMMA31", False,
+        lambda v: _lemma_weight(v) / np.arange(v.lo, v.lo + v.in_a.size, dtype=np.float64),
+        _PER_LOG, lambda: 1.0 / _PI, multiplicative=True,
     ),
     Statistic(
-        "LEMMA32", SCAN, False, lambda s: _lemma_weight(s) / s.phi.astype(np.float64),
-        _PER_LOG, lambda: 12.0 * _g() / _PI**3,
+        "LEMMA32", False, lambda v: _lemma_weight(v) / v.phi.astype(np.float64),
+        _PER_LOG, lambda: 12.0 * _g() / _PI**3, multiplicative=True,
     ),
-    Statistic("LANDAU_B", SCAN, True, lambda s: s.b.astype(np.int64), _SQRT_LOG, _k),
+    # b(n) = [r0_div(n) > 0] under either r0 convention.
+    Statistic("LANDAU_B", True, lambda v: (v.r0_div > 0).astype(np.int64), _SQRT_LOG, _k),
     Statistic(
-        "COUNT_A", SCAN, True, lambda s: s.in_a.astype(np.int64), _SQRT_LOG,
-        lambda: 1.0 / (4.0 * _k()),
+        "COUNT_A", True, lambda v: v.in_a.astype(np.int64), _SQRT_LOG,
+        lambda: 1.0 / (4.0 * _k()), multiplicative=True,
     ),
 )}
 

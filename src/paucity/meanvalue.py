@@ -1,10 +1,11 @@
 """Checkpointed accumulation of every reported sum.
 
-Integer statistics (the S_{i,j}, first moments, support and Landau counts)
-accumulate exactly in 64-bit.  Harmonic-weighted and squared-residual sums
-accumulate on a fixed absolute grid of cut points (64 Ki atoms plus the
-checkpoint edges) with Neumaier compensation between cuts, so the result is
-bit-identical for every block size and thread count.
+Every statistic is summed in one pass over the sieve blocks, in fixed slices
+of each block.  Integer statistics (the S_{i,j}, first moments, support and
+Landau counts) accumulate exactly in 64-bit.  Harmonic-weighted and
+squared-residual sums accumulate on a fixed absolute grid of cut points
+(64 Ki atoms plus the checkpoint edges) with Neumaier compensation between
+cuts, so the result is bit-identical for every block size and thread count.
 """
 
 from __future__ import annotations
@@ -15,21 +16,14 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .arith import SpfTable, factor_scan
-from .constants import (
-    BLOCK,
-    SCAN,
-    STATISTICS,
-    Statistic,
-    Tallies,
-    normalized_value,
-    predicted_constant,
-)
+from .constants import STATISTICS, Tallies, normalized_value, predicted_constant
 from .errors import CapacityError, ValidationError
 from .sieve import RepresentationBlock, sieve_primes
 
 _ATOM = 1 << 16
-_SCAN_CHUNK = 1 << 18
+# Terms are evaluated over slices of this width, which bounds the float64
+# temporaries whatever the block size.
+_SLICE = 1 << 18
 _PARTITION_CAP = 2 * 10**7
 
 @dataclass(frozen=True)
@@ -147,16 +141,9 @@ class _FloatAccumulator:
     def _flush_to(self, cut: int) -> None:
         take = cut - self.start
         if take > 0:
-            if len(self.buf) == 1:
-                chunk = self.buf[0][:take]
-                rest = self.buf[0][take:]
-                self.buf = [rest] if rest.size else []
-            else:
-                merged = np.concatenate(self.buf)
-                chunk = merged[:take]
-                rest = merged[take:]
-                self.buf = [rest] if rest.size else []
-            self._add(float(np.sum(chunk)))
+            merged = self.buf[0] if len(self.buf) == 1 else np.concatenate(self.buf)
+            self._add(float(np.sum(merged[:take])))
+            self.buf = [merged[take:]] if merged.size > take else []
             self.start = cut
             self.size -= take
 
@@ -167,6 +154,7 @@ class _FloatAccumulator:
         self.buf.append(terms)
         self.size += terms.size
         end = self.start + self.size
+        flushed = False
         while True:
             atom_cut = ((self.start // _ATOM) + 1) * _ATOM
             ck_cut = self.points[self.ci] + 1 if self.ci < len(self.points) else None
@@ -174,27 +162,13 @@ class _FloatAccumulator:
             if cut > end:
                 break
             self._flush_to(cut)
+            flushed = True
             if ck_cut is not None and cut == ck_cut:
                 self.out.append(self.total + self.comp)
                 self.ci += 1
-
-
-def _accumulators(
-    statistics: Sequence[str], source: str, grid: CheckpointGrid
-) -> tuple[list[Statistic], list[_IntAccumulator | _FloatAccumulator]]:
-    """Registry entries of the requested statistics of one source, with their accumulators."""
-    if not statistics:
-        raise ValidationError("no statistics requested")
-    stats: list[Statistic] = []
-    for name in statistics:
-        stat = STATISTICS.get(name)
-        if stat is None or stat.source != source:
-            raise ValidationError(f"unknown {source} statistic {name!r}")
-        if stat in stats:
-            raise ValidationError(f"duplicate statistic {name!r}")
-        stats.append(stat)
-    accs = [(_IntAccumulator if s.exact else _FloatAccumulator)(grid.points) for s in stats]
-    return stats, accs
+        if flushed and self.buf:
+            # Keep the tail (under one atom), not a view pinning the whole fed array.
+            self.buf = [self.buf[0].copy()]
 
 
 def accumulate(
@@ -204,14 +178,25 @@ def accumulate(
     r0_convention: str = "pair",
     dispersion_c: float = 1.0,
 ) -> list[MeanValueSeries]:
-    """Exact partial sums of the requested sieve-block statistics at every checkpoint.
+    """Partial sums of the requested statistics at every checkpoint.
 
     Blocks must arrive in ascending order covering [1, limit] with
-    limit >= the last checkpoint; r0 follows the given convention ("pair" or
-    "div").  Each block's tallies are widened to int64 once and shared by
-    every statistic.
+    limit >= the last checkpoint, and must carry the multiplicative arrays
+    when a requested statistic reads them; r0 follows the given convention
+    ("pair" or "div").  Each slice's tallies are widened to int64 once and
+    shared by every statistic.
     """
-    stats, accs = _accumulators(statistics, BLOCK, grid)
+    if not statistics:
+        raise ValidationError("no statistics requested")
+    stats = []
+    for name in statistics:
+        if name not in STATISTICS:
+            raise ValidationError(f"unknown statistic {name!r}")
+        if STATISTICS[name] in stats:
+            raise ValidationError(f"duplicate statistic {name!r}")
+        stats.append(STATISTICS[name])
+    accs = [(_IntAccumulator if s.exact else _FloatAccumulator)(grid.points) for s in stats]
+    multiplicative = [s.name for s in stats if s.multiplicative]
     if dispersion_c < 0:
         raise ValidationError(f"dispersion c must be >= 0, got {dispersion_c}")
     if r0_convention not in ("pair", "div"):
@@ -221,18 +206,26 @@ def accumulate(
     for block in blocks:
         if block.lo != expected:
             raise ValidationError(f"blocks out of order: expected lo={expected}, got {block.lo}")
+        if multiplicative and block.omega is None:
+            raise ValidationError(
+                f"{', '.join(multiplicative)} need blocks sieved with the multiplicative arrays"
+            )
         expected = block.hi
         covered = block.hi - 1
         r0 = block.r0_pair if r0_convention == "pair" else block.r0_div
-        tallies = Tallies(
-            block.lo,
-            r0.astype(np.int64),
-            block.r1.astype(np.int64),
-            block.r2.astype(np.int64),
-            dispersion_c,
-        )
-        for stat, acc in zip(stats, accs):
-            acc.feed(block.lo, stat.term(tallies))
+        for off in range(0, block.hi - block.lo, _SLICE):
+            sl = slice(off, off + _SLICE)
+            tallies = Tallies(
+                block.lo + off,
+                r0[sl].astype(np.int64),
+                block.r1[sl].astype(np.int64),
+                block.r2[sl].astype(np.int64),
+                dispersion_c,
+                block.r0_div[sl],
+                *(arr[sl] for arr in (block.omega, block.phi, block.in_a) if arr is not None),
+            )
+            for stat, acc in zip(stats, accs):
+                acc.feed(tallies.lo, stat.term(tallies))
         del tallies  # free the int64 copies before the next block arrives
     if covered < grid.points[-1]:
         raise ValidationError(
@@ -241,28 +234,6 @@ def accumulate(
     return [
         MeanValueSeries(stat.label(dispersion_c), tuple(acc.out), covered)
         for stat, acc in zip(stats, accs)
-    ]
-
-
-def scan_sums(
-    limit: int, grid: CheckpointGrid, spf: SpfTable, statistics: Sequence[str]
-) -> list[MeanValueSeries]:
-    """Partial sums of the requested factor_scan statistics at every checkpoint.
-
-    One factor_scan pass over [1, limit], in ascending chunks, feeds every
-    requested statistic; float sums are compensated, integer sums exact.
-    """
-    stats, accs = _accumulators(statistics, SCAN, grid)
-    if limit < 2 or limit > spf.limit:
-        raise ValidationError(f"scan_sums needs 2 <= limit <= {spf.limit}, got {limit}")
-    if grid.points[-1] > limit:
-        raise ValidationError(f"checkpoint {grid.points[-1]} beyond limit {limit}")
-    for lo in range(1, limit + 1, _SCAN_CHUNK):
-        scan = factor_scan(lo, min(lo + _SCAN_CHUNK, limit + 1), spf)
-        for stat, acc in zip(stats, accs):
-            acc.feed(lo, stat.term(scan))
-    return [
-        MeanValueSeries(stat.name, tuple(acc.out), limit) for stat, acc in zip(stats, accs)
     ]
 
 

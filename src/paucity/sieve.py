@@ -9,7 +9,15 @@ Per block [lo, hi) this produces four 16-bit arrays indexed by n - lo:
 
 The two r0 conventions differ exactly on perfect squares (r0_div counts the
 d = sqrt(n) diagonal divisor pairing); both are carried so mean values can
-be reported under either.
+be reported under either.  b(n), the indicator of sums of two squares, is
+r0_div(n) > 0.
+
+With SieveConfig.multiplicative set, the prime-power walk behind r0_div
+also yields three multiplicative arrays per block:
+
+* omega: int8, the number of distinct prime factors
+* phi:   int32, Euler's totient (phi(n) < n <= MAX_SIEVE_LIMIT < 2^31)
+* in_a:  bool, every prime factor is 1 mod 4 (true at n = 1)
 """
 
 from __future__ import annotations
@@ -47,11 +55,13 @@ class PrimeTable:
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Run geometry: overall limit, block width, worker thread count."""
+    """Run geometry (overall limit, block width, worker thread count) and
+    whether blocks carry the multiplicative arrays omega, phi and in_a."""
 
     limit: int
     block_size: int = 1 << 20
     thread_count: int = 1
+    multiplicative: bool = False
 
     def __post_init__(self) -> None:
         if self.limit < 1:
@@ -64,9 +74,16 @@ class SieveConfig:
             raise ValidationError(f"thread_count must be >= 1, got {self.thread_count}")
 
 
+_TALLY_DTYPES = {"r0_pair": np.uint16, "r0_div": np.uint16, "r1": np.uint16, "r2": np.uint16}
+_ALL_DTYPES = {**_TALLY_DTYPES, "omega": np.int8, "phi": np.int32, "in_a": np.bool_}
+
+
 @dataclass(frozen=True)
 class RepresentationBlock:
-    """Tallies for the half-open range [lo, hi), arrays indexed by n - lo."""
+    """Tallies for the half-open range [lo, hi), arrays indexed by n - lo.
+
+    omega, phi and in_a are either all present or all None.
+    """
 
     lo: int
     hi: int
@@ -74,17 +91,22 @@ class RepresentationBlock:
     r0_div: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
+    omega: np.ndarray | None = None
+    phi: np.ndarray | None = None
+    in_a: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.lo < 1 or self.hi <= self.lo:
             raise ValidationError(f"bad block range [{self.lo}, {self.hi})")
         width = self.hi - self.lo
-        for field in ("r0_pair", "r0_div", "r1", "r2"):
+        if len({self.omega is None, self.phi is None, self.in_a is None}) > 1:
+            raise ValidationError("omega, phi and in_a must be given together")
+        for field, dtype in (_TALLY_DTYPES if self.omega is None else _ALL_DTYPES).items():
             arr = getattr(self, field)
             if arr.shape != (width,):
                 raise ValidationError(f"{field} has shape {arr.shape}, expected ({width},)")
-            if arr.dtype != np.uint16:
-                raise ValidationError(f"{field} dtype {arr.dtype}, expected uint16")
+            if arr.dtype != dtype:
+                raise ValidationError(f"{field} dtype {arr.dtype}, expected {np.dtype(dtype)}")
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -135,13 +157,20 @@ def _pair_tallies(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ...
     return r0, r1, r2
 
 
-def _divisor_tallies(lo: int, hi: int, primes: PrimeTable) -> np.ndarray:
+def _divisor_tallies(
+    lo: int, hi: int, primes: PrimeTable, multiplicative: bool
+) -> tuple[np.ndarray | None, ...]:
+    """r0_div, omega, phi, in_a for [lo, hi); the last three are None unless `multiplicative`."""
     width = hi - lo
     top = hi - 1
     amax = math.isqrt(top)
     val = np.arange(lo, hi, dtype=np.int64)
     r0d = np.ones(width, dtype=np.int64)
     exp = np.zeros(width, dtype=np.int16)
+    if multiplicative:
+        om = np.zeros(width, dtype=np.int8)
+        ph = np.ones(width, dtype=np.int32)
+        ina = np.ones(width, dtype=bool)
     cut = int(np.searchsorted(primes.primes, amax, side="right"))
     for p in primes.primes[:cut].tolist():
         first = (-lo) % p
@@ -157,28 +186,41 @@ def _divisor_tallies(lo: int, hi: int, primes: PrimeTable) -> np.ndarray:
             pk *= p
         sl = slice(first, width, p)
         e = exp[sl].astype(np.int64)
-        val[sl] //= np.power(np.int64(p), e)
+        pe = np.power(np.int64(p), e)
+        val[sl] //= pe
         r = p & 3
         if r == 1:
             r0d[sl] *= e + 1
         elif r == 3:
             r0d[sl] *= 1 - (e & 1)
+        if multiplicative:
+            om[sl] += 1
+            ph[sl] *= (pe // p * (p - 1)).astype(np.int32)
+            if r != 1:
+                ina[sl] = False
         exp[sl] = 0
     # What survives is 1 or a single prime above sqrt(hi-1).
     big = val > 1
     left = val & 3
     r0d[big & (left == 1)] *= 2
     r0d[big & (left == 3)] = 0
-    return r0d
+    if not multiplicative:
+        return r0d, None, None, None
+    om[big] += 1
+    ph[big] *= (val[big] - 1).astype(np.int32)
+    ina[big & (left != 1)] = False
+    return r0d, om, ph, ina
 
 
 def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> RepresentationBlock:
-    """Tally r0_pair, r0_div, r1, r2 for [lo, hi).
+    """Tally r0_pair, r0_div, r1, r2 for [lo, hi), plus omega, phi and in_a
+    when cfg.multiplicative is set.
 
     Parameters
     ----------
     cfg : SieveConfig
-        Supplies the overall limit bound; 1 <= lo < hi <= cfg.limit + 1.
+        Supplies the overall limit bound, 1 <= lo < hi <= cfg.limit + 1, and
+        the multiplicative switch.
     lo, hi : int
         Half-open block bounds.
     primes : PrimeTable
@@ -200,7 +242,7 @@ def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> Repre
             f"prime table limit {primes.limit} below sqrt({hi - 1})"
         )
     r0, r1, r2 = _pair_tallies(lo, hi, primes)
-    r0d = _divisor_tallies(lo, hi, primes)
+    r0d, om, ph, ina = _divisor_tallies(lo, hi, primes, cfg.multiplicative)
     return RepresentationBlock(
         lo=lo,
         hi=hi,
@@ -208,6 +250,9 @@ def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> Repre
         r0_div=_check_tally("r0_div", r0d, lo),
         r1=_check_tally("r1", r1, lo),
         r2=_check_tally("r2", r2, lo),
+        omega=om,
+        phi=ph,
+        in_a=ina,
     )
 
 

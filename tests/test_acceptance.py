@@ -14,7 +14,7 @@ import pytest
 from paucity.arith import build_spf_table, factorize
 from paucity.congruence import FormParams, nu_closed, nu_oracle, nu_prime_closed, rho_closed, rho_oracle
 from paucity.constants import catalan, landau_ramanujan, predicted_constant
-from paucity.meanvalue import CheckpointGrid, accumulate, partition_s12, scan_sums
+from paucity.meanvalue import CheckpointGrid, accumulate, partition_s12
 from paucity.quadruples import enumerate_n1_params, enumerate_offdiag, param_apply, param_invert
 from paucity.sieve import SieveConfig, sieve_all
 from paucity.cli import main as cli_main
@@ -209,9 +209,9 @@ def test_criterion_08_constants():
 def test_criterion_09_lemma_slopes():
     """Finite-difference slopes of the weighted sums between 1e6 and 1e7:
     within +-10% of 1/pi and 12G/pi^3 (measured: both within 0.01%)."""
-    spf = build_spf_table(10**7)
+    cfg = SieveConfig(limit=10**7, block_size=1 << 20, thread_count=2, multiplicative=True)
     grid = CheckpointGrid(points=(10**6, 10**7))
-    l31, l32 = scan_sums(10**7, grid, spf, ["LEMMA31", "LEMMA32"])
+    l31, l32 = accumulate(sieve_all(cfg), grid, ["LEMMA31", "LEMMA32"])
     dlog = math.log(10**7) - math.log(10**6)
     slope31 = (l31.values[1] - l31.values[0]) / dlog
     slope32 = (l32.values[1] - l32.values[0]) / dlog

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paucity.arith import (
-    FactorScan,
     Factorization,
     build_spf_table,
     chi4,
     divisor_chi4_sum,
-    factor_scan,
     factorize,
     in_A,
     is_prime,
@@ -86,29 +84,6 @@ def test_predicate_classes():
         f = factorize(n, TABLE)
         assert in_A(f) == oracles.in_a_slow(n), n
         assert is_sum_two_squares(f) == oracles.two_squares_slow(n), n
-
-
-def test_factor_scan_matches_factorize():
-    for lo, hi in ((1, 600), (500, 1200), (9999, 10500), (19000, 20001)):
-        scan = factor_scan(lo, hi, TABLE)
-        assert isinstance(scan, FactorScan)
-        assert (scan.lo, scan.hi) == (lo, hi)
-        for n in range(lo, hi):
-            f = factorize(n, TABLE)
-            i = n - lo
-            assert scan.omega[i] == omega(f), n
-            assert scan.phi[i] == phi(f), n
-            assert bool(scan.b[i]) == is_sum_two_squares(f), n
-            assert bool(scan.in_a[i]) == in_A(f), n
-
-
-def test_factor_scan_bounds():
-    with pytest.raises(ValidationError):
-        factor_scan(0, 10, TABLE)
-    with pytest.raises(ValidationError):
-        factor_scan(10, 10, TABLE)
-    with pytest.raises(ValidationError):
-        factor_scan(1, TABLE.limit + 2, TABLE)
 
 
 def test_factorization_validation():

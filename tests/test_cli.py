@@ -44,7 +44,8 @@ def test_mean_deterministic_across_geometry(tmp_path):
     for i, (threads, block) in enumerate((("1", "1048576"), ("4", "7777"), ("2", "333"))):
         out = tmp_path / f"d{i}"
         rc = run_cli(
-            "mean", "--limit", "30000", "--stats", "S01,S02,S22,DISPERSION",
+            "mean", "--limit", "30000",
+            "--stats", "S01,S02,S22,DISPERSION,LEMMA31,LEMMA32,LANDAU_B,COUNT_A",
             "--threads", threads, "--block-size", block, "--out-dir", str(out),
         )
         assert rc == 0
@@ -74,10 +75,22 @@ def test_validation_exit_codes(tmp_path):
     assert run_cli("mean", "--limit", "1000", "--grid", "explicit:2,1000", "--out-dir", out) == 2
     assert run_cli("mean", "--limit", "2", "--out-dir", out) == 2
     assert not (tmp_path / "mean.csv").exists()
+    # Checked before the first row: 5000 rho rows would precede the bad (t, d).
+    assert run_cli(
+        "congruence", "--rho-max", "5000", "--nu-max", "10", "--t", "2", "--d", "4",
+        "--out-dir", out,
+    ) == 2
+    assert run_cli("congruence", "--rho-max", "-5", "--nu-max", "-3", "--out-dir", out) == 2
+    assert run_cli("congruence", "--nu-max", "-1", "--out-dir", out) == 2
+    assert not (tmp_path / "congruence.csv").exists()
 
 
 def test_capacity_exit_code(tmp_path):
     assert run_cli("sieve", "--limit", "2000000000", "--out-dir", str(tmp_path)) == 3
+    # The oracle caps are checked before any row is computed.
+    assert run_cli("congruence", "--rho-max", "100001", "--out-dir", str(tmp_path)) == 3
+    assert run_cli("congruence", "--nu-max", "3001", "--out-dir", str(tmp_path)) == 3
+    assert not (tmp_path / "congruence.csv").exists()
 
 
 def test_argparse_errors_exit_two():

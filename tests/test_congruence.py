@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from paucity.arith import build_spf_table, factorize
 from paucity.congruence import (
+    NU_ORACLE_CAP,
+    RHO_ORACLE_CAP,
     CongruenceCount,
     FormParams,
     nu_closed,
@@ -17,7 +19,7 @@ from paucity.congruence import (
     rho_oracle,
     sqrt_minus_one,
 )
-from paucity.errors import ValidationError
+from paucity.errors import CapacityError, ValidationError
 
 import oracles
 
@@ -119,6 +121,18 @@ def test_params_validation():
         FormParams(t=0, d=1)
     with pytest.raises(ValidationError):
         FormParams(t=1, d=-2)
+
+
+def test_oracle_bounds():
+    params = FormParams(t=1, d=2)
+    with pytest.raises(ValidationError):
+        rho_oracle(0)
+    with pytest.raises(ValidationError):
+        nu_oracle(0, params)
+    with pytest.raises(CapacityError):
+        rho_oracle(RHO_ORACLE_CAP + 1)
+    with pytest.raises(CapacityError):
+        nu_oracle(NU_ORACLE_CAP + 1, params)
 
 
 def test_count_type_validation():

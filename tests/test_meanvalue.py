@@ -9,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paucity.arith import build_spf_table, divisor_chi4_sum, factorize, in_A, omega, phi
-from paucity.constants import BLOCK, STATISTICS
+from paucity.constants import STATISTICS
 from paucity.errors import ValidationError
 from paucity.meanvalue import (
     CheckpointGrid,
     MeanValueSeries,
     PartitionReport,
+    _FloatAccumulator,
     accumulate,
     divisor_split,
     partition_s12,
     read_csv,
-    scan_sums,
     write_csv,
 )
 from paucity.sieve import SieveConfig, sieve_all
@@ -31,8 +31,10 @@ GRID = CheckpointGrid(points=(10, 100, 1000, 10000))
 R0, R0D, R1, R2 = oracles.r_arrays_slow(LIMIT)
 
 
-def _blocks(block_size=2048, threads=1, limit=LIMIT):
-    return sieve_all(SieveConfig(limit=limit, block_size=block_size, thread_count=threads))
+def _blocks(block_size=2048, threads=1, limit=LIMIT, multiplicative=False):
+    return sieve_all(SieveConfig(
+        limit=limit, block_size=block_size, thread_count=threads, multiplicative=multiplicative
+    ))
 
 
 def _slow_sum(term: np.ndarray) -> list[int]:
@@ -70,8 +72,9 @@ def test_integer_statistics_match_direct_sums():
         "SUPP1": _slow_sum((R1 > 0).astype(np.int64)),
         "SUPP2": _slow_sum((R2 > 0).astype(np.int64)),
     }
-    exact_block = {s.name for s in STATISTICS.values() if s.source == BLOCK and s.exact}
-    assert set(expected) == exact_block
+    # The Landau counts have their own oracles in test_landau_counts_exact.
+    exact = {s.name for s in STATISTICS.values() if s.exact} - {"LANDAU_B", "COUNT_A"}
+    assert set(expected) == exact
     series = accumulate(_blocks(), GRID, list(expected))
     for s in series:
         assert list(s.values) == expected[s.statistic], s.statistic
@@ -127,10 +130,23 @@ def test_dispersion_matches_fsum():
 
 
 def test_float_determinism_across_geometry():
-    base = _dispersion(1.0, _blocks(block_size=LIMIT)).values
+    stats = ["DISPERSION", "LEMMA31", "LEMMA32", "LANDAU_B", "COUNT_A"]
+
+    def values(block_size, threads):
+        blocks = _blocks(block_size=block_size, threads=threads, multiplicative=True)
+        return [s.values for s in accumulate(blocks, GRID, stats)]
+
+    base = values(LIMIT, 1)
     for block_size, threads in ((7777, 1), (512, 4), (4096, 3), (99, 2)):
-        other = _dispersion(1.0, _blocks(block_size=block_size, threads=threads)).values
-        assert other == base, (block_size, threads)
+        assert values(block_size, threads) == base, (block_size, threads)
+
+
+def test_float_accumulator_keeps_no_view():
+    acc = _FloatAccumulator((10**6,))
+    for lo, size in ((1, 100000), (100001, 200000)):
+        terms = np.ones(size)
+        acc.feed(lo, terms)
+        assert acc.buf and not any(np.shares_memory(b, terms) for b in acc.buf)
 
 
 def test_accumulate_validation():
@@ -142,16 +158,13 @@ def test_accumulate_validation():
         accumulate(_blocks(), GRID, ["S99"])
     with pytest.raises(ValidationError):
         accumulate(_blocks(), GRID, ["LEMMA31"])
+    with pytest.raises(ValidationError):
+        accumulate(_blocks(), GRID, ["S01", "COUNT_A"])
+    with pytest.raises(ValidationError):
+        accumulate(_blocks(multiplicative=True), GRID, ["COUNT_A", "COUNT_A"])
     short = sieve_all(SieveConfig(limit=5000))
     with pytest.raises(ValidationError):
         accumulate(short, GRID, ["S01"])
-    spf = build_spf_table(LIMIT)
-    with pytest.raises(ValidationError):
-        scan_sums(LIMIT, GRID, spf, ["S01"])
-    with pytest.raises(ValidationError):
-        scan_sums(LIMIT, GRID, spf, ["COUNT_A", "COUNT_A"])
-    with pytest.raises(ValidationError):
-        scan_sums(LIMIT + 1, GRID, spf, ["COUNT_A"])
 
 
 def test_support_counts():
@@ -162,7 +175,7 @@ def test_support_counts():
 
 def test_lemma_sums_match_fsum():
     spf = build_spf_table(LIMIT)
-    l31, l32 = scan_sums(LIMIT, GRID, spf, ["LEMMA31", "LEMMA32"])
+    l31, l32 = accumulate(_blocks(multiplicative=True), GRID, ["LEMMA31", "LEMMA32"])
     w = np.zeros(LIMIT + 1)
     ph = np.zeros(LIMIT + 1)
     for n in range(1, LIMIT + 1):
@@ -176,8 +189,7 @@ def test_lemma_sums_match_fsum():
 
 
 def test_landau_counts_exact():
-    spf = build_spf_table(LIMIT)
-    lb, ca = scan_sums(LIMIT, GRID, spf, ["LANDAU_B", "COUNT_A"])
+    lb, ca = accumulate(_blocks(multiplicative=True), GRID, ["LANDAU_B", "COUNT_A"])
     b = np.array([0] + [oracles.two_squares_slow(n) for n in range(1, LIMIT + 1)], dtype=np.int64)
     a = np.array([0] + [oracles.in_a_slow(n) for n in range(1, LIMIT + 1)], dtype=np.int64)
     assert list(lb.values) == _slow_sum(b)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paucity.arith import build_spf_table, factorize, in_A, is_sum_two_squares, omega, phi
 from paucity.errors import CapacityError, TallyOverflowError, ValidationError
 from paucity.sieve import (
     MAX_SIEVE_LIMIT,
@@ -86,6 +87,25 @@ def test_divisor_form_counts_square_root_term():
     assert np.array_equal(r0d[1:], r0[1:] + squares)
 
 
+def test_multiplicative_arrays_match_factorize():
+    limit = 20000
+    cfg = SieveConfig(limit=limit, multiplicative=True)
+    primes = sieve_primes(141)
+    table = build_spf_table(limit)
+    # n = 1, blocks with lo > 1, and a block ending at the limit.
+    for lo, hi in ((1, 600), (500, 1200), (9999, 10500), (19000, limit + 1)):
+        block = sieve_block(cfg, lo, hi, primes)
+        for n in range(lo, hi):
+            f = factorize(n, table)
+            i = n - lo
+            assert block.omega[i] == omega(f), n
+            assert block.phi[i] == phi(f), n
+            assert bool(block.in_a[i]) == in_A(f), n
+            assert bool(block.r0_div[i] > 0) == is_sum_two_squares(f), n
+    plain = sieve_block(SieveConfig(limit=limit), 1, 600, primes)
+    assert plain.omega is None and plain.phi is None and plain.in_a is None
+
+
 def test_block_partition_invariance():
     base = _collect(SieveConfig(limit=12000, block_size=1 << 20))
     for block_size in (2, 97, 4096, 11999):
@@ -144,6 +164,22 @@ def test_block_type_validation():
         RepresentationBlock(lo=5, hi=5, r0_pair=ok, r0_div=ok, r1=ok, r2=ok)
     with pytest.raises(ValidationError):
         RepresentationBlock(lo=1, hi=5, r0_pair=ok[:2], r0_div=ok, r1=ok, r2=ok)
+    tallies = dict(lo=1, hi=5, r0_pair=ok, r0_div=ok, r1=ok, r2=ok)
+    extra = dict(
+        omega=np.zeros(4, dtype=np.int8),
+        phi=np.ones(4, dtype=np.int32),
+        in_a=np.ones(4, dtype=bool),
+    )
+    RepresentationBlock(**tallies, **extra)
+    for field, bad in (
+        ("omega", np.zeros(4, dtype=np.int16)),
+        ("phi", np.ones(4, dtype=np.int64)),
+        ("in_a", np.ones(4, dtype=np.uint8)),
+        ("phi", np.ones(3, dtype=np.int32)),
+        ("in_a", None),
+    ):
+        with pytest.raises(ValidationError):
+            RepresentationBlock(**tallies, **{**extra, field: bad})
 
 
 def test_overflow_guard():
