@@ -11,8 +11,12 @@ degenerate mod p: each factor is a line (p points) through the origin, lines
 are distinct unless d = +-t, d = +-it (i^2 = -1) or td = 0 mod p, and the
 closed form follows by inclusion-exclusion over shared lines.  For odd p the
 conditions d = +-it and d = +-t cannot hold together (they would force
-2t^2 = 0), so a single merged branch is safe; the oracle stays authoritative
-in the tests.
+2t^2 = 0), so a single merged branch is safe.
+
+The exhaustive oracles assume neither multiplicativity, CRT nor any
+factorization.  rho_oracle counts every residue pair; nu_oracle uses only
+that F is homogeneous, scanning one full row per gcd class of n1 and
+counting (not deriving) the class sizes.
 """
 
 from __future__ import annotations
@@ -136,28 +140,35 @@ def nu_prime_closed(p: int, params: FormParams) -> CongruenceCount:
 
 
 def nu_oracle(delta: int, params: FormParams) -> CongruenceCount:
-    """Exhaustive nu(delta): scans the full (n1, n2) grid mod delta.
+    """Exhaustive nu(delta): one full row of n2 per gcd class of n1 mod delta.
+
+    F is homogeneous of degree 3, so for a unit u mod delta the map
+    n2 -> u*n2 sends the zeros of row n1 one-to-one onto the zeros of row
+    u*n1; every n1 with gcd(n1, delta) = g is such a u*g.  The oracle
+    therefore scans the rows g mod delta for the divisors g of delta, every
+    n2 of each, and weights each row by its class size.  The class sizes are
+    counted from gcd(n, delta) over all n mod delta, not derived from phi,
+    the factorization or CRT, which are what the closed form rests on.
 
     The linear forms are assembled from pre-reduced vectors (k*t) mod delta
-    and (k*d) mod delta, shifted into [0, 2*delta), so the grid pass needs a
-    single modulo per pair; 8*delta^3 stays well inside int64.
+    and (k*d) mod delta, shifted into [0, 2*delta), so each cell needs a
+    single modulo; 8*delta^3 stays well inside int64.
     """
     if delta < 1:
         raise ValidationError(f"nu_oracle needs delta >= 1, got {delta}")
     if delta > NU_ORACLE_CAP:
         raise CapacityError(f"nu_oracle modulus {delta} exceeds cap {NU_ORACLE_CAP}")
     n = np.arange(delta, dtype=np.int64)
+    g, sizes = np.unique(np.gcd(n, delta), return_counts=True)
+    rows = g % delta
     vt = (n * params.t) % delta
     vd = (n * params.d) % delta
-    count = 0
-    chunk = max(1, (1 << 22) // max(delta, 1))
-    for start in range(0, delta, chunk):
-        rows = slice(start, min(start + chunk, delta))
-        prod = vt[None, :] - (vd[rows, None] - delta)
-        prod *= vd[None, :] + vt[rows, None]
-        prod *= vd[rows, None] + vt[None, :]
-        prod %= delta
-        count += prod.size - int(np.count_nonzero(prod))
+    prod = vt[None, :] - (vd[rows, None] - delta)
+    prod *= vd[None, :] + vt[rows, None]
+    prod *= vd[rows, None] + vt[None, :]
+    prod %= delta
+    zeros = delta - np.count_nonzero(prod, axis=1)
+    count = int(sizes @ zeros)
     return CongruenceCount(modulus=delta, count=count, method="oracle")
 
 

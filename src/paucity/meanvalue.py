@@ -197,8 +197,8 @@ def accumulate(
         stats.append(STATISTICS[name])
     accs = [(_IntAccumulator if s.exact else _FloatAccumulator)(grid.points) for s in stats]
     multiplicative = [s.name for s in stats if s.multiplicative]
-    if dispersion_c < 0:
-        raise ValidationError(f"dispersion c must be >= 0, got {dispersion_c}")
+    if not math.isfinite(dispersion_c) or dispersion_c < 0:
+        raise ValidationError(f"dispersion c must be finite and >= 0, got {dispersion_c}")
     if r0_convention not in ("pair", "div"):
         raise ValidationError(f"unknown r0 convention {r0_convention!r}")
     expected = 1

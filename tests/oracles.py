@@ -125,6 +125,26 @@ def nu_slow(delta: int, t: int, d: int) -> int:
     return count
 
 
+def nu_grid(delta: int, t: int, d: int) -> int:
+    """The count of nu_slow, evaluated with numpy over the full delta x delta grid.
+
+    Every (n1, n2) cell is evaluated; no row is inferred from another.
+    """
+    n = np.arange(delta, dtype=np.int64)
+    vt = (n * t) % delta
+    vd = (n * d) % delta
+    count = 0
+    chunk = max(1, (1 << 22) // delta)
+    for start in range(0, delta, chunk):
+        rows = slice(start, min(start + chunk, delta))
+        prod = vt[None, :] - (vd[rows, None] - delta)
+        prod *= vd[None, :] + vt[rows, None]
+        prod *= vd[rows, None] + vt[None, :]
+        prod %= delta
+        count += prod.size - int(np.count_nonzero(prod))
+    return count
+
+
 def offdiag_census_slow(limit: int) -> dict:
     """Census of a^2 + p^2 = q^2 + r^2 = n <= limit, a >= 1, p/q/r prime.
 

@@ -74,6 +74,11 @@ def test_validation_exit_codes(tmp_path):
     assert run_cli("report", "--inputs", str(tmp_path / "missing.csv"), "--out-dir", out) == 2
     assert run_cli("mean", "--limit", "1000", "--grid", "explicit:2,1000", "--out-dir", out) == 2
     assert run_cli("mean", "--limit", "2", "--out-dir", out) == 2
+    for c in ("nan", "inf"):
+        assert run_cli(
+            "mean", "--limit", "1000", "--stats", "DISPERSION", "--dispersion-c", c,
+            "--out-dir", out,
+        ) == 2
     assert not (tmp_path / "mean.csv").exists()
     # Checked before the first row: 5000 rho rows would precede the bad (t, d).
     assert run_cli(

@@ -99,6 +99,18 @@ def test_nu_oracle_matches_pure_loop():
             ), (delta, t, d)
 
 
+def test_nu_oracle_matches_full_grid():
+    # Non-squarefree delta (4, 8, 9, 12, 27, 36, ...) included.  Among the
+    # large moduli, 2310 and 2730 have the most prime factors below the cap,
+    # 2520 the most divisors (48 row classes), and 3000 is the cap itself.
+    pairs = ((1, 1), (1, 2), (3, 5), (7, 12), (11, 4))
+    for delta in [*range(1, 301), 2310, 2520, 2730, 3000]:
+        for t, d in pairs:
+            assert nu_oracle(delta, FormParams(t, d)).count == oracles.nu_grid(
+                delta, t, d
+            ), (delta, t, d)
+
+
 def test_nu_closed_squarefree_composites():
     for delta in (6, 10, 15, 21, 30, 33, 35, 66, 105, 210):
         for t, d in ((1, 2), (3, 4), (5, 6)):

@@ -162,6 +162,11 @@ def test_accumulate_validation():
         accumulate(_blocks(), GRID, ["S01", "COUNT_A"])
     with pytest.raises(ValidationError):
         accumulate(_blocks(multiplicative=True), GRID, ["COUNT_A", "COUNT_A"])
+    for c in (math.nan, math.inf):
+        blocks = _blocks()
+        with pytest.raises(ValidationError):
+            accumulate(blocks, GRID, ["DISPERSION"], dispersion_c=c)
+        assert next(blocks).lo == 1  # rejected before the first block
     short = sieve_all(SieveConfig(limit=5000))
     with pytest.raises(ValidationError):
         accumulate(short, GRID, ["S01"])
