@@ -82,6 +82,8 @@ def _write_manifest(out_dir: Path, name: str, manifest: RunManifest) -> Path:
 
 
 def _thread_count(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
     env = os.environ.get("PAUCITY_THREADS")
     if env is not None:
         try:

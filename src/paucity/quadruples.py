@@ -23,6 +23,7 @@ two independent enumerations must agree exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -35,6 +36,8 @@ from .sieve import PrimeTable, sieve_primes
 _ENUM_CAP = 10**7
 _ELL_CAP = 10**6
 _COLLECT_CAP = 10**5
+# Items per vectorized run of enumerate_n1_params: (d, t, n1) triples, then cells.
+_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,19 @@ def _prime_pair_table(limit: int, table: PrimeTable) -> tuple[np.ndarray, np.nda
     return n_arr[order], q_arr[order], r_arr[order]
 
 
+def _flatten(lo: np.ndarray, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner index and value of every cell of the integer windows [lo, lo + cnt)."""
+    owner = np.repeat(np.arange(cnt.size), cnt)
+    return owner, np.arange(owner.size, dtype=np.int64) - (np.cumsum(cnt) - cnt)[owner] + lo[owner]
+
+
+def _runs(cnt: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """Consecutive [i, j) runs of items holding fewer than size + max(cnt) cells each."""
+    key = (np.cumsum(cnt) - cnt) // size
+    cuts = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), cnt.size]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def _probe_chunk(
     p_list: list[int], limit: int, ns: np.ndarray, qs: np.ndarray, rs: np.ndarray
 ) -> list[np.ndarray]:
@@ -152,16 +168,14 @@ def _probe_chunk(
         n = pp + a * a
         lo = np.searchsorted(ns, n, side="left")
         hi = np.searchsorted(ns, n, side="right")
-        cnt = hi - lo
-        total = int(cnt.sum())
-        if total == 0:
+        owner, pos = _flatten(lo, hi - lo)
+        if pos.size == 0:
             continue
-        pos = np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt) + np.repeat(lo, cnt)
-        cols[0].append(np.repeat(a, cnt))
-        cols[1].append(np.full(total, p, dtype=np.int64))
+        cols[0].append(a[owner])
+        cols[1].append(np.full(pos.size, p, dtype=np.int64))
         cols[2].append(qs[pos])
         cols[3].append(rs[pos])
-        cols[4].append(np.repeat(n, cnt))
+        cols[4].append(n[owner])
     return [
         np.concatenate(c) if c else np.zeros(0, dtype=np.int64) for c in cols
     ]
@@ -265,13 +279,44 @@ def param_invert(quad: Quadruple) -> ParamTuple:
     return pt
 
 
+def _pair_batches(s: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Coprime (d, t) in order with their n1 ranges 1..top, in batches by d.
+
+    n1(t+d)/(t-d) < n2 < n1*t/d is empty unless t^2 - 2dt - d^2 > 0, and
+    n2 <= (s - n1*d)/t then leaves n1 < s(t-d)/(t^2 + 2dt - d^2) <= (s-t)/d.
+    A batch closes after the d that brings it to _BATCH triples; one d adds
+    fewer than s(1 + ln s) triples (its top is below s/t).
+    """
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    triples = 0
+    last = (s - 1) // 2
+    for d in range(1, last + 1):
+        t = np.arange(d + 1, s - d + 1, dtype=np.int64)
+        t = t[(np.gcd(t, d) == 1) & (t * t - 2 * d * t - d * d > 0)]
+        top = (s * (t - d) - 1) // (t * t + 2 * d * t - d * d)
+        keep = top >= 1
+        parts.append((np.full(np.count_nonzero(keep), d, dtype=np.int64), t[keep], top[keep]))
+        triples += int(top.sum())
+        if triples >= _BATCH or d == last:
+            yield tuple(np.concatenate(col) for col in zip(*parts))
+            parts, triples = [], 0
+
+
 def enumerate_n1_params(limit: int, collect: bool = False) -> ParamCensus:
     """Count N1 quadruples from the (d, t, n1, n2) side, independently.
 
-    Loops coprime (d, t) with t > d (q < r forces it), then sweeps the
-    admissible (n1, n2) lattice windows in vectorized form.  Constraints:
-    three prime forms, gcd(n1, n2) = 1, a = n1*t - n2*d >= 3,
+    Constraints: coprime (d, t) with t > d (q < r forces it), three prime
+    forms r, q, p <= s = isqrt(limit - 9), gcd(n1, n2) = 1, a = n1*t - n2*d >= 3,
     q < r via n2(t-d) > n1(t+d), and the exact cut p^2 + a^2 <= limit.
+
+    Vectorized over flattened batches instead of one step per (d, t): each
+    batch of coprime pairs from _pair_batches is expanded into its (d, t, n1)
+    triples, each triple into its [lo2, hi2] window of n2, and the cells are
+    filtered in runs cut by _runs, all in (d, t, n1, n2) order.  A batch holds
+    fewer than _BATCH + s(1 + ln s) triples and a run fewer than _BATCH + s
+    cells, so memory is O(_BATCH + sqrt(limit) log limit) however many triples
+    there are.  It uses its own prime sieve and no census helper, since the
+    census is what it checks.
     """
     if limit < 1:
         raise ValidationError(f"enumerate_n1_params needs limit >= 1, got {limit}")
@@ -283,37 +328,26 @@ def enumerate_n1_params(limit: int, collect: bool = False) -> ParamCensus:
     is_p = sieve_primes(s).is_prime
     total = 0
     found: list[ParamTuple] = []
-    base = np.arange(0, s + 2, dtype=np.int64)
-    for d in range(1, (s - 1) // 2 + 1):
-        for t in range(d + 1, s - d + 1):
-            if math.gcd(t, d) != 1:
-                continue
-            n1_top = (s - t) // d
-            if n1_top < 1:
-                break
-            n1 = base[1 : n1_top + 1]
-            lo2 = n1 * (t + d) // (t - d) + 1
-            hi2 = np.minimum((s - n1 * d) // t, (n1 * t - 3) // d)
-            keep = lo2 <= hi2
-            if not keep.any():
-                continue
-            n1 = n1[keep]
-            lo2 = lo2[keep]
-            cnt = hi2[keep] - lo2 + 1
-            n1r = np.repeat(n1, cnt)
-            start = np.cumsum(cnt) - cnt
-            n2r = np.arange(int(cnt.sum()), dtype=np.int64) - np.repeat(start, cnt) + np.repeat(lo2, cnt)
-            r_f = n2r * t - n1r * d
-            q_f = n2r * d + n1r * t
-            p_f = n1r * d + n2r * t
-            a_f = n1r * t - n2r * d
-            ok = is_p[r_f] & is_p[q_f] & is_p[p_f]
-            ok &= np.gcd(n1r, n2r) == 1
+    for pair_d, pair_t, top in _pair_batches(s):
+        pair, n1 = _flatten(np.ones(top.size, dtype=np.int64), top)
+        d, t = pair_d[pair], pair_t[pair]
+        lo2 = n1 * (t + d) // (t - d) + 1
+        cnt = np.maximum(np.minimum((s - n1 * d) // t, (n1 * t - 3) // d) - lo2 + 1, 0)
+        for k, m in _runs(cnt, _BATCH):
+            cell, n2 = _flatten(lo2[k:m], cnt[k:m])
+            dc, tc, n1c = d[k:m][cell], t[k:m][cell], n1[k:m][cell]
+            p_f = n1c * dc + n2 * tc
+            a_f = n1c * tc - n2 * dc
+            ok = is_p[n2 * tc - n1c * dc] & is_p[n2 * dc + n1c * tc] & is_p[p_f]
+            ok &= np.gcd(n1c, n2) == 1
             ok &= p_f * p_f + a_f * a_f <= limit
-            total += int(np.count_nonzero(ok))
+            hits = np.flatnonzero(ok)
+            total += hits.size
             if collect:
-                for i in np.flatnonzero(ok):
-                    found.append(ParamTuple(d=d, t=t, n1=int(n1r[i]), n2=int(n2r[i])))
+                found += map(
+                    ParamTuple,
+                    dc[hits].tolist(), tc[hits].tolist(), n1c[hits].tolist(), n2[hits].tolist(),
+                )
     return ParamCensus(limit=limit, n1=total, tuples=tuple(found) if collect else None)
 
 

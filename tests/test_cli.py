@@ -88,6 +88,9 @@ def test_validation_exit_codes(tmp_path):
     assert run_cli("congruence", "--rho-max", "-5", "--nu-max", "-3", "--out-dir", out) == 2
     assert run_cli("congruence", "--nu-max", "-1", "--out-dir", out) == 2
     assert not (tmp_path / "congruence.csv").exists()
+    for threads in ("0", "-1"):
+        assert run_cli("offdiag", "--limit", "100", "--threads", threads, "--out-dir", out) == 2
+    assert not (tmp_path / "offdiag.csv").exists()
 
 
 def test_capacity_exit_code(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paucity import quadruples
 from paucity.errors import CapacityError, ValidationError
 from paucity.quadruples import (
     EllReport,
@@ -118,24 +119,43 @@ def test_param_round_trip_on_census():
 
 
 def test_param_enumeration_agrees_with_direct():
-    for limit in (1000, 10000, 100000):
+    # Every limit up to 450 covers s < 3, the first non-empty windows and the
+    # first N1 solution (at 410).
+    for limit in (*range(1, 451), 1000, 10000, 100000):
         pc = enumerate_n1_params(limit)
         census = enumerate_offdiag(limit, collect=False)
         assert pc.n1 == census.n1, limit
 
 
+def test_param_enumeration_frozen_decade():
+    for limit, want in ((2 * 10**6, 9434), (10**7, 40585)):
+        assert enumerate_n1_params(limit).n1 == want, limit
+        assert enumerate_offdiag(limit, collect=False).n1 == want, limit
+
+
 def test_param_enumeration_collect_matches_inversion():
-    limit = 10000
-    pc = enumerate_n1_params(limit, collect=True)
-    census = enumerate_offdiag(limit)
-    inverted = {
-        (pt.d, pt.t, pt.n1, pt.n2)
-        for pt in (
-            param_invert(q) for q in census.quadruples if 2 < q.a < q.q < q.r < q.p
+    for limit in (10000, 100000):
+        pc = enumerate_n1_params(limit, collect=True)
+        census = enumerate_offdiag(limit)
+        inverted = sorted(
+            (pt.d, pt.t, pt.n1, pt.n2)
+            for pt in (
+                param_invert(q) for q in census.quadruples if 2 < q.a < q.q < q.r < q.p
+            )
         )
-    }
-    assert {(pt.d, pt.t, pt.n1, pt.n2) for pt in pc.tuples} == inverted
-    assert len(pc.tuples) == pc.n1
+        assert [(pt.d, pt.t, pt.n1, pt.n2) for pt in pc.tuples] == inverted, limit
+        assert len(pc.tuples) == pc.n1
+
+
+def test_param_enumeration_batch_invariance(monkeypatch):
+    for limit in (1000, 10000, 100000):
+        base = enumerate_n1_params(limit, collect=True)
+        # 1 << 30 exceeds every triple and cell count: a single batch and run.
+        for batch in (1, 7, 1 << 30):
+            monkeypatch.setattr(quadruples, "_BATCH", batch)
+            got = enumerate_n1_params(limit, collect=True)
+            assert (got.n1, got.tuples) == (base.n1, base.tuples), (limit, batch)
+            monkeypatch.undo()
 
 
 def test_param_invert_rejects_wrong_class():
