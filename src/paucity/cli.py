@@ -167,6 +167,8 @@ def _cmd_mean(args: argparse.Namespace, out_dir: Path) -> list[str]:
 
 
 def _cmd_constants(args: argparse.Namespace, out_dir: Path) -> list[str]:
+    # V(z) first: it rejects a bad --z before the slower constants run.
+    densities = [sieve_density_product(z) for z in args.z]
     rows = []
     g = catalan(args.eps)
     k1 = landau_ramanujan(args.prime_limit, form="1mod4")
@@ -184,8 +186,7 @@ def _cmd_constants(args: argparse.Namespace, out_dir: Path) -> list[str]:
         ("1/(4K)", 1 / (4 * k1.value), k1.error_bound),
     ]
     rows.extend((name, val, err, "derived") for name, val, err in derived)
-    for z in args.z:
-        v = sieve_density_product(z)
+    for z, v in zip(args.z, densities):
         rows.append((v.name, v.value, v.error_bound, v.method))
         rows.append((f"V({z:g})*log(z)^3", v.value * math.log(z) ** 3, v.error_bound, "derived"))
     csv_path = out_dir / "constants.csv"

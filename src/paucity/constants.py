@@ -92,8 +92,8 @@ def landau_ramanujan(prime_limit: int = 10**7, form: str = "1mod4") -> ConstantV
 
 def sieve_density_product(z: float) -> ConstantValue:
     """V(z) = prod_{2 < p < z} (1 - (3p-2)/p^2), evaluated in log space."""
-    if z < 3:
-        raise ValidationError(f"sieve_density_product needs z >= 3, got {z}")
+    if not math.isfinite(z) or z < 3:
+        raise ValidationError(f"sieve_density_product needs a finite z >= 3, got {z}")
     key = ("V", float(z))
     if key in _CACHE:
         return _CACHE[key]

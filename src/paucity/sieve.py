@@ -12,12 +12,21 @@ d = sqrt(n) diagonal divisor pairing); both are carried so mean values can
 be reported under either.  b(n), the indicator of sums of two squares, is
 r0_div(n) > 0.
 
-With SieveConfig.multiplicative set, the prime-power walk behind r0_div
-also yields three multiplicative arrays per block:
+r0_div comes from a division-free walk over the primes p <= sqrt(hi - 1) of
+each block: strided slice updates multiply an int32 smooth part by p at the
+multiples of p and of each higher power p^k, so one division per block,
+n // smooth(n), leaves the cofactor (1 or a single prime above the root).
+r0_div is the product of e + 1 over the primes p = 1 (mod 4) dividing n
+exactly e times, built up in place, and is zeroed where an int8 count of the
+primes 3 (mod 4) of odd exponent is positive.  With SieveConfig.multiplicative
+set, the same walk also yields three multiplicative arrays per block:
 
 * omega: int8, the number of distinct prime factors
-* phi:   int32, Euler's totient (phi(n) < n <= MAX_SIEVE_LIMIT < 2^31)
+* phi:   int32, Euler's totient, a product of p - 1 and p factors
 * in_a:  bool, every prime factor is 1 mod 4 (true at n = 1)
+
+Every intermediate is at most n <= MAX_SIEVE_LIMIT < 2^31, which is what lets
+smooth and phi live in int32.
 """
 
 from __future__ import annotations
@@ -160,13 +169,34 @@ def _pair_tallies(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ...
 def _divisor_tallies(
     lo: int, hi: int, primes: PrimeTable, multiplicative: bool
 ) -> tuple[np.ndarray | None, ...]:
-    """r0_div, omega, phi, in_a for [lo, hi); the last three are None unless `multiplicative`."""
+    """r0_div, omega, phi, in_a for [lo, hi); the last three are None unless `multiplicative`.
+
+    One pass over the primes p <= sqrt(hi - 1), with strided slice updates
+    only: no per-prime division, power or boolean mask.
+
+    * smooth: times p at the multiples of p, and again at the multiples of
+      each p^k <= hi - 1, so it ends as the part of n made of those primes.
+      n // smooth(n) is then 1 or the single prime factor above sqrt(hi - 1),
+      one division per block.
+    * r0_div = prod (e + 1) over the primes p = 1 (mod 4) that divide n
+      exactly e times, and 0 if a prime 3 (mod 4) has odd exponent.  The
+      factor for p is 2 after its multiples; at the multiples of p^k it goes
+      from k to k + 1 by `//= k` and `*= k + 1`, exact since it is k there.
+    * odd3 counts the primes 3 (mod 4) of odd exponent: +1 at the multiples
+      of p, then -1, +1, ... at those of p^2, p^3, ...
+    * phi: times p - 1 at the multiples of p and times p at those of p^k.
+
+    Headroom: smooth and phi never exceed n <= MAX_SIEVE_LIMIT < 2^31, so
+    both are int32.  r0d stays int16 until it is returned as int64: since
+    e + 1 <= 5^(e/2) <= p^(e/2) for p = 1 (mod 4), every partial product
+    is at most sqrt(n) < 2^15.  odd3 and omega are at most 9 < 2^7.
+    """
     width = hi - lo
     top = hi - 1
     amax = math.isqrt(top)
-    val = np.arange(lo, hi, dtype=np.int64)
-    r0d = np.ones(width, dtype=np.int64)
-    exp = np.zeros(width, dtype=np.int16)
+    smooth = np.ones(width, dtype=np.int32)
+    r0d = np.ones(width, dtype=np.int16)
+    odd3 = np.zeros(width, dtype=np.int8)
     if multiplicative:
         om = np.zeros(width, dtype=np.int8)
         ph = np.ones(width, dtype=np.int32)
@@ -176,40 +206,48 @@ def _divisor_tallies(
         first = (-lo) % p
         if first >= width:
             continue
-        pk = p
-        while True:
-            start = (-lo) % pk
-            if start < width:
-                exp[start::pk] += 1
-            if pk > top // p:
-                break
-            pk *= p
         sl = slice(first, width, p)
-        e = exp[sl].astype(np.int64)
-        pe = np.power(np.int64(p), e)
-        val[sl] //= pe
+        smooth[sl] *= p
         r = p & 3
         if r == 1:
-            r0d[sl] *= e + 1
+            r0d[sl] *= 2
         elif r == 3:
-            r0d[sl] *= 1 - (e & 1)
+            odd3[sl] += 1
         if multiplicative:
             om[sl] += 1
-            ph[sl] *= (pe // p * (p - 1)).astype(np.int32)
+            ph[sl] *= p - 1
             if r != 1:
                 ina[sl] = False
-        exp[sl] = 0
-    # What survives is 1 or a single prime above sqrt(hi-1).
+        pk, k = p * p, 2
+        while pk <= top:
+            start = (-lo) % pk
+            if start >= width:
+                break
+            sk = slice(start, width, pk)
+            smooth[sk] *= p
+            if r == 1:
+                r0d[sk] //= k
+                r0d[sk] *= k + 1
+            elif r == 3:
+                odd3[sk] += 1 if k & 1 else -1
+            if multiplicative:
+                ph[sk] *= p
+            pk *= p
+            k += 1
+    # What survives is 1 or a single prime above sqrt(hi-1), so left == 3
+    # only at such a prime, and left == 1 at val = 1 (in A) or such a prime.
+    val = np.arange(lo, hi, dtype=np.int32) // smooth
     big = val > 1
     left = val & 3
-    r0d[big & (left == 1)] *= 2
-    r0d[big & (left == 3)] = 0
+    r0d *= odd3 == 0
+    r0d <<= big & (left == 1)
+    r0d *= left != 3
     if not multiplicative:
-        return r0d, None, None, None
-    om[big] += 1
-    ph[big] *= (val[big] - 1).astype(np.int32)
-    ina[big & (left != 1)] = False
-    return r0d, om, ph, ina
+        return r0d.astype(np.int64), None, None, None
+    om += big
+    ph *= np.maximum(val - 1, 1)
+    ina &= left == 1
+    return r0d.astype(np.int64), om, ph, ina
 
 
 def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> RepresentationBlock:
@@ -315,9 +353,15 @@ def read_blocks(handle: BinaryIO) -> Iterator[RepresentationBlock]:
         head = handle.read(_HEADER.size)
         if not head:
             return
+        if len(head) != _HEADER.size:
+            raise ValidationError("truncated block header")
         magic, version, lo, hi = _HEADER.unpack(head)
         if magic != _MAGIC or version != _VERSION:
             raise ValidationError(f"bad block header: magic={magic!r} version={version}")
+        # Before any read: no sieve writes past the cap, and read(2 * width)
+        # allocates its buffer up front.
+        if not 1 <= lo < hi <= MAX_SIEVE_LIMIT + 1:
+            raise ValidationError(f"bad block range [{lo}, {hi}) in header")
         width = hi - lo
         arrays = []
         for _ in range(4):

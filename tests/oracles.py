@@ -66,6 +66,41 @@ def two_squares_slow(n: int) -> bool:
     return all(e % 2 == 0 for p, e in factorize_slow(n) if p % 4 == 3)
 
 
+def multiplicative_slow(ns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """r0_div, omega, phi and in_a at each n of `ns` by trial division.
+
+    Vectorised over `ns`: each prime p <= sqrt(max(ns)) is divided out to its
+    full exponent e, which is then read off directly; what remains above 1
+    is a single prime.
+    """
+    rest = np.array(ns, dtype=np.int64)
+    r0d = np.ones(rest.size, dtype=np.int64)
+    om = np.zeros(rest.size, dtype=np.int64)
+    ph = np.ones(rest.size, dtype=np.int64)
+    ina = np.ones(rest.size, dtype=bool)
+    for p in filter(is_prime_slow, range(2, math.isqrt(int(rest.max())) + 1)):
+        hit = rest % p == 0
+        e = np.zeros(rest.size, dtype=np.int64)
+        while hit.any():
+            e += hit
+            rest[hit] //= p
+            hit = rest % p == 0
+        om += e > 0
+        ph *= np.where(e > 0, (p - 1) * p ** np.maximum(e - 1, 0), 1)
+        if p % 4 == 1:
+            r0d *= e + 1
+        else:
+            ina &= e == 0
+            if p % 4 == 3:
+                r0d *= e % 2 == 0
+    big = rest > 1
+    om += big
+    ph *= np.where(big, rest - 1, 1)
+    r0d *= np.where(big, 1 + np.array([0, 1, 0, -1])[rest % 4], 1)  # 1 + chi4(q)
+    ina &= ~big | (rest % 4 == 1)
+    return r0d, om, ph, ina
+
+
 def r_arrays_slow(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Representation tallies on [0, limit] by direct enumeration.
 

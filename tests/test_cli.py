@@ -91,6 +91,9 @@ def test_validation_exit_codes(tmp_path):
     for threads in ("0", "-1"):
         assert run_cli("offdiag", "--limit", "100", "--threads", threads, "--out-dir", out) == 2
     assert not (tmp_path / "offdiag.csv").exists()
+    for z in ("nan", "inf"):
+        assert run_cli("constants", "--z", "10", z, "--out-dir", out) == 2
+    assert not (tmp_path / "constants.csv").exists()
 
 
 def test_capacity_exit_code(tmp_path):

@@ -1,6 +1,8 @@
 """Segmented representation sieve vs direct enumeration."""
 
 import io
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -106,6 +108,29 @@ def test_multiplicative_arrays_match_factorize():
     assert plain.omega is None and plain.phi is None and plain.in_a is None
 
 
+def test_multiplicative_arrays_near_cap():
+    # The divisor-tally kernel keeps smooth parts and phi (both <= n) in int32.
+    assert MAX_SIEVE_LIMIT < 2**31
+    cap = MAX_SIEVE_LIMIT
+    primes = sieve_primes(math.isqrt(cap))
+    # 31607 is the largest prime below sqrt(cap); its square needs every
+    # prime of the table, and the powers are the highest of their primes.
+    assert oracles.is_prime_slow(31607) and primes.primes[-1] == 31607
+    windows = [(cap - 3000, cap + 1)]
+    windows += [(q - 300, q + 301) for q in (2**29, 3**18, 5**12, 7**10, 13**8, 31607**2)]
+    want = oracles.multiplicative_slow(np.concatenate([np.arange(lo, hi) for lo, hi in windows]))
+    blocks = {}
+    for mult in (True, False):
+        cfg = SieveConfig(limit=cap, multiplicative=mult)
+        blocks[mult] = [sieve_block(cfg, lo, hi, primes) for lo, hi in windows]
+    for field, ref in zip(("r0_div", "omega", "phi", "in_a"), want):
+        got = np.concatenate([getattr(b, field) for b in blocks[True]])
+        assert np.array_equal(got, ref), field
+    for plain, full in zip(blocks[False], blocks[True]):
+        assert plain.omega is None
+        assert np.array_equal(plain.r0_div, full.r0_div)
+
+
 def test_block_partition_invariance():
     base = _collect(SieveConfig(limit=12000, block_size=1 << 20))
     for block_size in (2, 97, 4096, 11999):
@@ -156,6 +181,15 @@ def test_dump_rejects_garbage():
     buf = io.BytesIO(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValidationError):
         list(read_blocks(buf))
+    good = io.BytesIO()
+    write_blocks(good, sieve_all(SieveConfig(limit=50)))
+    with pytest.raises(ValidationError, match="truncated block header"):
+        list(read_blocks(io.BytesIO(good.getvalue()[:10])))
+    # Empty, reversed or past-the-cap ranges are refused before any payload is read.
+    for lo, hi in ((9, 9), (9, 3), (0, 5), (1, 2**64 - 1)):
+        head = struct.pack("<4sIQQ", b"PCTY", 1, lo, hi)
+        with pytest.raises(ValidationError, match="bad block range"):
+            list(read_blocks(io.BytesIO(head + b"\x00" * 64)))
 
 
 def test_block_type_validation():
