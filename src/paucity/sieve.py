@@ -12,6 +12,14 @@ d = sqrt(n) diagonal divisor pairing); both are carried so mean values can
 be reported under either.  b(n), the indicator of sums of two squares, is
 r0_div(n) > 0.
 
+r0_pair, r1 and r2 are counted without a loop over a: each block is cut into
+sub-windows of _SUB integers, every (a, b) with a^2 + b^2 in a sub-window is
+listed at once from vectorised integer square roots (exact below 2^52), and
+three bincounts tally them.  That keeps memory at O(_SUB + sqrt(hi)) beyond
+the block's own arrays and leaves no per-a Python loop.  numpy's bincount and
+repeat still hold the GIL, as do short strided updates in the divisor walk,
+so blocks on worker threads overlap only in part.
+
 r0_div comes from a division-free walk over the primes p <= sqrt(hi - 1) of
 each block: strided slice updates multiply an int32 smooth part by p at the
 multiples of p and of each higher power p^k, so one division per block,
@@ -43,6 +51,13 @@ from .errors import CapacityError, TallyOverflowError, ValidationError
 
 # A full boolean sieve at this cap costs ~1 GB; beyond it, refuse.
 MAX_SIEVE_LIMIT = 10**9
+# sieve_block peaks near 44 MB per 2^20 integers with the multiplicative
+# arrays, so one block of this width stays below about 180 MB; a wider block
+# is refused before any sieving starts.
+MAX_BLOCK_SIZE = 1 << 22
+
+# Pair tallies are counted in sub-windows of this many integers.
+_SUB = 1 << 16
 
 _MAGIC = b"PCTY"
 _VERSION = 1
@@ -79,6 +94,8 @@ class SieveConfig:
             raise CapacityError(f"limit {self.limit} exceeds cap {MAX_SIEVE_LIMIT}")
         if self.block_size < 2:
             raise ValidationError(f"block_size must be >= 2, got {self.block_size}")
+        if self.block_size > MAX_BLOCK_SIZE:
+            raise CapacityError(f"block_size {self.block_size} exceeds cap {MAX_BLOCK_SIZE}")
         if self.thread_count < 1:
             raise ValidationError(f"thread_count must be >= 1, got {self.thread_count}")
 
@@ -140,29 +157,50 @@ def _check_tally(name: str, arr: np.ndarray, lo: int) -> np.ndarray:
     return arr.astype(np.uint16)
 
 
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(x)) of a non-negative int64 array.
+
+    The float64 root is within one of the answer, and the two corrections
+    make it exact, for every x < 2^52; the sieve's arguments are at most
+    MAX_SIEVE_LIMIT.
+    """
+    r = np.sqrt(x).astype(np.int64)
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    return r
+
+
 def _pair_tallies(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ...]:
+    """r0_pair, r1, r2 for [lo, hi) as int32 arrays, one sub-window at a time.
+
+    The sub-windows [s, e) of _SUB integers partition the block, so each one's
+    counts are complete and are assigned, not added.  For every a <= sqrt(e - 1)
+    at once, b runs from isqrt(max(s - 1 - a^2, 0)) + 1 to isqrt(e - 1 - a^2);
+    the (a, b) cells are expanded by repeat and cumsum, and three bincounts of
+    a^2 + b^2 - s fill r0 (all cells), r1 (prime b) and r2 (prime a and b).
+    Memory is O(_SUB + sqrt(hi)) beyond the three output arrays, and the work
+    O(width + cells + (width / _SUB) * sqrt(hi)).
+    """
     width = hi - lo
-    r0 = np.zeros(width, dtype=np.int32)
-    r1 = np.zeros(width, dtype=np.int32)
-    r2 = np.zeros(width, dtype=np.int32)
+    r0 = np.empty(width, dtype=np.int32)
+    r1 = np.empty(width, dtype=np.int32)
+    r2 = np.empty(width, dtype=np.int32)
     is_p = primes.is_prime
-    amax = math.isqrt(hi - 1)
-    for a in range(1, amax + 1):
+    for s in range(lo, hi, _SUB):
+        e = min(s + _SUB, hi)
+        a = np.arange(1, math.isqrt(e - 1) + 1, dtype=np.int64)
         a2 = a * a
-        bhi = math.isqrt(hi - 1 - a2) if a2 < hi - 1 else 0
-        if a2 >= lo - 1:
-            blo = 1
-        else:
-            blo = math.isqrt(lo - 1 - a2) + 1
-        if blo > bhi:
-            continue
-        b = np.arange(blo, bhi + 1, dtype=np.int64)
-        idx = a2 + b * b - lo
-        r0[idx] += 1
-        prime_b = idx[is_p[b]]
-        r1[prime_b] += 1
-        if is_p[a]:
-            r2[prime_b] += 1
+        blo = _isqrt(np.maximum(s - 1 - a2, 0)) + 1
+        cnt = np.maximum(_isqrt(e - 1 - a2) - blo + 1, 0)
+        ends = np.cumsum(cnt)
+        b = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(ends - cnt - blo, cnt)
+        idx = np.repeat(a2 - s, cnt) + b * b
+        prime_b = is_p[b]
+        idx1 = idx[prime_b]
+        out = slice(s - lo, e - lo)
+        r0[out] = np.bincount(idx, minlength=e - s)
+        r1[out] = np.bincount(idx1, minlength=e - s)
+        r2[out] = np.bincount(idx1[np.repeat(is_p[a], cnt)[prime_b]], minlength=e - s)
     return r0, r1, r2
 
 
@@ -187,9 +225,10 @@ def _divisor_tallies(
     * phi: times p - 1 at the multiples of p and times p at those of p^k.
 
     Headroom: smooth and phi never exceed n <= MAX_SIEVE_LIMIT < 2^31, so
-    both are int32.  r0d stays int16 until it is returned as int64: since
-    e + 1 <= 5^(e/2) <= p^(e/2) for p = 1 (mod 4), every partial product
-    is at most sqrt(n) < 2^15.  odd3 and omega are at most 9 < 2^7.
+    both are int32.  r0_div is built and returned as int16, and is never
+    negative: since e + 1 <= 5^(e/2) <= p^(e/2) for p = 1 (mod 4), every
+    partial product is at most sqrt(n) < 2^15.  odd3 and omega are at most
+    9 < 2^7.
     """
     width = hi - lo
     top = hi - 1
@@ -243,11 +282,11 @@ def _divisor_tallies(
     r0d <<= big & (left == 1)
     r0d *= left != 3
     if not multiplicative:
-        return r0d.astype(np.int64), None, None, None
+        return r0d, None, None, None
     om += big
     ph *= np.maximum(val - 1, 1)
     ina &= left == 1
-    return r0d.astype(np.int64), om, ph, ina
+    return r0d, om, ph, ina
 
 
 def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> RepresentationBlock:

@@ -134,6 +134,33 @@ def r_arrays_slow(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return r0, r0d, r1, r2
 
 
+def pair_tallies_loop(lo: int, hi: int, is_prime: np.ndarray) -> tuple[np.ndarray, ...]:
+    """r0_pair, r1, r2 on [lo, hi) as int32, one numpy call per a.
+
+    For each a <= sqrt(hi - 1), b runs over the whole range with
+    lo <= a^2 + b^2 < hi and the three tallies are bumped by fancy indexing;
+    `is_prime` must cover sqrt(hi - 1).
+    """
+    width = hi - lo
+    r0 = np.zeros(width, dtype=np.int32)
+    r1 = np.zeros(width, dtype=np.int32)
+    r2 = np.zeros(width, dtype=np.int32)
+    for a in range(1, math.isqrt(hi - 1) + 1):
+        a2 = a * a
+        bhi = math.isqrt(hi - 1 - a2) if a2 < hi - 1 else 0
+        blo = 1 if a2 >= lo - 1 else math.isqrt(lo - 1 - a2) + 1
+        if blo > bhi:
+            continue
+        b = np.arange(blo, bhi + 1, dtype=np.int64)
+        idx = a2 + b * b - lo
+        r0[idx] += 1
+        prime_b = idx[is_prime[b]]
+        r1[prime_b] += 1
+        if is_prime[a]:
+            r2[prime_b] += 1
+    return r0, r1, r2
+
+
 def rho_slow(d: int) -> int:
     """#{(u, v) in [0, d)^2 : gcd(v, d) = 1, u^2 + v^2 = 0 mod d}."""
     count = 0

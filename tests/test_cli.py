@@ -12,7 +12,7 @@ import paucity
 from paucity.cli import main
 from paucity.constants import catalan
 from paucity.meanvalue import read_csv
-from paucity.sieve import read_blocks
+from paucity.sieve import MAX_BLOCK_SIZE, read_blocks
 
 import oracles
 
@@ -102,6 +102,12 @@ def test_capacity_exit_code(tmp_path):
     assert run_cli("congruence", "--rho-max", "100001", "--out-dir", str(tmp_path)) == 3
     assert run_cli("congruence", "--nu-max", "3001", "--out-dir", str(tmp_path)) == 3
     assert not (tmp_path / "congruence.csv").exists()
+    # An oversized block is refused before the sieve allocates it.
+    for command in ("mean", "sieve"):
+        argv = ["--limit", "1000000000", "--block-size", str(MAX_BLOCK_SIZE + 1)]
+        assert run_cli(command, *argv, "--out-dir", str(tmp_path)) == 3
+    assert not (tmp_path / "mean.csv").exists()
+    assert not (tmp_path / "blocks.pcty").exists()
 
 
 def test_argparse_errors_exit_two():

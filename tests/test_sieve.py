@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 import struct
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paucity import sieve
 from paucity.arith import build_spf_table, factorize, in_A, is_sum_two_squares, omega, phi
 from paucity.errors import CapacityError, TallyOverflowError, ValidationError
 from paucity.sieve import (
+    MAX_BLOCK_SIZE,
     MAX_SIEVE_LIMIT,
     PrimeTable,
     RepresentationBlock,
@@ -68,6 +71,9 @@ def test_config_validation():
         SieveConfig(limit=10, thread_count=0)
     with pytest.raises(CapacityError):
         SieveConfig(limit=MAX_SIEVE_LIMIT + 1)
+    SieveConfig(limit=MAX_SIEVE_LIMIT, block_size=MAX_BLOCK_SIZE)
+    with pytest.raises(CapacityError):
+        SieveConfig(limit=MAX_SIEVE_LIMIT, block_size=MAX_BLOCK_SIZE + 1)
 
 
 def test_tallies_match_direct_enumeration():
@@ -129,6 +135,57 @@ def test_multiplicative_arrays_near_cap():
     for plain, full in zip(blocks[False], blocks[True]):
         assert plain.omega is None
         assert np.array_equal(plain.r0_div, full.r0_div)
+
+
+CAP_PRIMES = sieve_primes(math.isqrt(MAX_SIEVE_LIMIT + 1))
+
+
+def _assert_pairs_match(lo: int, hi: int, want: tuple[np.ndarray, ...]) -> None:
+    got = sieve._pair_tallies(lo, hi, CAP_PRIMES)
+    for name, mine, ref in zip(("r0_pair", "r1", "r2"), got, want):
+        assert mine.dtype == ref.dtype and np.array_equal(mine, ref), (name, lo, hi)
+
+
+def _assert_pairs_match_loop(lo: int, hi: int) -> None:
+    _assert_pairs_match(lo, hi, oracles.pair_tallies_loop(lo, hi, CAP_PRIMES.is_prime))
+
+
+def test_pair_tallies_match_loop():
+    # Every [lo, hi) with hi < 300 and width <= 40, each checked against a
+    # slice of the loop over the widest window ending at hi.
+    for hi in range(2, 300):
+        base = max(1, hi - 40)
+        wide = oracles.pair_tallies_loop(base, hi, CAP_PRIMES.is_prime)
+        for lo in range(base, hi):
+            _assert_pairs_match(lo, hi, tuple(arr[lo - base :] for arr in wide))
+    top = MAX_SIEVE_LIMIT + 1
+    rng = random.Random(2024)
+    windows = []
+    for _ in range(50):
+        width = rng.randint(1, 3000)
+        lo = rng.randint(1, top - width)
+        windows.append((lo, lo + width))
+    windows.append((top - (1 << 16), top))
+    # 22349 is prime and 2 * 22349^2 <= 1e9: the r2 diagonal of a large prime.
+    assert oracles.is_prime_slow(22349)
+    centres = [31622**2, 2 * 22349**2] + [a * a + 1 for a in (31622, 30011, 22349, 17389)]
+    windows += [(c - 300, c + 301) for c in centres]
+    for lo, hi in windows:
+        _assert_pairs_match_loop(lo, hi)
+
+
+def test_pair_tallies_subwindow_invariance(monkeypatch):
+    # Blocks [1, 5001) and [5001, 6008): neither is a multiple of 7 or 4099
+    # wide, the first starts at 1 and the last ends at the limit.
+    limit = 6007
+    top = MAX_SIEVE_LIMIT + 1
+    # One sub-window costs O(sqrt(hi)), so the top block narrows with _SUB.
+    for sub, top_width in ((1, 301), (7, 2001), (4099, 9001), (2**30, 9001)):
+        monkeypatch.setattr(sieve, "_SUB", sub)
+        r0, _, r1, r2 = _collect(SieveConfig(limit=limit, block_size=5000))
+        for mine, ref in zip((r0, r1, r2), (ORACLE[0], ORACLE[2], ORACLE[3])):
+            assert np.array_equal(mine[1:], ref[1 : limit + 1]), sub
+        _assert_pairs_match_loop(top - top_width, top)
 
 
 def test_block_partition_invariance():
@@ -225,6 +282,10 @@ def test_overflow_guard():
         _check_tally("r1", big, lo=100)
     big[7] = (1 << 16) - 1
     assert _check_tally("r1", big, lo=100).dtype == np.uint16
+    # r0_div arrives as int16 from the divisor walk.
+    small = np.arange(10, dtype=np.int16) * 3000
+    checked = _check_tally("r0_div", small, lo=100)
+    assert checked.dtype == np.uint16 and np.array_equal(checked, small)
 
 
 @settings(max_examples=25, deadline=None)
