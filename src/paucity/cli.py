@@ -2,9 +2,12 @@
 
 Subcommands: sieve, mean, constants, congruence, offdiag, report.  Exit code
 0 on success, 2 on validation errors (including argparse failures), 3 on
-capacity/overflow errors.  PAUCITY_THREADS overrides --threads; every output
-lands under --out-dir.  CSVs are deterministic (byte-identical across thread
-counts and block sizes); manifests carry timestamps and are not.
+capacity/overflow errors.  PAUCITY_THREADS overrides --threads, which sizes
+only the offdiag census pool: sieve and mean sieve their blocks in order in
+this process (a thread pool there measured slower than one thread), mean
+runs only the sieve kernels its statistics read, and both record the kernels
+in the manifest.  Every output lands under --out-dir.  CSVs are deterministic (byte-identical across
+thread counts and block sizes); manifests carry timestamps and are not.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .constants import (
     catalan,
     landau_ramanujan,
     sieve_density_product,
+    walk_readers,
 )
 from .errors import CapacityError, PaucityError, ValidationError
 from .meanvalue import (
@@ -135,8 +139,14 @@ def _parse_stats(spec: str) -> list[str]:
     return stats
 
 
+def _record_sieve(args: argparse.Namespace, cfg: SieveConfig) -> None:
+    """Put the kernels that ran, all in this process, into the manifest's config."""
+    args.sieve = {"kernels": list(cfg.kernels), "processes": 1}
+
+
 def _cmd_sieve(args: argparse.Namespace, out_dir: Path) -> list[str]:
-    cfg = SieveConfig(limit=args.limit, block_size=args.block_size, thread_count=args.threads)
+    cfg = SieveConfig(limit=args.limit, block_size=args.block_size)
+    _record_sieve(args, cfg)
     outputs = []
     dump_path = out_dir / "blocks.pcty"
     with open(dump_path, "wb") as fh:
@@ -151,10 +161,12 @@ def _cmd_mean(args: argparse.Namespace, out_dir: Path) -> list[str]:
         raise ValidationError(f"limit must be >= 2, got {args.limit}")
     stats = _parse_stats(args.stats)
     grid = _parse_grid(args.grid, args.limit)
+    walk, multiplicative = walk_readers(stats, args.r0_convention)
     cfg = SieveConfig(
-        limit=args.limit, block_size=args.block_size, thread_count=args.threads,
-        multiplicative=any(STATISTICS[s].multiplicative for s in stats),
+        limit=args.limit, block_size=args.block_size,
+        divisor_walk=bool(walk), multiplicative=bool(multiplicative),
     )
+    _record_sieve(args, cfg)
     series = accumulate(
         sieve_all(cfg), grid, stats,
         r0_convention=args.r0_convention, dispersion_c=args.dispersion_c,
@@ -341,7 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".", help="output directory (default: .)")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker threads (PAUCITY_THREADS overrides)")
+                           help="worker threads of the offdiag census (PAUCITY_THREADS "
+                                "overrides); sieve and mean always run in one process, "
+                                "where threads measured slower")
 
     p = sub.add_parser("sieve", help="compute tallies and dump raw blocks")
     p.add_argument("--limit", type=int, required=True)

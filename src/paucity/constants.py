@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -115,20 +116,22 @@ def sieve_density_product(z: float) -> ConstantValue:
 #
 # Each reported statistic is defined once, in STATISTICS: exact int64 or
 # compensated float summation, its per-n term over a slice of a sieve block,
-# its normalization, its limit constant, and whether its term reads the
-# multiplicative arrays (omega, phi, in_a), which the sieve then computes.
-# Constants are thunks evaluated on first use, so only LANDAU_B and COUNT_A
-# pay for landau_ramanujan's prime sieve.
+# its normalization, its limit constant, and which output of the sieve's
+# divisor walk its term reads, if any (r0_div, or the multiplicative arrays
+# omega, phi, in_a).  The sieve runs the walk only when a requested term
+# reads it.  Constants are thunks evaluated on first use, so only LANDAU_B
+# and COUNT_A pay for landau_ramanujan's prime sieve.
 
 _PI = math.pi
 
 
-class Tallies(NamedTuple):
+@dataclass(frozen=True)
+class Tallies:
     """A slice of one sieve block, starting at n = lo.
 
     r0 (under the chosen convention), r1 and r2 are widened to int64; r0_div
-    and the multiplicative arrays are the block's own, the latter None unless
-    the block was sieved with them.
+    and the multiplicative arrays are the block's own, None where the block
+    was sieved without them.
     """
 
     lo: int
@@ -136,10 +139,15 @@ class Tallies(NamedTuple):
     r1: np.ndarray
     r2: np.ndarray
     c: float  # the dispersion parameter
-    r0_div: np.ndarray
+    r0_div: np.ndarray | None = None
     omega: np.ndarray | None = None
     phi: np.ndarray | None = None
     in_a: np.ndarray | None = None
+
+    @cached_property
+    def lemma_weight(self) -> np.ndarray:
+        """2^omega(n) f_A(n), with f_A(1) = 1; shared by LEMMA31 and LEMMA32."""
+        return np.where(self.in_a, np.exp2(self.omega.astype(np.float64)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -173,8 +181,9 @@ class Statistic:
 
     `term` maps a Tallies to the terms of its range; `constant` is None where
     no limit is claimed; `parameter` names the argument carried in the
-    reported label; `multiplicative` marks a term that reads omega, phi or
-    in_a.
+    reported label; `walk` is "r0_div" for a term that reads r0_div,
+    "multiplicative" for one that reads omega, phi or in_a, and None for one
+    that reads only the pair tallies.
     """
 
     name: str
@@ -183,7 +192,7 @@ class Statistic:
     normalization: Normalization
     constant: Callable[[], float] | None = None
     parameter: str | None = None
-    multiplicative: bool = False
+    walk: str | None = None
 
     def label(self, value: float) -> str:
         """The identifier written to CSV, e.g. DISPERSION(c=1)."""
@@ -196,11 +205,6 @@ def _dispersion_terms(v: Tallies) -> np.ndarray:
     if v.lo == 1:
         res[0] = 0.0  # sum starts at n = 2
     return res * res
-
-
-def _lemma_weight(v: Tallies) -> np.ndarray:
-    # 2^omega(n) f_A(n); f_A(1) = 1.
-    return np.where(v.in_a, np.exp2(v.omega.astype(np.float64)), 0.0)
 
 
 def _g() -> float:
@@ -226,23 +230,40 @@ STATISTICS: dict[str, Statistic] = {s.name: s for s in (
     Statistic("DISPERSION", False, _dispersion_terms, _LOG, parameter="c"),
     Statistic(
         "LEMMA31", False,
-        lambda v: _lemma_weight(v) / np.arange(v.lo, v.lo + v.in_a.size, dtype=np.float64),
-        _PER_LOG, lambda: 1.0 / _PI, multiplicative=True,
+        lambda v: v.lemma_weight / np.arange(v.lo, v.lo + v.in_a.size, dtype=np.float64),
+        _PER_LOG, lambda: 1.0 / _PI, walk="multiplicative",
     ),
     Statistic(
-        "LEMMA32", False, lambda v: _lemma_weight(v) / v.phi.astype(np.float64),
-        _PER_LOG, lambda: 12.0 * _g() / _PI**3, multiplicative=True,
+        "LEMMA32", False, lambda v: v.lemma_weight / v.phi.astype(np.float64),
+        _PER_LOG, lambda: 12.0 * _g() / _PI**3, walk="multiplicative",
     ),
     # b(n) = [r0_div(n) > 0] under either r0 convention.
-    Statistic("LANDAU_B", True, lambda v: (v.r0_div > 0).astype(np.int64), _SQRT_LOG, _k),
+    Statistic(
+        "LANDAU_B", True, lambda v: (v.r0_div > 0).astype(np.int64), _SQRT_LOG, _k,
+        walk="r0_div",
+    ),
     Statistic(
         "COUNT_A", True, lambda v: v.in_a.astype(np.int64), _SQRT_LOG,
-        lambda: 1.0 / (4.0 * _k()), multiplicative=True,
+        lambda: 1.0 / (4.0 * _k()), walk="multiplicative",
     ),
 )}
 
 # What `paucity mean` reports when no --stats is given.
 DEFAULT_STATISTICS = ("S01", "S02", "S22")
+
+
+def walk_readers(statistics: Sequence[str], r0_convention: str) -> tuple[list[str], list[str]]:
+    """Who reads the sieve's divisor walk, for registry names already validated.
+
+    Returns the readers that need the walk at all (every statistic with a
+    `walk`, plus r0_convention 'div', whose r0 is r0_div) and, of those, the
+    statistics that need its multiplicative arrays.
+    """
+    stats = [STATISTICS[name] for name in statistics]
+    walk = [s.name for s in stats if s.walk is not None]
+    if r0_convention == "div":
+        walk.append("r0_convention 'div'")
+    return walk, [s.name for s in stats if s.walk == "multiplicative"]
 
 
 def find_statistic(identifier: str) -> Statistic:

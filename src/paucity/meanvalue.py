@@ -1,11 +1,14 @@
 """Checkpointed accumulation of every reported sum.
 
 Every statistic is summed in one pass over the sieve blocks, in fixed slices
-of each block.  Integer statistics (the S_{i,j}, first moments, support and
-Landau counts) accumulate exactly in 64-bit.  Harmonic-weighted and
-squared-residual sums accumulate on a fixed absolute grid of cut points
-(64 Ki atoms plus the checkpoint edges) with Neumaier compensation between
-cuts, so the result is bit-identical for every block size and thread count.
+of each block, in the calling process: the blocks arrive in order from
+sieve_all, which ran only the kernels the requested terms read (the divisor
+walk only for r0_div or the multiplicative arrays).  Integer statistics (the
+S_{i,j}, first moments, support and Landau counts) accumulate exactly in
+64-bit.  Harmonic-weighted and squared-residual sums accumulate on a fixed
+absolute grid of cut points (64 Ki atoms plus the checkpoint edges) with
+Neumaier compensation between cuts, so the result is bit-identical for every
+block size and whether or not the walk ran.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .constants import STATISTICS, Tallies, normalized_value, predicted_constant
+from .constants import STATISTICS, Tallies, normalized_value, predicted_constant, walk_readers
 from .errors import CapacityError, ValidationError
 from .sieve import RepresentationBlock, sieve_primes
 
@@ -117,7 +120,7 @@ class _FloatAccumulator:
     the atom width, plus each checkpoint edge).  Every flushed interval has
     partition-independent content, and intervals merge in ascending order
     under Neumaier compensation, so totals never depend on how the range was
-    split across blocks or threads.
+    split across blocks.
     """
 
     def __init__(self, points: Sequence[int]):
@@ -181,10 +184,10 @@ def accumulate(
     """Partial sums of the requested statistics at every checkpoint.
 
     Blocks must arrive in ascending order covering [1, limit] with
-    limit >= the last checkpoint, and must carry the multiplicative arrays
-    when a requested statistic reads them; r0 follows the given convention
-    ("pair" or "div").  Each slice's tallies are widened to int64 once and
-    shared by every statistic.
+    limit >= the last checkpoint, and must carry r0_div, or the
+    multiplicative arrays, when a requested statistic or the r0 convention
+    reads them; r0 follows the given convention ("pair" or "div").  Each
+    slice's tallies are widened to int64 once and shared by every statistic.
     """
     if not statistics:
         raise ValidationError("no statistics requested")
@@ -196,16 +199,18 @@ def accumulate(
             raise ValidationError(f"duplicate statistic {name!r}")
         stats.append(STATISTICS[name])
     accs = [(_IntAccumulator if s.exact else _FloatAccumulator)(grid.points) for s in stats]
-    multiplicative = [s.name for s in stats if s.multiplicative]
     if not math.isfinite(dispersion_c) or dispersion_c < 0:
         raise ValidationError(f"dispersion c must be finite and >= 0, got {dispersion_c}")
     if r0_convention not in ("pair", "div"):
         raise ValidationError(f"unknown r0 convention {r0_convention!r}")
+    walk, multiplicative = walk_readers(statistics, r0_convention)
     expected = 1
     covered = 0
     for block in blocks:
         if block.lo != expected:
             raise ValidationError(f"blocks out of order: expected lo={expected}, got {block.lo}")
+        if walk and block.r0_div is None:
+            raise ValidationError(f"{', '.join(walk)} need blocks sieved with the divisor walk")
         if multiplicative and block.omega is None:
             raise ValidationError(
                 f"{', '.join(multiplicative)} need blocks sieved with the multiplicative arrays"
@@ -221,8 +226,8 @@ def accumulate(
                 block.r1[sl].astype(np.int64),
                 block.r2[sl].astype(np.int64),
                 dispersion_c,
-                block.r0_div[sl],
-                *(arr[sl] for arr in (block.omega, block.phi, block.in_a) if arr is not None),
+                *(arr[sl] for arr in (block.r0_div, block.omega, block.phi, block.in_a)
+                  if arr is not None),
             )
             for stat, acc in zip(stats, accs):
                 acc.feed(tallies.lo, stat.term(tallies))

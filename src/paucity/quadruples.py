@@ -176,9 +176,13 @@ def _probe_chunk(
         cols[2].append(qs[pos])
         cols[3].append(rs[pos])
         cols[4].append(n[owner])
-    return [
-        np.concatenate(c) if c else np.zeros(0, dtype=np.int64) for c in cols
-    ]
+    # Each column's pieces are freed once joined, so the matches are held
+    # about once, not twice, at the census's peak.
+    out = []
+    for c in cols:
+        out.append(np.concatenate(c) if c else np.zeros(0, dtype=np.int64))
+        c.clear()
+    return out
 
 
 def enumerate_offdiag(
@@ -205,11 +209,10 @@ def enumerate_offdiag(
         # Round-robin chunks keep sizes balanced; merge order is fixed below.
         with ThreadPoolExecutor(max_workers=thread_count) as pool:
             parts = list(pool.map(lambda c: _probe_chunk(c, limit, ns, qs, rs), chunks))
-    a_arr = np.concatenate([p[0] for p in parts])
-    p_arr = np.concatenate([p[1] for p in parts])
-    q_arr = np.concatenate([p[2] for p in parts])
-    r_arr = np.concatenate([p[3] for p in parts])
-    n_arr = np.concatenate([p[4] for p in parts])
+    # One part is used as it is: joining it would copy every match column.
+    a_arr, p_arr, q_arr, r_arr, n_arr = (
+        parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
+    )
     diagonal = ((a_arr == q_arr) & (p_arr == r_arr)) | ((a_arr == r_arr) & (p_arr == q_arr))
     off = ~diagonal
     n_total = int(np.count_nonzero(off))

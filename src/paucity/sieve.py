@@ -1,11 +1,16 @@
 """Segmented sieves for primes and the representation tallies.
 
-Per block [lo, hi) this produces four 16-bit arrays indexed by n - lo:
+Per block [lo, hi) this produces up to four 16-bit arrays indexed by n - lo:
 
 * r0_pair: ordered pairs (a, b), a, b >= 1, with a^2 + b^2 = n
 * r1:      ordered pairs (a, p), a >= 1, p prime
 * r2:      ordered pairs (p, q), both prime
 * r0_div:  sum_{d | n} chi4(d), the divisor-sum variant of r0
+
+Every block runs the pair tallies (r0_pair, r1, r2).  The divisor walk
+(r0_div, and the multiplicative arrays below) runs only when SieveConfig asks
+for it, so a run whose statistics read only the pair tallies skips it; the
+default config runs it.
 
 The two r0 conventions differ exactly on perfect squares (r0_div counts the
 d = sqrt(n) diagonal divisor pairing); both are carried so mean values can
@@ -16,9 +21,12 @@ r0_pair, r1 and r2 are counted without a loop over a: each block is cut into
 sub-windows of _SUB integers, every (a, b) with a^2 + b^2 in a sub-window is
 listed at once from vectorised integer square roots (exact below 2^52), and
 three bincounts tally them.  That keeps memory at O(_SUB + sqrt(hi)) beyond
-the block's own arrays and leaves no per-a Python loop.  numpy's bincount and
-repeat still hold the GIL, as do short strided updates in the divisor walk,
-so blocks on worker threads overlap only in part.
+the block's own arrays and leaves no per-a Python loop.
+
+Blocks are sieved one after another in the calling process.  numpy's
+bincount and repeat and the walk's short strided updates hold the GIL, so a
+thread pool over blocks measured slower than one thread (0.67-1.05x per
+kernel on 2 cores) and held about 40-50 MB more.
 
 r0_div comes from a division-free walk over the primes p <= sqrt(hi - 1) of
 each block: strided slice updates multiply an int32 smooth part by p at the
@@ -41,7 +49,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator
 
@@ -79,12 +86,13 @@ class PrimeTable:
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Run geometry (overall limit, block width, worker thread count) and
-    whether blocks carry the multiplicative arrays omega, phi and in_a."""
+    """Run geometry (overall limit, block width) and the kernels each block
+    runs beyond the pair tallies: the divisor walk for r0_div, and in that
+    walk the multiplicative arrays omega, phi and in_a."""
 
     limit: int
     block_size: int = 1 << 20
-    thread_count: int = 1
+    divisor_walk: bool = True
     multiplicative: bool = False
 
     def __post_init__(self) -> None:
@@ -96,25 +104,35 @@ class SieveConfig:
             raise ValidationError(f"block_size must be >= 2, got {self.block_size}")
         if self.block_size > MAX_BLOCK_SIZE:
             raise CapacityError(f"block_size {self.block_size} exceeds cap {MAX_BLOCK_SIZE}")
-        if self.thread_count < 1:
-            raise ValidationError(f"thread_count must be >= 1, got {self.thread_count}")
+        if self.multiplicative and not self.divisor_walk:
+            raise ValidationError("the multiplicative arrays need the divisor walk")
+
+    @property
+    def kernels(self) -> tuple[str, ...]:
+        """Names of the kernels every block runs, in the order they run."""
+        return (
+            ("pair_tallies",)
+            + ("divisor_walk",) * self.divisor_walk
+            + ("multiplicative_arrays",) * self.multiplicative
+        )
 
 
-_TALLY_DTYPES = {"r0_pair": np.uint16, "r0_div": np.uint16, "r1": np.uint16, "r2": np.uint16}
-_ALL_DTYPES = {**_TALLY_DTYPES, "omega": np.int8, "phi": np.int32, "in_a": np.bool_}
+_PAIR_DTYPES = {"r0_pair": np.uint16, "r1": np.uint16, "r2": np.uint16}
+_MULTIPLICATIVE_DTYPES = {"omega": np.int8, "phi": np.int32, "in_a": np.bool_}
 
 
 @dataclass(frozen=True)
 class RepresentationBlock:
     """Tallies for the half-open range [lo, hi), arrays indexed by n - lo.
 
-    omega, phi and in_a are either all present or all None.
+    r0_div is None when the divisor walk did not run.  omega, phi and in_a
+    are either all present or all None, and present only with r0_div.
     """
 
     lo: int
     hi: int
     r0_pair: np.ndarray
-    r0_div: np.ndarray
+    r0_div: np.ndarray | None
     r1: np.ndarray
     r2: np.ndarray
     omega: np.ndarray | None = None
@@ -127,7 +145,14 @@ class RepresentationBlock:
         width = self.hi - self.lo
         if len({self.omega is None, self.phi is None, self.in_a is None}) > 1:
             raise ValidationError("omega, phi and in_a must be given together")
-        for field, dtype in (_TALLY_DTYPES if self.omega is None else _ALL_DTYPES).items():
+        if self.r0_div is None and self.omega is not None:
+            raise ValidationError("omega, phi and in_a need r0_div from the same walk")
+        dtypes = dict(_PAIR_DTYPES)
+        if self.r0_div is not None:
+            dtypes["r0_div"] = np.uint16
+        if self.omega is not None:
+            dtypes.update(_MULTIPLICATIVE_DTYPES)
+        for field, dtype in dtypes.items():
             arr = getattr(self, field)
             if arr.shape != (width,):
                 raise ValidationError(f"{field} has shape {arr.shape}, expected ({width},)")
@@ -290,14 +315,14 @@ def _divisor_tallies(
 
 
 def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> RepresentationBlock:
-    """Tally r0_pair, r0_div, r1, r2 for [lo, hi), plus omega, phi and in_a
-    when cfg.multiplicative is set.
+    """Tally r0_pair, r1, r2 for [lo, hi), plus r0_div when cfg.divisor_walk
+    is set and omega, phi and in_a when cfg.multiplicative is set.
 
     Parameters
     ----------
     cfg : SieveConfig
         Supplies the overall limit bound, 1 <= lo < hi <= cfg.limit + 1, and
-        the multiplicative switch.
+        the kernels to run.
     lo, hi : int
         Half-open block bounds.
     primes : PrimeTable
@@ -319,12 +344,15 @@ def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> Repre
             f"prime table limit {primes.limit} below sqrt({hi - 1})"
         )
     r0, r1, r2 = _pair_tallies(lo, hi, primes)
-    r0d, om, ph, ina = _divisor_tallies(lo, hi, primes, cfg.multiplicative)
+    r0d = om = ph = ina = None
+    if cfg.divisor_walk:
+        r0d, om, ph, ina = _divisor_tallies(lo, hi, primes, cfg.multiplicative)
+        r0d = _check_tally("r0_div", r0d, lo)
     return RepresentationBlock(
         lo=lo,
         hi=hi,
         r0_pair=_check_tally("r0_pair", r0, lo),
-        r0_div=_check_tally("r0_div", r0d, lo),
+        r0_div=r0d,
         r1=_check_tally("r1", r1, lo),
         r2=_check_tally("r2", r2, lo),
         omega=om,
@@ -333,52 +361,30 @@ def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> Repre
     )
 
 
-def _block_bounds(cfg: SieveConfig) -> list[tuple[int, int]]:
-    bounds = []
-    lo = 1
-    while lo <= cfg.limit:
-        hi = min(lo + cfg.block_size, cfg.limit + 1)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
 def sieve_all(cfg: SieveConfig) -> Iterator[RepresentationBlock]:
     """Stream RepresentationBlocks covering [1, limit] in ascending order.
 
-    Blocks are independent work units; with thread_count > 1 they are computed
-    on a pool but always yielded in ascending order, so downstream accumulation
-    is invariant under both block_size and thread_count.
+    Each block is sieved in this process when the consumer asks for the next
+    one, so blocks arrive in order whatever their size.
     """
     primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
-    bounds = _block_bounds(cfg)
-    if cfg.thread_count == 1:
-        for lo, hi in bounds:
-            yield sieve_block(cfg, lo, hi, primes)
-        return
-    window = 2 * cfg.thread_count
-    with ThreadPoolExecutor(max_workers=cfg.thread_count) as pool:
-        pending = []
-        it = iter(bounds)
-        for lo, hi in it:
-            pending.append(pool.submit(sieve_block, cfg, lo, hi, primes))
-            if len(pending) >= window:
-                break
-        for lo, hi in it:
-            yield pending.pop(0).result()
-            pending.append(pool.submit(sieve_block, cfg, lo, hi, primes))
-        for fut in pending:
-            yield fut.result()
+    for lo in range(1, cfg.limit + 1, cfg.block_size):
+        yield sieve_block(cfg, lo, min(lo + cfg.block_size, cfg.limit + 1), primes)
 
 
 def write_blocks(handle: BinaryIO, blocks: Iterable[RepresentationBlock]) -> int:
     """Dump blocks to an open binary file; returns the number written.
 
     Record layout: magic "PCTY", version u32, lo u64, hi u64, then the four
-    u16 little-endian arrays r0_pair, r0_div, r1, r2.
+    u16 little-endian arrays r0_pair, r0_div, r1, r2.  A block sieved without
+    the divisor walk is refused before any byte of it is written.
     """
     count = 0
     for blk in blocks:
+        if blk.r0_div is None:
+            raise ValidationError(
+                f"block [{blk.lo}, {blk.hi}) has no r0_div; dumps need the divisor walk"
+            )
         handle.write(_HEADER.pack(_MAGIC, _VERSION, blk.lo, blk.hi))
         for arr in (blk.r0_pair, blk.r0_div, blk.r1, blk.r2):
             handle.write(np.ascontiguousarray(arr, dtype="<u2").tobytes())

@@ -29,7 +29,7 @@ RECORDED_C7 = 85.9
 @pytest.fixture(scope="module")
 def decade_series():
     grid = CheckpointGrid(points=DECADES)
-    cfg = SieveConfig(limit=10**7, block_size=1 << 20, thread_count=2)
+    cfg = SieveConfig(limit=10**7, block_size=1 << 20)
     series = accumulate(sieve_all(cfg), grid, ["S01", "S02", "S22", "M2"])
     return {s.statistic: s.values for s in series}
 
@@ -209,7 +209,7 @@ def test_criterion_08_constants():
 def test_criterion_09_lemma_slopes():
     """Finite-difference slopes of the weighted sums between 1e6 and 1e7:
     within +-10% of 1/pi and 12G/pi^3 (measured: both within 0.01%)."""
-    cfg = SieveConfig(limit=10**7, block_size=1 << 20, thread_count=2, multiplicative=True)
+    cfg = SieveConfig(limit=10**7, block_size=1 << 20, multiplicative=True)
     grid = CheckpointGrid(points=(10**6, 10**7))
     l31, l32 = accumulate(sieve_all(cfg), grid, ["LEMMA31", "LEMMA32"])
     dlog = math.log(10**7) - math.log(10**6)

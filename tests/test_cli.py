@@ -53,6 +53,41 @@ def test_mean_deterministic_across_geometry(tmp_path):
     assert texts[0] == texts[1] == texts[2]
 
 
+def test_mean_rows_do_not_depend_on_walk(tmp_path):
+    # The first run skips the divisor walk; LANDAU_B makes the second one run it.
+    rows = []
+    for i, (stats, block) in enumerate((("S01,S02,S22,M2", "1048576"),
+                                        ("S01,S02,S22,M2,LANDAU_B", "31337"))):
+        out = tmp_path / f"w{i}"
+        rc = run_cli(
+            "mean", "--limit", "100000", "--stats", stats, "--block-size", block,
+            "--out-dir", str(out),
+        )
+        assert rc == 0
+        lines = (out / "mean.csv").read_text().splitlines()
+        rows.append([line for line in lines if ",LANDAU_B," not in line])
+    assert len(rows[0]) == 1 + 4 * 3
+    assert rows[0] == rows[1]
+
+
+def test_manifest_records_sieve_kernels(tmp_path):
+    # Whatever --threads says, the sieve runs in this one process.
+    pairs = ["pair_tallies"]
+    walk = pairs + ["divisor_walk"]
+    for i, (extra, kernels) in enumerate((
+        (["--stats", "S01,S22,M2,DISPERSION"], pairs),
+        (["--stats", "S01,LANDAU_B"], walk),
+        (["--stats", "S01", "--r0-convention", "div"], walk),
+        (["--stats", "M2,COUNT_A"], walk + ["multiplicative_arrays"]),
+    )):
+        out = tmp_path / f"k{i}"
+        rc = run_cli("mean", "--limit", "5000", "--threads", "2", *extra, "--out-dir", str(out))
+        assert rc == 0
+        manifest = json.loads((out / "mean_manifest.json").read_text())
+        assert manifest["config"]["sieve"] == {"kernels": kernels, "processes": 1}, extra
+        assert manifest["config"]["threads"] == 2
+
+
 def test_thread_env_override(tmp_path, monkeypatch):
     out = tmp_path / "env"
     monkeypatch.setenv("PAUCITY_THREADS", "3")
@@ -91,6 +126,8 @@ def test_validation_exit_codes(tmp_path):
     for threads in ("0", "-1"):
         assert run_cli("offdiag", "--limit", "100", "--threads", threads, "--out-dir", out) == 2
     assert not (tmp_path / "offdiag.csv").exists()
+    assert run_cli("mean", "--limit", "1000", "--threads", "0", "--out-dir", out) == 2
+    assert not (tmp_path / "mean.csv").exists()
     for z in ("nan", "inf"):
         assert run_cli("constants", "--z", "10", z, "--out-dir", out) == 2
     assert not (tmp_path / "constants.csv").exists()
@@ -129,6 +166,10 @@ def test_sieve_dump_round_trip(tmp_path):
     with open(out / "blocks.pcty", "rb") as fh:
         blocks = list(read_blocks(fh))
     assert blocks[0].lo == 1 and blocks[-1].hi == 4001
+    manifest = json.loads((out / "sieve_manifest.json").read_text())
+    assert manifest["config"]["sieve"] == {
+        "kernels": ["pair_tallies", "divisor_walk"], "processes": 1,
+    }
     total_r2 = sum(int(b.r2.sum()) for b in blocks)
     r2 = oracles.r_arrays_slow(4000)[3]
     assert total_r2 == int(r2.sum())

@@ -31,9 +31,10 @@ GRID = CheckpointGrid(points=(10, 100, 1000, 10000))
 R0, R0D, R1, R2 = oracles.r_arrays_slow(LIMIT)
 
 
-def _blocks(block_size=2048, threads=1, limit=LIMIT, multiplicative=False):
+def _blocks(block_size=2048, limit=LIMIT, divisor_walk=True, multiplicative=False):
     return sieve_all(SieveConfig(
-        limit=limit, block_size=block_size, thread_count=threads, multiplicative=multiplicative
+        limit=limit, block_size=block_size,
+        divisor_walk=divisor_walk, multiplicative=multiplicative,
     ))
 
 
@@ -132,13 +133,13 @@ def test_dispersion_matches_fsum():
 def test_float_determinism_across_geometry():
     stats = ["DISPERSION", "LEMMA31", "LEMMA32", "LANDAU_B", "COUNT_A"]
 
-    def values(block_size, threads):
-        blocks = _blocks(block_size=block_size, threads=threads, multiplicative=True)
+    def values(block_size):
+        blocks = _blocks(block_size=block_size, multiplicative=True)
         return [s.values for s in accumulate(blocks, GRID, stats)]
 
-    base = values(LIMIT, 1)
-    for block_size, threads in ((7777, 1), (512, 4), (4096, 3), (99, 2)):
-        assert values(block_size, threads) == base, (block_size, threads)
+    base = values(LIMIT)
+    for block_size in (7777, 512, 4096, 99):
+        assert values(block_size) == base, block_size
 
 
 def test_float_accumulator_keeps_no_view():
@@ -162,6 +163,12 @@ def test_accumulate_validation():
         accumulate(_blocks(), GRID, ["S01", "COUNT_A"])
     with pytest.raises(ValidationError):
         accumulate(_blocks(multiplicative=True), GRID, ["COUNT_A", "COUNT_A"])
+    # r0_div is read by LANDAU_B and by the div convention; a pair-only sieve has none.
+    for stats, convention in ((["S01", "LANDAU_B"], "pair"), (["S01"], "div"), (["COUNT_A"], "pair")):
+        with pytest.raises(ValidationError, match="divisor walk"):
+            accumulate(_blocks(divisor_walk=False), GRID, stats, r0_convention=convention)
+    pairs_only = accumulate(_blocks(divisor_walk=False), GRID, ["S01", "DISPERSION"])
+    assert pairs_only == accumulate(_blocks(), GRID, ["S01", "DISPERSION"])
     for c in (math.nan, math.inf):
         blocks = _blocks()
         with pytest.raises(ValidationError):
@@ -290,11 +297,9 @@ def test_series_validation():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(2, 900), st.integers(1, 3))
-def test_accumulate_geometry_free(block_size, threads):
+@given(st.integers(2, 900))
+def test_accumulate_geometry_free(block_size):
     grid = CheckpointGrid(points=(7, 50, 444, 2000))
-    series = accumulate(
-        _blocks(block_size=block_size, threads=threads, limit=2000), grid, ["S11", "M2"]
-    )
+    series = accumulate(_blocks(block_size=block_size, limit=2000), grid, ["S11", "M2"])
     assert list(series[0].values) == [int((R1[1 : x + 1] ** 2).sum()) for x in grid.points]
     assert list(series[1].values) == [int(R2[1 : x + 1].sum()) for x in grid.points]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from paucity import sieve
 from paucity.arith import build_spf_table, factorize, in_A, is_sum_two_squares, omega, phi
+from paucity.cli import main as cli_main
 from paucity.errors import CapacityError, TallyOverflowError, ValidationError
 from paucity.sieve import (
     MAX_BLOCK_SIZE,
@@ -68,7 +69,7 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         SieveConfig(limit=10, block_size=1)
     with pytest.raises(ValidationError):
-        SieveConfig(limit=10, thread_count=0)
+        SieveConfig(limit=10, divisor_walk=False, multiplicative=True)
     with pytest.raises(CapacityError):
         SieveConfig(limit=MAX_SIEVE_LIMIT + 1)
     SieveConfig(limit=MAX_SIEVE_LIMIT, block_size=MAX_BLOCK_SIZE)
@@ -126,15 +127,21 @@ def test_multiplicative_arrays_near_cap():
     windows += [(q - 300, q + 301) for q in (2**29, 3**18, 5**12, 7**10, 13**8, 31607**2)]
     want = oracles.multiplicative_slow(np.concatenate([np.arange(lo, hi) for lo, hi in windows]))
     blocks = {}
-    for mult in (True, False):
-        cfg = SieveConfig(limit=cap, multiplicative=mult)
-        blocks[mult] = [sieve_block(cfg, lo, hi, primes) for lo, hi in windows]
+    for kernels in ("multiplicative", "walk", "pairs"):
+        cfg = SieveConfig(
+            limit=cap, divisor_walk=kernels != "pairs", multiplicative=kernels == "multiplicative"
+        )
+        blocks[kernels] = [sieve_block(cfg, lo, hi, primes) for lo, hi in windows]
     for field, ref in zip(("r0_div", "omega", "phi", "in_a"), want):
-        got = np.concatenate([getattr(b, field) for b in blocks[True]])
+        got = np.concatenate([getattr(b, field) for b in blocks["multiplicative"]])
         assert np.array_equal(got, ref), field
-    for plain, full in zip(blocks[False], blocks[True]):
+    for plain, pairs, full in zip(blocks["walk"], blocks["pairs"], blocks["multiplicative"]):
         assert plain.omega is None
         assert np.array_equal(plain.r0_div, full.r0_div)
+        # Skipping the walk leaves the pair tallies as they were.
+        assert pairs.r0_div is None and pairs.omega is None
+        for field in ("r0_pair", "r1", "r2"):
+            assert np.array_equal(getattr(pairs, field), getattr(full, field)), field
 
 
 CAP_PRIMES = sieve_primes(math.isqrt(MAX_SIEVE_LIMIT + 1))
@@ -196,11 +203,15 @@ def test_block_partition_invariance():
             assert np.array_equal(a, b), block_size
 
 
-def test_thread_invariance():
-    base = _collect(SieveConfig(limit=50000, block_size=3000, thread_count=1))
-    threaded = _collect(SieveConfig(limit=50000, block_size=3000, thread_count=4))
-    for a, b in zip(base, threaded):
-        assert np.array_equal(a, b)
+def test_thread_invariance(tmp_path):
+    # --threads sizes no sieve pool: the dumps are the same bytes.
+    dumps = []
+    for threads in ("1", "4"):
+        out = tmp_path / threads
+        argv = ["sieve", "--limit", "50000", "--block-size", "3000", "--threads", threads]
+        assert cli_main([*argv, "--out-dir", str(out)]) == 0
+        dumps.append((out / "blocks.pcty").read_bytes())
+    assert dumps[0] == dumps[1]
 
 
 def test_sieve_block_validation():
@@ -234,6 +245,13 @@ def test_dump_round_trip():
         assert np.array_equal(a.r2, b.r2)
 
 
+def test_dump_refuses_blocks_without_walk():
+    buf = io.BytesIO()
+    with pytest.raises(ValidationError, match="no r0_div"):
+        write_blocks(buf, sieve_all(SieveConfig(limit=5000, divisor_walk=False)))
+    assert buf.getvalue() == b""
+
+
 def test_dump_rejects_garbage():
     buf = io.BytesIO(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValidationError):
@@ -262,6 +280,9 @@ def test_block_type_validation():
         in_a=np.ones(4, dtype=bool),
     )
     RepresentationBlock(**tallies, **extra)
+    RepresentationBlock(**{**tallies, "r0_div": None})
+    with pytest.raises(ValidationError):
+        RepresentationBlock(**{**tallies, "r0_div": None}, **extra)
     for field, bad in (
         ("omega", np.zeros(4, dtype=np.int16)),
         ("phi", np.ones(4, dtype=np.int64)),
@@ -289,8 +310,8 @@ def test_overflow_guard():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 1500), st.integers(1, 4))
-def test_arbitrary_geometry_matches_oracle(block_size, threads):
-    got = _collect(SieveConfig(limit=2500, block_size=block_size, thread_count=threads))
+@given(st.integers(2, 1500))
+def test_arbitrary_geometry_matches_oracle(block_size):
+    got = _collect(SieveConfig(limit=2500, block_size=block_size))
     for mine, ref in zip(got, ORACLE):
         assert np.array_equal(mine[1 : 2501], ref[1 : 2501])
