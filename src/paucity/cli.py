@@ -2,12 +2,14 @@
 
 Subcommands: sieve, mean, constants, congruence, offdiag, report.  Exit code
 0 on success, 2 on validation errors (including argparse failures), 3 on
-capacity/overflow errors.  PAUCITY_THREADS overrides --threads, which sizes
-only the offdiag census pool: sieve and mean sieve their blocks in order in
-this process (a thread pool there measured slower than one thread), mean
-runs only the sieve kernels its statistics read, and both record the kernels
-in the manifest.  Every output lands under --out-dir.  CSVs are deterministic (byte-identical across
-thread counts and block sizes); manifests carry timestamps and are not.
+capacity/overflow errors.  Every command runs in this one process: thread
+pools over sieve blocks and over the offdiag census measured no faster than
+one thread.  --threads (PAUCITY_THREADS overrides it) is still validated and
+recorded in the manifest, but sizes nothing.  mean runs only the sieve
+kernels its statistics read, and sieve and mean record the kernels in the
+manifest.  Every output lands under --out-dir.  CSVs are deterministic
+(byte-identical across thread counts and block sizes); manifests carry
+timestamps and are not.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .meanvalue import (
     CheckpointGrid,
     accumulate,
     csv_fields,
-    partition_s12,
     read_csv,
     write_csv,
 )
@@ -249,13 +250,12 @@ def _cmd_offdiag(args: argparse.Namespace, out_dir: Path) -> list[str]:
     rows: list[tuple[str, object]] = [("limit", args.limit), ("note", f"\"{_CENSUS_NOTE}\"")]
     census = None
     if args.mode in ("direct", "both"):
-        census = enumerate_offdiag(
-            args.limit, collect=args.emit_quadruples, thread_count=args.threads
-        )
+        census = enumerate_offdiag(args.limit, collect=args.emit_quadruples)
         if args.emit_quadruples and census.quadruples is None:
             raise CapacityError(
                 "quadruple list exceeds the collection cap; rerun with a smaller limit"
             )
+        offdiag = census.s12 - census.diagonal
         rows += [
             ("N", census.n),
             ("N1", census.n1),
@@ -263,13 +263,10 @@ def _cmd_offdiag(args: argparse.Namespace, out_dir: Path) -> list[str]:
             ("N1_double_prime", census.n1_double_prime),
             ("degenerate_count", census.degenerate_count),
             ("n_canonical", census.n_canonical),
-        ]
-        part = partition_s12(args.limit)
-        rows += [
-            ("s12", part.s12),
-            ("diagonal", part.diagonal),
-            ("offdiag_via_partition", part.offdiag),
-            ("partition_consistent", int(part.offdiag == census.n)),
+            ("s12", census.s12),
+            ("diagonal", census.diagonal),
+            ("offdiag_via_partition", offdiag),
+            ("partition_consistent", int(offdiag == census.n)),
         ]
     if args.mode in ("param", "both"):
         pc = enumerate_n1_params(args.limit)
@@ -353,9 +350,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".", help="output directory (default: .)")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker threads of the offdiag census (PAUCITY_THREADS "
-                                "overrides); sieve and mean always run in one process, "
-                                "where threads measured slower")
+                           help="at least 1 and recorded in the manifest (PAUCITY_THREADS "
+                                "overrides), but sizes nothing: every command runs in one "
+                                "process, where threads measured no faster")
 
     p = sub.add_parser("sieve", help="compute tallies and dump raw blocks")
     p.add_argument("--limit", type=int, required=True)
@@ -414,7 +411,7 @@ def run(argv: list[str]) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if hasattr(args, "threads"):
-        # The manifest then records the count that actually ran.
+        # The manifest then records the count in effect, PAUCITY_THREADS included.
         args.threads = _thread_count(args)
     started = _timestamp()
     outputs = _DISPATCH[args.command](args, out_dir)

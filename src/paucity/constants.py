@@ -1,4 +1,4 @@
-"""Constants behind every predicted main term, plus the main terms themselves.
+"""Constants behind every predicted main term, and the statistic registry.
 
 G (Catalan) comes from the alternating series sum (-1)^k/(2k+1)^2 with
 pairwise term grouping; K (Landau-Ramanujan) from either Euler product form,
@@ -152,26 +152,19 @@ class Tallies:
 
 @dataclass(frozen=True)
 class Normalization:
-    """scale(raw, x, log x): the normalized value; main_term(k, x, log x): predicted S(x)."""
+    """scale(raw, x, log x): the normalized value, named by label."""
 
     label: str
     scale: Callable[[float, int, float], float]
-    main_term: Callable[[float, float, float], float] | None
 
 
-_PER_X = Normalization("S/x", lambda raw, x, lx: raw / x, lambda k, x, lx: k * x)
-_LOG = Normalization("S*log(x)/x", lambda raw, x, lx: raw * lx / x, lambda k, x, lx: k * x / lx)
-_LOG2 = Normalization(
-    "S*log(x)^2/x", lambda raw, x, lx: raw * lx * lx / x, lambda k, x, lx: k * x / (lx * lx)
-)
-_SQRT_LOG = Normalization(
-    "S*sqrt(log(x))/x",
-    lambda raw, x, lx: raw * math.sqrt(lx) / x,
-    lambda k, x, lx: k * x / math.sqrt(lx),
-)
-_PER_LOG = Normalization("S/log(x)", lambda raw, x, lx: raw / lx, lambda k, x, lx: k * lx)
+_PER_X = Normalization("S/x", lambda raw, x, lx: raw / x)
+_LOG = Normalization("S*log(x)/x", lambda raw, x, lx: raw * lx / x)
+_LOG2 = Normalization("S*log(x)^2/x", lambda raw, x, lx: raw * lx * lx / x)
+_SQRT_LOG = Normalization("S*sqrt(log(x))/x", lambda raw, x, lx: raw * math.sqrt(lx) / x)
+_PER_LOG = Normalization("S/log(x)", lambda raw, x, lx: raw / lx)
 _AFFINE = Normalization(
-    "(S - x*log(x)/4)*4/x", lambda raw, x, lx: (raw - x * lx / 4.0) * 4.0 / x, None
+    "(S - x*log(x)/4)*4/x", lambda raw, x, lx: (raw - x * lx / 4.0) * 4.0 / x
 )
 
 
@@ -275,18 +268,10 @@ def find_statistic(identifier: str) -> Statistic:
     return stat
 
 
-def known_statistics() -> tuple[str, ...]:
-    return tuple(STATISTICS)
-
-
 def predicted_constant(statistic: str) -> float | None:
     """Limit constant of the normalized statistic, or None where no limit is claimed."""
     constant = find_statistic(statistic).constant
     return None if constant is None else constant()
-
-
-def normalization_label(statistic: str) -> str:
-    return find_statistic(statistic).normalization.label
 
 
 def normalized_value(statistic: str, x: int, raw: float) -> float:
@@ -294,17 +279,3 @@ def normalized_value(statistic: str, x: int, raw: float) -> float:
     if x < 3:
         raise ValidationError(f"normalization needs x >= 3, got {x}")
     return find_statistic(statistic).normalization.scale(raw, x, math.log(x))
-
-
-def predicted_main_term(statistic: str, x: float) -> float:
-    """Predicted main term at x for the statistics with a proven constant.
-
-    Raises ValidationError for statistics without a predicted constant and
-    for unknown identifiers.
-    """
-    if x < 3:
-        raise ValidationError(f"predicted_main_term needs x >= 3, got {x}")
-    stat = find_statistic(statistic)
-    if stat.constant is None or stat.normalization.main_term is None:
-        raise ValidationError(f"no predicted constant for {statistic!r}")
-    return stat.normalization.main_term(stat.constant(), x, math.log(x))

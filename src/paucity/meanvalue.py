@@ -20,14 +20,14 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .constants import STATISTICS, Tallies, normalized_value, predicted_constant, walk_readers
-from .errors import CapacityError, ValidationError
-from .sieve import RepresentationBlock, sieve_primes
+from .errors import ValidationError
+from .sieve import RepresentationBlock
 
 _ATOM = 1 << 16
 # Terms are evaluated over slices of this width, which bounds the float64
 # temporaries whatever the block size.
 _SLICE = 1 << 18
-_PARTITION_CAP = 2 * 10**7
+
 
 @dataclass(frozen=True)
 class CheckpointGrid:
@@ -73,23 +73,6 @@ class MeanValueSeries:
             raise ValidationError(f"series {self.statistic} has no values")
         if self.limit < 1:
             raise ValidationError(f"limit must be >= 1, got {self.limit}")
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    """Exact split of S_{1,2}(x) into diagonal and off-diagonal solutions."""
-
-    x: int
-    s12: int
-    diagonal: int
-    offdiag: int
-    s22: int
-
-    def __post_init__(self) -> None:
-        if self.s12 != self.diagonal + self.offdiag:
-            raise ValidationError(
-                f"partition broken: {self.s12} != {self.diagonal} + {self.offdiag}"
-            )
 
 
 class _IntAccumulator:
@@ -240,84 +223,6 @@ def accumulate(
         MeanValueSeries(stat.label(dispersion_c), tuple(acc.out), covered)
         for stat, acc in zip(stats, accs)
     ]
-
-
-def partition_s12(limit: int) -> PartitionReport:
-    """Exact diagonal/off-diagonal split of S_{1,2}(limit).
-
-    The diagonal counts quadruples ((a,p),(q,r)) with {a,p} = {q,r} as
-    multisets: whenever a is prime, the matching (q,r) orderings contribute
-    1 (a = p) or 2 (a != p); this is exact even where some r2(n) >= 3, where
-    the popular sum r2(n)^2 proxy (reported as s22) overcounts.
-    """
-    if limit < 1:
-        raise ValidationError(f"partition_s12 needs limit >= 1, got {limit}")
-    if limit > _PARTITION_CAP:
-        raise CapacityError(f"partition_s12 limit {limit} exceeds cap {_PARTITION_CAP}")
-    root = math.isqrt(limit - 1) if limit > 1 else 1
-    table = sieve_primes(max(root, 2))
-    primes = table.primes.tolist()
-    is_p = table.is_prime
-    counts: dict[int, int] = {}
-    for q in primes:
-        qq = q * q
-        if qq + 4 > limit:
-            break
-        for r in primes:
-            n = qq + r * r
-            if n > limit:
-                break
-            counts[n] = counts.get(n, 0) + 1
-    s12 = 0
-    diag = 0
-    for p in primes:
-        pp = p * p
-        if pp + 1 > limit:
-            break
-        for a in range(1, math.isqrt(limit - pp) + 1):
-            c = counts.get(pp + a * a, 0)
-            if c:
-                s12 += c
-                if is_p[a]:
-                    diag += 1 if a == p else 2
-    s22 = sum(c * c for c in counts.values())
-    return PartitionReport(
-        x=limit, s12=s12, diagonal=diag, offdiag=s12 - diag, s22=s22
-    )
-
-
-def divisor_split(n: int, A_exponent: float = 6.0, x: int | None = None) -> tuple[int, int, int]:
-    """Split sum_{d|n} chi4(d) across the ranges cut at sqrt(n)/log^A x and sqrt(n)*log^A x.
-
-    Returns (sigma1, sigma2, sigma3) with sigma1 over d <= sqrt(n)/log^A x,
-    sigma2 over the middle range, sigma3 over d > sqrt(n)*log^A x; the three
-    always add up to divisor_chi4_sum(n) exactly.
-    """
-    if n < 1:
-        raise ValidationError(f"divisor_split needs n >= 1, got {n}")
-    if A_exponent < 0:
-        raise ValidationError(f"A_exponent must be >= 0, got {A_exponent}")
-    if x is None:
-        x = n
-    if x < n or x < 2:
-        raise ValidationError(f"divisor_split needs x >= max(n, 2), got x={x}, n={n}")
-    spread = math.log(x) ** A_exponent
-    b1 = math.sqrt(n) / spread
-    b2 = math.sqrt(n) * spread
-    s1 = s2 = s3 = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d:
-            continue
-        for div in {d, n // d}:
-            r = div & 3
-            ch = 1 if r == 1 else (-1 if r == 3 else 0)
-            if div <= b1:
-                s1 += ch
-            elif div <= b2:
-                s2 += ch
-            else:
-                s3 += ch
-    return s1, s2, s3
 
 
 def csv_fields(statistic: str, x: int, raw: int | float) -> tuple[str, str, str, str]:

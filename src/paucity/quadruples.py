@@ -24,17 +24,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_prime
 from .errors import CapacityError, ValidationError
 from .sieve import PrimeTable, sieve_primes
 
 _ENUM_CAP = 10**7
-_ELL_CAP = 10**6
 _COLLECT_CAP = 10**5
 # Items per vectorized run of enumerate_n1_params: (d, t, n1) triples, then cells.
 _BATCH = 1 << 14
@@ -77,7 +74,12 @@ class ParamTuple:
 
 @dataclass(frozen=True)
 class OffdiagCensus:
-    """Counts from enumerate_offdiag; classification is over normalized q <= r."""
+    """Counts from enumerate_offdiag; classification is over normalized q <= r.
+
+    s12 counts every match of the probe, which is S_{1,2}(limit); diagonal
+    is its part with {a, p} = {q, r}, counted from the prime-pair table
+    alone, so s12 - diagonal == n checks the probe's diagonal test.
+    """
 
     limit: int
     n: int
@@ -86,6 +88,8 @@ class OffdiagCensus:
     n1_double_prime: int
     degenerate_count: int
     n_canonical: int
+    s12: int
+    diagonal: int
     quadruples: tuple[Quadruple, ...] | None
 
 
@@ -96,27 +100,6 @@ class ParamCensus:
     limit: int
     n1: int
     tuples: tuple[ParamTuple, ...] | None
-
-
-@dataclass(frozen=True)
-class EllReport:
-    """Substitution check 4*l1*l2 = p^2 - r^2 over every N1 quadruple."""
-
-    limit: int
-    n1_count: int
-    ell_pairs: int
-    violations: int
-
-
-@dataclass(frozen=True)
-class ExceptionalReport:
-    """Sizes of the discarded prime-pair classes over 2 < r < p <= sqrt(limit)."""
-
-    limit: int
-    p1: int
-    p2: int
-    p3: int
-    total_upper: int
 
 
 def _prime_pair_table(limit: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,12 +138,12 @@ def _runs(cnt: np.ndarray, size: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _probe_chunk(
-    p_list: list[int], limit: int, ns: np.ndarray, qs: np.ndarray, rs: np.ndarray
+def _probe(
+    primes: list[int], limit: int, ns: np.ndarray, qs: np.ndarray, rs: np.ndarray
 ) -> list[np.ndarray]:
-    """Match every (a, p) with p in p_list against the (q, r) table."""
+    """Match every (a, p) with p prime against the (q, r) table: columns a, p, q, r, n."""
     cols: list[list[np.ndarray]] = [[], [], [], [], []]
-    for p in p_list:
+    for p in primes:
         pp = p * p
         if pp + 1 > limit:
             break
@@ -185,34 +168,25 @@ def _probe_chunk(
     return out
 
 
-def enumerate_offdiag(
-    limit: int, collect: bool = True, thread_count: int = 1
-) -> OffdiagCensus:
+def enumerate_offdiag(limit: int, collect: bool = True) -> OffdiagCensus:
     """Exhaustive census of off-diagonal solutions up to `limit`.
 
     Builds the multiset of prime-pair sums q^2 + r^2 once, then probes every
-    (a, p) against it; the probe phase may be partitioned across threads with
-    a deterministic ordered merge.  The quadruple list (normalized q <= r) is
-    attached when collect=True and at most 1e5 solutions exist.
+    (a, p) against it.  The quadruple list (normalized q <= r) is attached
+    when collect=True and at most 1e5 solutions exist.
     """
     if limit < 1:
         raise ValidationError(f"enumerate_offdiag needs limit >= 1, got {limit}")
     if limit > _ENUM_CAP:
         raise CapacityError(f"enumerate_offdiag limit {limit} exceeds budget {_ENUM_CAP}")
     table = sieve_primes(max(math.isqrt(max(limit - 1, 1)), 2))
+    primes = table.primes.tolist()
     ns, qs, rs = _prime_pair_table(limit, table)
-    p_values = [p for p in table.primes.tolist() if p * p + 1 <= limit]
-    if thread_count <= 1 or len(p_values) < 4:
-        parts = [_probe_chunk(p_values, limit, ns, qs, rs)]
-    else:
-        chunks = [p_values[i::thread_count] for i in range(thread_count)]
-        # Round-robin chunks keep sizes balanced; merge order is fixed below.
-        with ThreadPoolExecutor(max_workers=thread_count) as pool:
-            parts = list(pool.map(lambda c: _probe_chunk(c, limit, ns, qs, rs), chunks))
-    # One part is used as it is: joining it would copy every match column.
-    a_arr, p_arr, q_arr, r_arr, n_arr = (
-        parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
-    )
+    a_arr, p_arr, q_arr, r_arr, n_arr = _probe(primes, limit, ns, qs, rs)
+    # The diagonal from the table alone: a diagonal (a, p) has a prime, so it
+    # is a row of the table, and it matches (q, r) = (a, p) and (p, a), which
+    # are one row when a = p, that is for the primes with 2p^2 <= limit.
+    equal_pairs = sum(1 for p in primes if 2 * p * p <= limit)
     diagonal = ((a_arr == q_arr) & (p_arr == r_arr)) | ((a_arr == r_arr) & (p_arr == q_arr))
     off = ~diagonal
     n_total = int(np.count_nonzero(off))
@@ -249,6 +223,8 @@ def enumerate_offdiag(
         n1_double_prime=int(np.count_nonzero(n1pp_mask)),
         degenerate_count=int(np.count_nonzero(deg)),
         n_canonical=n_canonical,
+        s12=int(a_arr.size),
+        diagonal=2 * int(ns.size) - equal_pairs,
         quadruples=quadruples,
     )
 
@@ -352,70 +328,3 @@ def enumerate_n1_params(limit: int, collect: bool = False) -> ParamCensus:
                     dc[hits].tolist(), tc[hits].tolist(), n1c[hits].tolist(), n2[hits].tolist(),
                 )
     return ParamCensus(limit=limit, n1=total, tuples=tuple(found) if collect else None)
-
-
-def check_ell_pair(a: int, p: int, q: int, r: int, limit: int) -> int:
-    """Number of violated l-substitution conditions for one quadruple.
-
-    With 2*l1 = q - a and 2*l2 = q + a the conditions are: integrality of
-    l1, l2; l1 < l2; l1 + l2 an odd prime; 4*l1*l2 = p^2 - r^2; and
-    (l2 - l1)^2 + p^2 <= limit.
-    """
-    bad = 0
-    if (q - a) & 1:
-        bad += 1
-    if not q - a < q + a:
-        bad += 1
-    if not (is_prime(q) and q != 2):
-        bad += 1
-    if (q - a) * (q + a) != p * p - r * r:
-        bad += 1
-    if a * a + p * p > limit:
-        bad += 1
-    return bad
-
-
-def change_of_variables_check(limit: int) -> EllReport:
-    """Verify the l-substitution on every N1 quadruple below `limit`."""
-    if limit > _ELL_CAP:
-        raise CapacityError(f"change_of_variables_check limit {limit} exceeds {_ELL_CAP}")
-    census = enumerate_offdiag(limit, collect=True)
-    if census.quadruples is None:
-        raise CapacityError("quadruple list above collection cap")
-    ells = set()
-    violations = 0
-    n1_count = 0
-    for quad in census.quadruples:
-        if not (2 < quad.a < quad.q < quad.r < quad.p):
-            continue
-        n1_count += 1
-        violations += check_ell_pair(quad.a, quad.p, quad.q, quad.r, limit)
-        # (l1, l2) alone is not injective (several (r, p) can share one
-        # difference p^2 - r^2); the substituted image keeps (p, r).
-        ells.add(((quad.q - quad.a) // 2, (quad.q + quad.a) // 2, quad.p, quad.r))
-    return EllReport(limit=limit, n1_count=n1_count, ell_pairs=len(ells), violations=violations)
-
-
-def exceptional_set_count(limit: int) -> ExceptionalReport:
-    """Exact sizes of the three discarded prime-pair classes.
-
-    Over pairs 2 < r < p <= sqrt(limit) with eps = sqrt(limit)/log(limit)^10:
-    P1: r <= eps; P2: p - r < eps; P3: p > sqrt(limit) - eps.
-    """
-    if limit < 10**4:
-        raise ValidationError(f"exceptional_set_count needs limit >= 1e4, got {limit}")
-    root = math.isqrt(limit)
-    eps = math.sqrt(limit) / math.log(limit) ** 10
-    primes = sieve_primes(root).primes
-    odd = primes[primes > 2].astype(np.int64)
-    count = odd.size
-    if count == 0:
-        return ExceptionalReport(limit, 0, 0, 0, 0)
-    idx = np.arange(count)
-    k1 = int(np.searchsorted(odd, eps, side="right"))
-    p1 = int(k1 * (count - 1) - (k1 * (k1 - 1)) // 2)
-    near = np.searchsorted(odd, odd + eps, side="left") - (idx + 1)
-    p2 = int(np.maximum(near, 0).sum())
-    k3 = int(np.searchsorted(odd, root - eps, side="right"))
-    p3 = int(idx[k3:].sum())
-    return ExceptionalReport(limit, p1, p2, p3, p1 + p2 + p3)

@@ -246,15 +246,16 @@ def offdiag_census_slow(limit: int) -> dict:
     return {"counts": counts, "quadruples": sols}
 
 
-def exceptional_slow(limit: int) -> tuple[int, int, int]:
-    """Double-loop counts over odd prime pairs r < p <= sqrt(limit)."""
-    root = math.isqrt(limit)
-    odd = [p for p in range(3, root + 1) if is_prime_slow(p)]
-    eps = math.sqrt(limit) / math.log(limit) ** 10
-    p1 = sum(1 for i, r in enumerate(odd) for p in odd[i + 1 :] if r <= eps)
-    p2 = sum(1 for i, r in enumerate(odd) for p in odd[i + 1 :] if p - r < eps)
-    p3 = sum(1 for i, r in enumerate(odd) for p in odd[i + 1 :] if p > root - eps)
-    return p1, p2, p3
+def diagonal_slow(limit: int) -> int:
+    """Diagonal solutions of a^2 + p^2 = q^2 + r^2 <= limit: p, q, r prime, {a, p} = {q, r}."""
+    count = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if not is_prime_slow(p):
+            continue
+        for a in range(1, math.isqrt(max(limit - p * p, 0)) + 1):
+            orders = {(a, p), (p, a)}  # every (q, r) with {q, r} = {a, p}
+            count += sum(1 for q, r in orders if is_prime_slow(q) and is_prime_slow(r))
+    return count
 
 
 # Frozen values computed with this module (spot-checked by hand for the

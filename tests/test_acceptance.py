@@ -14,7 +14,7 @@ import pytest
 from paucity.arith import build_spf_table, factorize
 from paucity.congruence import FormParams, nu_closed, nu_oracle, nu_prime_closed, rho_closed, rho_oracle
 from paucity.constants import catalan, landau_ramanujan, predicted_constant
-from paucity.meanvalue import CheckpointGrid, accumulate, partition_s12
+from paucity.meanvalue import CheckpointGrid, accumulate
 from paucity.quadruples import enumerate_n1_params, enumerate_offdiag, param_apply, param_invert
 from paucity.sieve import SieveConfig, sieve_all
 from paucity.cli import main as cli_main
@@ -29,7 +29,7 @@ RECORDED_C7 = 85.9
 @pytest.fixture(scope="module")
 def decade_series():
     grid = CheckpointGrid(points=DECADES)
-    cfg = SieveConfig(limit=10**7, block_size=1 << 20)
+    cfg = SieveConfig(limit=10**7, block_size=1 << 20, divisor_walk=False)
     series = accumulate(sieve_all(cfg), grid, ["S01", "S02", "S22", "M2"])
     return {s.statistic: s.values for s in series}
 
@@ -124,11 +124,9 @@ def test_criterion_04_partition_identity():
     series = accumulate(sieve_all(SieveConfig(limit=10**6)), grid, ["S12"])
     s12_values = series[0].values
     for x, s12 in zip(grid.points, s12_values):
-        report = partition_s12(x)
         census = enumerate_offdiag(x, collect=False)
-        assert report.s12 == s12, f"S12({x})"
-        assert report.offdiag == census.n, f"N({x})"
-        assert report.s12 == report.diagonal + census.n, f"partition at {x}"
+        assert census.s12 == s12, f"S12({x})"
+        assert census.diagonal + census.n == s12, f"partition at {x}"
     assert enumerate_offdiag(50).n == 1
 
 

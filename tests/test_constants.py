@@ -6,14 +6,13 @@ import mpmath
 import pytest
 
 from paucity.constants import (
+    STATISTICS,
     ConstantValue,
     catalan,
-    known_statistics,
+    find_statistic,
     landau_ramanujan,
-    normalization_label,
     normalized_value,
     predicted_constant,
-    predicted_main_term,
     sieve_density_product,
 )
 from paucity.errors import ValidationError
@@ -89,10 +88,9 @@ def test_constant_value_validation():
 
 
 def test_statistic_table_round_trip():
-    stats = known_statistics()
-    assert "S01" in stats and "DISPERSION" in stats
-    for s in stats:
-        normalization_label(s)
+    assert "S01" in STATISTICS and "DISPERSION" in STATISTICS
+    for s in STATISTICS:
+        assert find_statistic(s) is STATISTICS[s], s
     assert predicted_constant("S02") == pytest.approx(
         12 * MP_CATALAN / math.pi**2, rel=1e-9
     )
@@ -118,13 +116,3 @@ def test_normalized_value_shapes():
     assert normalized_value("S00", x, raw) == pytest.approx(affine)
     with pytest.raises(ValidationError):
         normalized_value("S01", 2, 1.0)
-
-
-def test_predicted_main_term():
-    x = 10**5
-    assert predicted_main_term("S01", x) == pytest.approx(0.5 * x)
-    assert predicted_main_term("S22", x) == pytest.approx(
-        2 * math.pi * x / math.log(x) ** 2
-    )
-    with pytest.raises(ValidationError):
-        predicted_main_term("S12", x)

@@ -8,20 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paucity.arith import build_spf_table, divisor_chi4_sum, factorize, in_A, omega, phi
+from paucity.arith import build_spf_table, factorize, in_A, omega, phi
 from paucity.constants import STATISTICS
 from paucity.errors import ValidationError
 from paucity.meanvalue import (
     CheckpointGrid,
     MeanValueSeries,
-    PartitionReport,
     _FloatAccumulator,
     accumulate,
-    divisor_split,
-    partition_s12,
     read_csv,
     write_csv,
 )
+from paucity.quadruples import enumerate_offdiag
 from paucity.sieve import SieveConfig, sieve_all
 
 import oracles
@@ -209,61 +207,23 @@ def test_landau_counts_exact():
 
 
 def test_partition_exact_small():
-    for x, want in oracles.FROZEN_PARTITION.items():
-        rep = partition_s12(x)
-        assert rep == PartitionReport(
-            x=x,
-            s12=want["s12"],
-            diagonal=want["diagonal"],
-            offdiag=want["offdiag"],
-            s22=want["s22"],
-        )
+    points = tuple(oracles.FROZEN_PARTITION)
+    s22 = accumulate(_blocks(limit=points[-1]), CheckpointGrid(points=points), ["S22"])[0]
+    for x, got_s22 in zip(points, s22.values):
+        want = oracles.FROZEN_PARTITION[x]
+        census = enumerate_offdiag(x, collect=False)
+        assert (census.s12, census.diagonal, census.n) == (
+            want["s12"], want["diagonal"], want["offdiag"]
+        ), x
+        assert got_s22 == want["s22"], x
 
 
 def test_partition_consistent_with_s12_series():
     grid = CheckpointGrid(points=(1000,))
-    series = accumulate(_blocks(limit=1000), grid, ["S12", "S22"])
-    rep = partition_s12(1000)
-    assert rep.s12 == series[0].values[0]
-    assert rep.s22 == series[1].values[0]
-    assert rep.s12 == rep.diagonal + rep.offdiag
-    assert rep.offdiag == oracles.FROZEN_CENSUS[1000]["N"]
-
-
-def test_partition_validation():
-    with pytest.raises(ValidationError):
-        PartitionReport(x=10, s12=5, diagonal=3, offdiag=1, s22=4)
-
-
-def test_divisor_split_total_identity():
-    spf = build_spf_table(3000)
-    for n in range(2, 1500):
-        for a in (0.0, 2.0, 6.0):
-            s1, s2, s3 = divisor_split(n, A_exponent=a)
-            assert s1 + s2 + s3 == divisor_chi4_sum(factorize(n, spf)), (n, a)
-
-
-def test_divisor_split_signed_symmetry():
-    for n in range(3, 3000, 2):
-        root = math.isqrt(n)
-        if root * root == n:
-            continue
-        s1, _, s3 = divisor_split(n, A_exponent=0.0)
-        if n % 4 == 1:
-            assert s1 == s3, n
-        else:
-            assert s1 == -s3, n
-
-
-def test_divisor_split_validation():
-    with pytest.raises(ValidationError):
-        divisor_split(0)
-    with pytest.raises(ValidationError):
-        divisor_split(10, A_exponent=-1.0)
-    with pytest.raises(ValidationError):
-        divisor_split(10, x=5)
-    assert divisor_split(1, x=10) == (0, 1, 0)
-    assert divisor_split(1, A_exponent=0.0, x=10) == (1, 0, 0)
+    series = accumulate(_blocks(limit=1000), grid, ["S12"])
+    census = enumerate_offdiag(1000, collect=False)
+    assert census.s12 == series[0].values[0]
+    assert census.s12 - census.diagonal == census.n == oracles.FROZEN_CENSUS[1000]["N"]
 
 
 def test_csv_round_trip():

@@ -1,4 +1,4 @@
-"""Off-diagonal census, parametrization bijection, substitution checks."""
+"""Off-diagonal census, its S12 split and the parametrization bijection."""
 
 import math
 
@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 from paucity import quadruples
 from paucity.errors import CapacityError, ValidationError
 from paucity.quadruples import (
-    EllReport,
     OffdiagCensus,
     ParamTuple,
     Quadruple,
-    change_of_variables_check,
-    check_ell_pair,
     enumerate_n1_params,
     enumerate_offdiag,
-    exceptional_set_count,
     param_apply,
     param_invert,
 )
@@ -57,11 +53,14 @@ def test_census_partition_is_exact():
         assert c.n_canonical == c.n1 + c.n1_prime + c.n1_double_prime + c.degenerate_count
 
 
-def test_census_thread_determinism():
-    base = enumerate_offdiag(100000, collect=False, thread_count=1)
-    for threads in (2, 5):
-        other = enumerate_offdiag(100000, collect=False, thread_count=threads)
-        assert _census_tuple(other) == _census_tuple(base), threads
+def test_census_diagonal_matches_slow():
+    # Every limit to 600, and both sides of 2p^2 for 17 <= p <= 47, where the
+    # probe (a, p) = (p, p) starts to match its one diagonal row.
+    edges = [2 * p * p + k for p in (17, 19, 23, 29, 31, 37, 41, 43, 47) for k in (-1, 0, 1)]
+    for limit in (*range(1, 601), *edges):
+        census = enumerate_offdiag(limit, collect=False)
+        assert census.diagonal == oracles.diagonal_slow(limit), limit
+        assert census.s12 - census.diagonal == census.n, limit
 
 
 def test_smallest_collision():
@@ -161,28 +160,6 @@ def test_param_enumeration_batch_invariance(monkeypatch):
 def test_param_invert_rejects_wrong_class():
     with pytest.raises(ValidationError):
         param_invert(Quadruple(a=1, p=7, q=5, r=5, n=50))
-
-
-def test_ell_substitution_counts():
-    report = change_of_variables_check(10000)
-    assert report == EllReport(limit=10000, n1_count=59, ell_pairs=59, violations=0)
-
-
-def test_ell_pair_checker_flags_synthetic():
-    # 2^2 + 11^2 = 125 = 6^2 + ... not even a solution; the checker only
-    # scores the substitution conditions, so a bogus tuple must trip some.
-    assert check_ell_pair(2, 11, 6, 7, 10000) >= 1
-    assert check_ell_pair(7, 19, 11, 17, 10000) == 0
-    assert check_ell_pair(11, 23, 17, 19, 10000) == 0
-
-
-def test_exceptional_counts_match_slow():
-    for limit in (10000, 10201, 123456):
-        rep = exceptional_set_count(limit)
-        assert (rep.p1, rep.p2, rep.p3) == oracles.exceptional_slow(limit), limit
-        assert rep.total_upper == rep.p1 + rep.p2 + rep.p3
-    with pytest.raises(ValidationError):
-        exceptional_set_count(9999)
 
 
 def _n_windows(d: int, t: int) -> list[tuple[int, int]]:
