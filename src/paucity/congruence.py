@@ -96,18 +96,13 @@ def rho_oracle(d: int) -> CongruenceCount:
 def sqrt_minus_one(p: int) -> int | None:
     """The smaller square root of -1 mod p, or None when p = 3 mod 4.
 
-    Small p use direct search; larger p = 1 mod 4 use i = g^((p-1)/4) for a
-    quadratic non-residue g found by Euler's criterion.
+    For p = 1 mod 4 it is i = g^((p-1)/4) for a quadratic non-residue g,
+    found by Euler's criterion.
     """
     if not is_prime(p) or p == 2:
         raise ValidationError(f"sqrt_minus_one needs an odd prime, got {p}")
     if p & 3 == 3:
         return None
-    if p < 10**4:
-        for i in range(2, p):
-            if (i * i + 1) % p == 0:
-                return min(i, p - i)
-        raise ValidationError(f"no square root of -1 found mod {p}")  # unreachable
     g = 2
     while pow(g, (p - 1) // 2, p) != p - 1:
         g += 1

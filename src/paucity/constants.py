@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .sieve import sieve_primes
-
-_CACHE: dict[tuple, "ConstantValue"] = {}
 
 
 @dataclass(frozen=True)
@@ -37,6 +35,7 @@ class ConstantValue:
             raise ValidationError(f"error_bound must be positive, got {self.error_bound}")
 
 
+@cache
 def catalan(eps: float = 1e-10) -> ConstantValue:
     """Catalan's constant G = sum_{k>=0} (-1)^k / (2k+1)^2 to within eps.
 
@@ -47,19 +46,15 @@ def catalan(eps: float = 1e-10) -> ConstantValue:
     """
     if not (1e-15 <= eps < 1.0):
         raise ValidationError(f"catalan needs 1e-15 <= eps < 1, got {eps}")
-    key = ("catalan", eps)
-    if key in _CACHE:
-        return _CACHE[key]
     pairs = int(math.ceil((1.0 / math.sqrt(eps) - 1.0) / 4.0)) + 1
     value = math.fsum(
         1.0 / (4 * j + 1) ** 2 - 1.0 / (4 * j + 3) ** 2 for j in range(pairs)
     )
     bound = 1.0 / (4 * pairs + 1) ** 2 + 1e-15
-    out = ConstantValue("G", value, bound, f"alternating-series-pairs:{pairs}")
-    _CACHE[key] = out
-    return out
+    return ConstantValue("G", value, bound, f"alternating-series-pairs:{pairs}")
 
 
+@cache
 def landau_ramanujan(prime_limit: int = 10**7, form: str = "1mod4") -> ConstantValue:
     """Landau-Ramanujan constant K via an Euler product over primes <= prime_limit.
 
@@ -73,9 +68,6 @@ def landau_ramanujan(prime_limit: int = 10**7, form: str = "1mod4") -> ConstantV
         raise ValidationError(f"prime_limit must be >= 1000, got {prime_limit}")
     if form not in ("1mod4", "3mod4"):
         raise ValidationError(f"unknown product form {form!r}")
-    key = ("landau_ramanujan", prime_limit, form)
-    if key in _CACHE:
-        return _CACHE[key]
     p = sieve_primes(prime_limit).primes
     if form == "1mod4":
         sel = p[p & 3 == 1].astype(np.float64)
@@ -86,18 +78,14 @@ def landau_ramanujan(prime_limit: int = 10**7, form: str = "1mod4") -> ConstantV
         logsum = math.fsum(np.log1p(-1.0 / (sel * sel)))
         value = math.exp(-0.5 * logsum) / math.sqrt(2.0)
     bound = 1.0 / (prime_limit - 1)
-    out = ConstantValue("K", value, bound, f"euler-product-{form}:{prime_limit}")
-    _CACHE[key] = out
-    return out
+    return ConstantValue("K", value, bound, f"euler-product-{form}:{prime_limit}")
 
 
+@cache
 def sieve_density_product(z: float) -> ConstantValue:
     """V(z) = prod_{2 < p < z} (1 - (3p-2)/p^2), evaluated in log space."""
     if not math.isfinite(z) or z < 3:
         raise ValidationError(f"sieve_density_product needs a finite z >= 3, got {z}")
-    key = ("V", float(z))
-    if key in _CACHE:
-        return _CACHE[key]
     pmax = int(math.floor(z))
     if float(z).is_integer():
         pmax -= 1
@@ -107,9 +95,7 @@ def sieve_density_product(z: float) -> ConstantValue:
     logsum = math.fsum(np.log1p(-(3.0 * p - 2.0) / (p * p)))
     value = math.exp(logsum)
     bound = max(abs(value), 1.0) * 1e-12 * max(p.size, 1)
-    out = ConstantValue(f"V({z:g})", value, bound, f"log-space-product:{p.size}")
-    _CACHE[key] = out
-    return out
+    return ConstantValue(f"V({z:g})", value, bound, f"log-space-product:{p.size}")
 
 
 # ---------------------------------------------------------------- registry
@@ -150,30 +136,22 @@ class Tallies:
         return np.where(self.in_a, np.exp2(self.omega.astype(np.float64)), 0.0)
 
 
-@dataclass(frozen=True)
-class Normalization:
-    """scale(raw, x, log x): the normalized value, named by label."""
-
-    label: str
-    scale: Callable[[float, int, float], float]
-
-
-_PER_X = Normalization("S/x", lambda raw, x, lx: raw / x)
-_LOG = Normalization("S*log(x)/x", lambda raw, x, lx: raw * lx / x)
-_LOG2 = Normalization("S*log(x)^2/x", lambda raw, x, lx: raw * lx * lx / x)
-_SQRT_LOG = Normalization("S*sqrt(log(x))/x", lambda raw, x, lx: raw * math.sqrt(lx) / x)
-_PER_LOG = Normalization("S/log(x)", lambda raw, x, lx: raw / lx)
-_AFFINE = Normalization(
-    "(S - x*log(x)/4)*4/x", lambda raw, x, lx: (raw - x * lx / 4.0) * 4.0 / x
-)
+# Normalizations: (raw, x, log x) -> the normalized value.
+_PER_X = lambda raw, x, lx: raw / x
+_LOG = lambda raw, x, lx: raw * lx / x
+_LOG2 = lambda raw, x, lx: raw * lx * lx / x
+_SQRT_LOG = lambda raw, x, lx: raw * math.sqrt(lx) / x
+_PER_LOG = lambda raw, x, lx: raw / lx
+_AFFINE = lambda raw, x, lx: (raw - x * lx / 4.0) * 4.0 / x
 
 
 @dataclass(frozen=True)
 class Statistic:
     """One mean-value statistic: the sum of `term` over n <= x at each checkpoint x.
 
-    `term` maps a Tallies to the terms of its range; `constant` is None where
-    no limit is claimed; `parameter` names the argument carried in the
+    `term` maps a Tallies to the terms of its range; `normalization` maps
+    (raw, x, log x) to the normalized value; `constant` is None where no
+    limit is claimed; `parameter` names the argument carried in the
     reported label; `walk` is "r0_div" for a term that reads r0_div,
     "multiplicative" for one that reads omega, phi or in_a, and None for one
     that reads only the pair tallies.
@@ -182,7 +160,7 @@ class Statistic:
     name: str
     exact: bool
     term: Callable[[Tallies], np.ndarray]
-    normalization: Normalization
+    normalization: Callable[[float, int, float], float]
     constant: Callable[[], float] | None = None
     parameter: str | None = None
     walk: str | None = None
@@ -278,4 +256,4 @@ def normalized_value(statistic: str, x: int, raw: float) -> float:
     """Rescale a raw partial sum to the quantity that should converge."""
     if x < 3:
         raise ValidationError(f"normalization needs x >= 3, got {x}")
-    return find_statistic(statistic).normalization.scale(raw, x, math.log(x))
+    return find_statistic(statistic).normalization(raw, x, math.log(x))

@@ -76,9 +76,11 @@ class ParamTuple:
 class OffdiagCensus:
     """Counts from enumerate_offdiag; classification is over normalized q <= r.
 
-    s12 counts every match of the probe, which is S_{1,2}(limit); diagonal
-    is its part with {a, p} = {q, r}, counted from the prime-pair table
-    alone, so s12 - diagonal == n checks the probe's diagonal test.
+    Every count is a running total over the primes p, streamed one prime's
+    matches at a time.  s12 counts every match of the probe, which is
+    S_{1,2}(limit); diagonal is its part with {a, p} = {q, r}, counted from
+    the prime-pair table alone, so s12 - diagonal == n checks the probe's
+    diagonal test.
     """
 
     limit: int
@@ -104,22 +106,12 @@ class ParamCensus:
 
 def _prime_pair_table(limit: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ordered prime pairs (q, r) with q^2 + r^2 <= limit, sorted by the sum."""
-    primes = table.primes
-    qs, rs = [], []
-    for q in primes.tolist():
-        if q * q + 4 > limit:
-            break
-        rmax = math.isqrt(limit - q * q)
-        cnt = int(np.searchsorted(primes, rmax, side="right"))
-        if cnt == 0:
-            continue
-        qs.append(np.full(cnt, q, dtype=np.int64))
-        rs.append(primes[:cnt].astype(np.int64))
-    if not qs:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    q_arr = np.concatenate(qs)
-    r_arr = np.concatenate(rs)
+    primes = table.primes.astype(np.int64)
+    squares = primes * primes
+    q = primes[squares + 4 <= limit]
+    cnt = np.searchsorted(squares, limit - q * q, side="right")
+    owner, pos = _flatten(np.zeros(q.size, dtype=np.int64), cnt)
+    q_arr, r_arr = q[owner], primes[pos]
     n_arr = q_arr * q_arr + r_arr * r_arr
     order = np.argsort(n_arr, kind="stable")
     return n_arr[order], q_arr[order], r_arr[order]
@@ -138,42 +130,15 @@ def _runs(cnt: np.ndarray, size: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _probe(
-    primes: list[int], limit: int, ns: np.ndarray, qs: np.ndarray, rs: np.ndarray
-) -> list[np.ndarray]:
-    """Match every (a, p) with p prime against the (q, r) table: columns a, p, q, r, n."""
-    cols: list[list[np.ndarray]] = [[], [], [], [], []]
-    for p in primes:
-        pp = p * p
-        if pp + 1 > limit:
-            break
-        a = np.arange(1, math.isqrt(limit - pp) + 1, dtype=np.int64)
-        n = pp + a * a
-        lo = np.searchsorted(ns, n, side="left")
-        hi = np.searchsorted(ns, n, side="right")
-        owner, pos = _flatten(lo, hi - lo)
-        if pos.size == 0:
-            continue
-        cols[0].append(a[owner])
-        cols[1].append(np.full(pos.size, p, dtype=np.int64))
-        cols[2].append(qs[pos])
-        cols[3].append(rs[pos])
-        cols[4].append(n[owner])
-    # Each column's pieces are freed once joined, so the matches are held
-    # about once, not twice, at the census's peak.
-    out = []
-    for c in cols:
-        out.append(np.concatenate(c) if c else np.zeros(0, dtype=np.int64))
-        c.clear()
-    return out
-
-
 def enumerate_offdiag(limit: int, collect: bool = True) -> OffdiagCensus:
     """Exhaustive census of off-diagonal solutions up to `limit`.
 
-    Builds the multiset of prime-pair sums q^2 + r^2 once, then probes every
-    (a, p) against it.  The quadruple list (normalized q <= r) is attached
-    when collect=True and at most 1e5 solutions exist.
+    Builds the multiset of prime-pair sums q^2 + r^2 once, then streams over
+    the primes p: each prime's (a, p) are matched against it, classified and
+    counted before the next, so memory holds the table and one prime's
+    matches.  The quadruple list (normalized q <= r) is attached when
+    collect=True and at most 1e5 solutions exist; its rows are dropped as
+    soon as the running count passes that cap.
     """
     if limit < 1:
         raise ValidationError(f"enumerate_offdiag needs limit >= 1, got {limit}")
@@ -182,48 +147,51 @@ def enumerate_offdiag(limit: int, collect: bool = True) -> OffdiagCensus:
     table = sieve_primes(max(math.isqrt(max(limit - 1, 1)), 2))
     primes = table.primes.tolist()
     ns, qs, rs = _prime_pair_table(limit, table)
-    a_arr, p_arr, q_arr, r_arr, n_arr = _probe(primes, limit, ns, qs, rs)
+    s12 = 0
+    # Off-diagonal, canonical, degenerate, N1, N1' and N1'' matches so far.
+    counts = np.zeros(6, dtype=np.int64)
+    rows: list[np.ndarray] | None = [np.zeros((5, 0), dtype=np.int64)] if collect else None
+    for p in primes:
+        pp = p * p
+        if pp + 1 > limit:
+            break
+        a = np.arange(1, math.isqrt(limit - pp) + 1, dtype=np.int64)
+        n = pp + a * a
+        lo = np.searchsorted(ns, n, side="left")
+        owner, pos = _flatten(lo, np.searchsorted(ns, n, side="right") - lo)
+        a, n, q, r = a[owner], n[owner], qs[pos], rs[pos]
+        off = ~(((a == q) & (p == r)) | ((a == r) & (p == q)))
+        canon = off & (q <= r)
+        deg = canon & ((a == p) | (q == r) | (a < 3) | (p == 2) | (q == 2))
+        chain = (q < r) & canon
+        n1 = chain & (2 < a) & (a < q) & (r < p)
+        n1pp = chain & (2 < p) & (p < q) & (r < a)
+        n1p = chain & (q > 2) & (a != p) & (q < a) & (q < p) & (a < r) & (p < r)
+        s12 += a.size
+        counts += np.count_nonzero([off, canon, deg, n1, n1p, n1pp], axis=1)
+        if counts[1] > _COLLECT_CAP:
+            rows = None
+        elif rows is not None:
+            rows.append(np.stack((a, np.full_like(a, p), q, r, n))[:, canon])
+    quadruples: tuple[Quadruple, ...] | None = None
+    if rows is not None:
+        found = np.concatenate(rows, axis=1)
+        found = found[:, np.lexsort((found[0], found[4]))]
+        quadruples = tuple(Quadruple(*row) for row in found.T.tolist())
+    n_total, n_canonical, n_deg, n_1, n_1p, n_1pp = counts.tolist()
     # The diagonal from the table alone: a diagonal (a, p) has a prime, so it
     # is a row of the table, and it matches (q, r) = (a, p) and (p, a), which
     # are one row when a = p, that is for the primes with 2p^2 <= limit.
     equal_pairs = sum(1 for p in primes if 2 * p * p <= limit)
-    diagonal = ((a_arr == q_arr) & (p_arr == r_arr)) | ((a_arr == r_arr) & (p_arr == q_arr))
-    off = ~diagonal
-    n_total = int(np.count_nonzero(off))
-    canon = off & (q_arr <= r_arr)
-    deg = canon & (
-        (a_arr == p_arr) | (q_arr == r_arr) | (a_arr < 3) | (p_arr == 2) | (q_arr == 2)
-    )
-    chain = (q_arr < r_arr) & canon
-    n1_mask = chain & (2 < a_arr) & (a_arr < q_arr) & (r_arr < p_arr)
-    n1pp_mask = chain & (2 < p_arr) & (p_arr < q_arr) & (r_arr < a_arr)
-    n1p_mask = (
-        chain
-        & (q_arr > 2)
-        & (a_arr != p_arr)
-        & (q_arr < a_arr)
-        & (q_arr < p_arr)
-        & (a_arr < r_arr)
-        & (p_arr < r_arr)
-    )
-    n_canonical = int(np.count_nonzero(canon))
-    quadruples: tuple[Quadruple, ...] | None = None
-    if collect and n_canonical <= _COLLECT_CAP:
-        idx = np.flatnonzero(canon)
-        idx = idx[np.lexsort((a_arr[idx], n_arr[idx]))]
-        quadruples = tuple(
-            Quadruple(int(a_arr[i]), int(p_arr[i]), int(q_arr[i]), int(r_arr[i]), int(n_arr[i]))
-            for i in idx
-        )
     return OffdiagCensus(
         limit=limit,
         n=n_total,
-        n1=int(np.count_nonzero(n1_mask)),
-        n1_prime=int(np.count_nonzero(n1p_mask)),
-        n1_double_prime=int(np.count_nonzero(n1pp_mask)),
-        degenerate_count=int(np.count_nonzero(deg)),
+        n1=n_1,
+        n1_prime=n_1p,
+        n1_double_prime=n_1pp,
+        degenerate_count=n_deg,
         n_canonical=n_canonical,
-        s12=int(a_arr.size),
+        s12=s12,
         diagonal=2 * int(ns.size) - equal_pairs,
         quadruples=quadruples,
     )

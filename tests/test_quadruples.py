@@ -1,6 +1,8 @@
 """Off-diagonal census, its S12 split and the parametrization bijection."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,32 @@ def test_census_diagonal_matches_slow():
         census = enumerate_offdiag(limit, collect=False)
         assert census.diagonal == oracles.diagonal_slow(limit), limit
         assert census.s12 - census.diagonal == census.n, limit
+
+
+def test_census_collect_cap(monkeypatch):
+    # The rows are dropped once the running canonical count passes the cap,
+    # and never the counts: a cap of exactly n_canonical keeps every row.
+    full = enumerate_offdiag(10000)
+    for cap, want in ((full.n_canonical, full.quadruples), (full.n_canonical - 1, None)):
+        monkeypatch.setattr(quadruples, "_COLLECT_CAP", cap)
+        capped = enumerate_offdiag(10000)
+        assert capped.quadruples == want, cap
+        assert dataclasses.replace(capped, quadruples=None) == dataclasses.replace(
+            full, quadruples=None
+        ), cap
+
+
+def test_census_memory_is_streamed():
+    # The census holds its prime-pair table and one prime's matches at a
+    # time, never all 724,863 matches at 1e7 (five int64 columns of them
+    # alone take 27.6 MiB).
+    tracemalloc.start()
+    try:
+        enumerate_offdiag(10**7, collect=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
 
 
 def test_smallest_collision():
