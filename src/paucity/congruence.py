@@ -13,10 +13,12 @@ closed form follows by inclusion-exclusion over shared lines.  For odd p the
 conditions d = +-it and d = +-t cannot hold together (they would force
 2t^2 = 0), so a single merged branch is safe.
 
-The exhaustive oracles assume neither multiplicativity, CRT nor any
-factorization.  rho_oracle counts every residue pair; nu_oracle uses only
-that F is homogeneous, scanning one full row per gcd class of n1 and
-counting (not deriving) the class sizes.
+The exhaustive oracles assume neither multiplicativity, CRT, phi, square
+roots of -1 nor any factorization.  rho_oracle counts every residue pair: it
+finds the units mod d by striking the multiples of every divisor g > 1 of d
+(divisors found by trial, not by factoring) and looks up -v^2 in a bincount
+of the squares.  nu_oracle uses only that F is homogeneous, scanning one full
+row per gcd class of n1 and counting (not deriving) the class sizes.
 """
 
 from __future__ import annotations
@@ -81,15 +83,32 @@ def rho_closed(f: Factorization) -> CongruenceCount:
 
 
 def rho_oracle(d: int) -> CongruenceCount:
-    """Exhaustive rho(d): counts every residue pair via a bincount of u^2 mod d."""
+    """Exhaustive rho(d): counts every residue pair (u, v) mod d.
+
+    v is a unit when no divisor g > 1 of d divides it.  The divisors g up to
+    isqrt(d) are found by one vectorised d % g, and each of them, its
+    cofactor d // g and d itself strikes its multiples from the unit mask.
+    A bincount of u^2 mod d then gives, for every unit v, the number of u
+    with u^2 = -v^2 mod d.  No factorization, CRT, multiplicativity, phi or
+    square root of -1 is used.
+    """
     if d < 1:
         raise ValidationError(f"rho_oracle needs d >= 1, got {d}")
     if d > RHO_ORACLE_CAP:
         raise CapacityError(f"rho_oracle modulus {d} exceeds cap {RHO_ORACLE_CAP}")
     u = np.arange(d, dtype=np.int64)
-    squares = np.bincount((u * u) % d, minlength=d)
-    v = u[np.gcd(u, d) == 1]
-    count = int(squares[(-(v * v)) % d].sum())
+    sq = u * u % d
+    # squares[d] repeats squares[0], so squares[d - s] counts u^2 = -s for every s.
+    squares = np.bincount(sq, minlength=d + 1)
+    squares[d] = squares[0]
+    unit = np.ones(d, dtype=bool)
+    if d > 1:  # d itself divides only v = 0
+        unit[0] = False
+    g = np.arange(2, math.isqrt(d) + 1)
+    for k in g[d % g == 0].tolist():
+        unit[::k] = False
+        unit[:: d // k] = False
+    count = int(squares[d - sq[unit]].sum())
     return CongruenceCount(modulus=d, count=count, method="oracle")
 
 
@@ -147,7 +166,9 @@ def nu_oracle(delta: int, params: FormParams) -> CongruenceCount:
 
     The linear forms are assembled from pre-reduced vectors (k*t) mod delta
     and (k*d) mod delta, shifted into [0, 2*delta), so each cell needs a
-    single modulo; 8*delta^3 stays well inside int64.
+    single modulo; 8*delta^3 stays well inside int64.  F mod delta depends
+    only on t and d mod delta, so they are reduced first and parameters of
+    any size stay exact.
     """
     if delta < 1:
         raise ValidationError(f"nu_oracle needs delta >= 1, got {delta}")
@@ -156,8 +177,8 @@ def nu_oracle(delta: int, params: FormParams) -> CongruenceCount:
     n = np.arange(delta, dtype=np.int64)
     g, sizes = np.unique(np.gcd(n, delta), return_counts=True)
     rows = g % delta
-    vt = (n * params.t) % delta
-    vd = (n * params.d) % delta
+    vt = (n * (params.t % delta)) % delta
+    vd = (n * (params.d % delta)) % delta
     prod = vt[None, :] - (vd[rows, None] - delta)
     prod *= vd[None, :] + vt[rows, None]
     prod *= vd[rows, None] + vt[None, :]

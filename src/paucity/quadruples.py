@@ -111,10 +111,15 @@ def _prime_pair_table(limit: int, table: PrimeTable) -> tuple[np.ndarray, np.nda
     q = primes[squares + 4 <= limit]
     cnt = np.searchsorted(squares, limit - q * q, side="right")
     owner, pos = _flatten(np.zeros(q.size, dtype=np.int64), cnt)
-    q_arr, r_arr = q[owner], primes[pos]
-    n_arr = q_arr * q_arr + r_arr * r_arr
+    # Each index array is gathered in sorted order and dropped at once, so
+    # the unsorted q and r columns are never built.
+    n_arr = squares[pos] + (q * q)[owner]
     order = np.argsort(n_arr, kind="stable")
-    return n_arr[order], q_arr[order], r_arr[order]
+    n_arr = n_arr[order]
+    q_arr = q[owner[order]]
+    del owner
+    r_arr = primes[pos[order]]
+    return n_arr, q_arr, r_arr
 
 
 def _flatten(lo: np.ndarray, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -174,6 +174,23 @@ def rho_slow(d: int) -> int:
     return count
 
 
+def rho_grid(d: int) -> int:
+    """The count of rho_slow, evaluated with numpy over the full d x d grid.
+
+    Every (u, v) cell is evaluated; units are found by np.gcd.
+    """
+    n = np.arange(d, dtype=np.int64)
+    sq = n * n % d
+    unit = np.gcd(n, d) == 1
+    count = 0
+    chunk = max(1, (1 << 22) // d)
+    for start in range(0, d, chunk):
+        rows = slice(start, min(start + chunk, d))
+        zero = (sq[rows, None] + sq[None, :]) % d == 0
+        count += int(np.count_nonzero(zero & unit[None, :]))
+    return count
+
+
 def nu_slow(delta: int, t: int, d: int) -> int:
     """#{(n1, n2) mod delta : (n2 t - n1 d)(n2 d + n1 t)(n1 d + n2 t) = 0 mod delta}."""
     count = 0

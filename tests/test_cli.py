@@ -1,5 +1,6 @@
 """End-to-end command-line runs: files, manifests, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -186,11 +187,24 @@ def test_constants_csv(tmp_path):
 
 
 def test_congruence_sweep(tmp_path):
+    # t only enters through its residues, however large it is.
+    for i, argv in enumerate((
+        ("--rho-max", "40", "--nu-max", "30"),
+        ("--rho-max", "1", "--nu-max", "10", "--t", "4611686018427387905", "--d", "2"),
+        ("--rho-max", "1", "--nu-max", "10", "--t", "100000000000000000000001", "--d", "2"),
+    )):
+        out = tmp_path / str(i)
+        assert run_cli("congruence", *argv, "--out-dir", str(out)) == 0
+        lines = (out / "congruence.csv").read_text().splitlines()
+        assert lines[0] == "kind,modulus,t,d,closed,oracle,match"
+        assert all(row.endswith(",1") for row in lines[1:]), lines
+
+
+def test_congruence_csv_bytes(tmp_path):
     out = tmp_path / "g"
-    assert run_cli("congruence", "--rho-max", "40", "--nu-max", "30", "--out-dir", str(out)) == 0
-    lines = (out / "congruence.csv").read_text().splitlines()
-    assert lines[0] == "kind,modulus,t,d,closed,oracle,match"
-    assert all(row.endswith(",1") for row in lines[1:])
+    assert run_cli("congruence", "--rho-max", "500", "--nu-max", "200", "--out-dir", str(out)) == 0
+    digest = hashlib.sha256((out / "congruence.csv").read_bytes()).hexdigest()
+    assert digest == "50f62825155dc027f5f95dd388b3dca9af7103f063f14f66b8e4dd506da92d3a"
 
 
 def test_offdiag_both_modes(tmp_path):

@@ -43,6 +43,15 @@ def test_rho_oracle_matches_pure_loop():
         assert rho_oracle(d).count == oracles.rho_slow(d), d
 
 
+def test_rho_oracle_matches_full_grid():
+    # Up to 400, a prime d has only d itself to strike v = 0, and d = 2p has
+    # only the cofactor p > isqrt(d) to strike the odd multiples of p.
+    # 1105 = 5*13*17 has rho > 0 with three primes, 2310 and 4620 have five
+    # prime factors, and 5000 = 2^3*5^4 has high prime powers.
+    for d in [*range(1, 401), 1105, 2310, 4620, 5000]:
+        assert rho_oracle(d).count == oracles.rho_grid(d), d
+
+
 def test_rho_multiplicative_bound():
     for d in range(1, 400):
         f = factorize(d, TABLE)
@@ -92,8 +101,11 @@ def test_nu_prime_generic_value():
 
 
 def test_nu_oracle_matches_pure_loop():
+    # The last two t enter F only through t mod delta: near 2^62, n * t would
+    # wrap in int64, and 10^23 + 1 does not fit it at all.
+    pairs = ((1, 2), (2, 3), (3, 5), (4, 7), (4611686018427387905, 2), (10**23 + 1, 2))
     for delta in (2, 3, 6, 10, 15, 21, 30, 35):
-        for t, d in ((1, 2), (2, 3), (3, 5), (4, 7)):
+        for t, d in pairs:
             assert nu_oracle(delta, FormParams(t, d)).count == oracles.nu_slow(
                 delta, t, d
             ), (delta, t, d)
