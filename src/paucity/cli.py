@@ -41,7 +41,6 @@ from .constants import (
     catalan,
     landau_ramanujan,
     sieve_density_product,
-    walk_readers,
 )
 from .errors import CapacityError, PaucityError, ValidationError
 from .meanvalue import (
@@ -162,10 +161,9 @@ def _cmd_mean(args: argparse.Namespace, out_dir: Path) -> list[str]:
         raise ValidationError(f"limit must be >= 2, got {args.limit}")
     stats = _parse_stats(args.stats)
     grid = _parse_grid(args.grid, args.limit)
-    walk, multiplicative = walk_readers(stats, args.r0_convention)
     cfg = SieveConfig(
         limit=args.limit, block_size=args.block_size,
-        divisor_walk=bool(walk), multiplicative=bool(multiplicative),
+        multiplicative=any(STATISTICS[s].multiplicative for s in stats),
     )
     _record_sieve(args, cfg)
     series = accumulate(
@@ -230,7 +228,7 @@ def _cmd_congruence(args: argparse.Namespace, out_dir: Path) -> list[str]:
         f = arith.factorize(delta, spf)
         if any(e > 1 for _, e in f.factors):
             continue
-        closed = nu_closed(delta, params).count
+        closed = nu_closed(f, params).count
         oracle = nu_oracle(delta, params).count
         rows.append(("nu", delta, args.t, args.d, closed, oracle, int(closed == oracle)))
     csv_path = out_dir / "congruence.csv"

@@ -188,20 +188,12 @@ def nu_oracle(delta: int, params: FormParams) -> CongruenceCount:
     return CongruenceCount(modulus=delta, count=count, method="oracle")
 
 
-def nu_closed(delta: int, params: FormParams) -> CongruenceCount:
-    """nu(delta) for squarefree delta, as the product of nu(p) over p | delta."""
-    if delta < 1:
-        raise ValidationError(f"nu_closed needs delta >= 1, got {delta}")
+def nu_closed(f: Factorization, params: FormParams) -> CongruenceCount:
+    """nu(delta) for squarefree delta, from its factorization, as the product
+    of nu(p) over p | delta."""
     count = 1
-    m = delta
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                raise ValidationError(f"nu_closed needs squarefree delta, got {delta}")
-            count *= nu_prime_closed(p, params).count
-        p += 1 if p == 2 else 2
-    if m > 1:
-        count *= nu_prime_closed(m, params).count
-    return CongruenceCount(modulus=delta, count=count, method="closed")
+    for p, e in f.factors:
+        if e > 1:
+            raise ValidationError(f"nu_closed needs squarefree delta, got {f.value}")
+        count *= nu_prime_closed(p, params).count
+    return CongruenceCount(modulus=f.value, count=count, method="closed")

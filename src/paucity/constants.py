@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
-from .sieve import sieve_primes
+from .sieve import chi4_divisor_sums, sieve_primes
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,11 @@ def sieve_density_product(z: float) -> ConstantValue:
 #
 # Each reported statistic is defined once, in STATISTICS: exact int64 or
 # compensated float summation, its per-n term over a slice of a sieve block,
-# its normalization, its limit constant, and which output of the sieve's
-# divisor walk its term reads, if any (r0_div, or the multiplicative arrays
-# omega, phi, in_a).  The sieve runs the walk only when a requested term
-# reads it.  Constants are thunks evaluated on first use, so only LANDAU_B
-# and COUNT_A pay for landau_ramanujan's prime sieve.
+# its normalization, its limit constant, and whether its term reads the
+# multiplicative arrays omega, phi, in_a.  The sieve runs the walk behind
+# those arrays only when a requested term reads them.  Constants are thunks
+# evaluated on first use, so only LANDAU_B and COUNT_A pay for
+# landau_ramanujan's prime sieve.
 
 _PI = math.pi
 
@@ -115,20 +115,30 @@ _PI = math.pi
 class Tallies:
     """A slice of one sieve block, starting at n = lo.
 
-    r0 (under the chosen convention), r1 and r2 are widened to int64; r0_div
-    and the multiplicative arrays are the block's own, None where the block
-    was sieved without them.
+    r0_pair and the multiplicative arrays are the block's own, the latter
+    None where the block was sieved without them; r1 and r2 are widened to
+    int64.  r0_div and r0 (r0_pair or r0_div, as r0_convention says) are
+    int64 and built on first read, so they cost nothing where no term reads
+    them.
     """
 
     lo: int
-    r0: np.ndarray
+    r0_pair: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
     c: float  # the dispersion parameter
-    r0_div: np.ndarray | None = None
+    r0_convention: str = "pair"
     omega: np.ndarray | None = None
     phi: np.ndarray | None = None
     in_a: np.ndarray | None = None
+
+    @cached_property
+    def r0_div(self) -> np.ndarray:
+        return chi4_divisor_sums(self.lo, self.r0_pair)
+
+    @cached_property
+    def r0(self) -> np.ndarray:
+        return self.r0_div if self.r0_convention == "div" else self.r0_pair.astype(np.int64)
 
     @cached_property
     def lemma_weight(self) -> np.ndarray:
@@ -152,9 +162,8 @@ class Statistic:
     `term` maps a Tallies to the terms of its range; `normalization` maps
     (raw, x, log x) to the normalized value; `constant` is None where no
     limit is claimed; `parameter` names the argument carried in the
-    reported label; `walk` is "r0_div" for a term that reads r0_div,
-    "multiplicative" for one that reads omega, phi or in_a, and None for one
-    that reads only the pair tallies.
+    reported label; `multiplicative` is set for a term that reads omega,
+    phi or in_a.
     """
 
     name: str
@@ -163,7 +172,7 @@ class Statistic:
     normalization: Callable[[float, int, float], float]
     constant: Callable[[], float] | None = None
     parameter: str | None = None
-    walk: str | None = None
+    multiplicative: bool = False
 
     def label(self, value: float) -> str:
         """The identifier written to CSV, e.g. DISPERSION(c=1)."""
@@ -202,39 +211,24 @@ STATISTICS: dict[str, Statistic] = {s.name: s for s in (
     Statistic(
         "LEMMA31", False,
         lambda v: v.lemma_weight / np.arange(v.lo, v.lo + v.in_a.size, dtype=np.float64),
-        _PER_LOG, lambda: 1.0 / _PI, walk="multiplicative",
+        _PER_LOG, lambda: 1.0 / _PI, multiplicative=True,
     ),
     Statistic(
         "LEMMA32", False, lambda v: v.lemma_weight / v.phi.astype(np.float64),
-        _PER_LOG, lambda: 12.0 * _g() / _PI**3, walk="multiplicative",
+        _PER_LOG, lambda: 12.0 * _g() / _PI**3, multiplicative=True,
     ),
     # b(n) = [r0_div(n) > 0] under either r0 convention.
     Statistic(
         "LANDAU_B", True, lambda v: (v.r0_div > 0).astype(np.int64), _SQRT_LOG, _k,
-        walk="r0_div",
     ),
     Statistic(
         "COUNT_A", True, lambda v: v.in_a.astype(np.int64), _SQRT_LOG,
-        lambda: 1.0 / (4.0 * _k()), walk="multiplicative",
+        lambda: 1.0 / (4.0 * _k()), multiplicative=True,
     ),
 )}
 
 # What `paucity mean` reports when no --stats is given.
 DEFAULT_STATISTICS = ("S01", "S02", "S22")
-
-
-def walk_readers(statistics: Sequence[str], r0_convention: str) -> tuple[list[str], list[str]]:
-    """Who reads the sieve's divisor walk, for registry names already validated.
-
-    Returns the readers that need the walk at all (every statistic with a
-    `walk`, plus r0_convention 'div', whose r0 is r0_div) and, of those, the
-    statistics that need its multiplicative arrays.
-    """
-    stats = [STATISTICS[name] for name in statistics]
-    walk = [s.name for s in stats if s.walk is not None]
-    if r0_convention == "div":
-        walk.append("r0_convention 'div'")
-    return walk, [s.name for s in stats if s.walk == "multiplicative"]
 
 
 def find_statistic(identifier: str) -> Statistic:

@@ -2,13 +2,13 @@
 
 Every statistic is summed in one pass over the sieve blocks, in fixed slices
 of each block, in the calling process: the blocks arrive in order from
-sieve_all, which ran only the kernels the requested terms read (the divisor
-walk only for r0_div or the multiplicative arrays).  Integer statistics (the
-S_{i,j}, first moments, support and Landau counts) accumulate exactly in
-64-bit.  Harmonic-weighted and squared-residual sums accumulate on a fixed
-absolute grid of cut points (64 Ki atoms plus the checkpoint edges) with
-Neumaier compensation between cuts, so the result is bit-identical for every
-block size and whether or not the walk ran.
+sieve_all, which ran the multiplicative walk only when a requested term reads
+omega, phi or in_a.  Integer statistics (the S_{i,j}, first moments, support
+and Landau counts) accumulate exactly in 64-bit.  Harmonic-weighted and
+squared-residual sums accumulate on a fixed absolute grid of cut points
+(64 Ki atoms plus the checkpoint edges) with Neumaier compensation between
+cuts, so the result is bit-identical for every block size and whether or not
+the walk ran.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .constants import STATISTICS, Tallies, normalized_value, predicted_constant, walk_readers
+from .constants import STATISTICS, Tallies, normalized_value, predicted_constant
 from .errors import ValidationError
 from .sieve import RepresentationBlock
 
@@ -167,10 +167,10 @@ def accumulate(
     """Partial sums of the requested statistics at every checkpoint.
 
     Blocks must arrive in ascending order covering [1, limit] with
-    limit >= the last checkpoint, and must carry r0_div, or the
-    multiplicative arrays, when a requested statistic or the r0 convention
-    reads them; r0 follows the given convention ("pair" or "div").  Each
-    slice's tallies are widened to int64 once and shared by every statistic.
+    limit >= the last checkpoint, and must carry the multiplicative arrays
+    when a requested statistic reads them; r0 follows the given convention
+    ("pair" or "div").  Each slice's tallies are widened to int64 once and
+    shared by every statistic.
     """
     if not statistics:
         raise ValidationError("no statistics requested")
@@ -186,31 +186,28 @@ def accumulate(
         raise ValidationError(f"dispersion c must be finite and >= 0, got {dispersion_c}")
     if r0_convention not in ("pair", "div"):
         raise ValidationError(f"unknown r0 convention {r0_convention!r}")
-    walk, multiplicative = walk_readers(statistics, r0_convention)
+    multiplicative = [s.name for s in stats if s.multiplicative]
     expected = 1
     covered = 0
     for block in blocks:
         if block.lo != expected:
             raise ValidationError(f"blocks out of order: expected lo={expected}, got {block.lo}")
-        if walk and block.r0_div is None:
-            raise ValidationError(f"{', '.join(walk)} need blocks sieved with the divisor walk")
         if multiplicative and block.omega is None:
             raise ValidationError(
                 f"{', '.join(multiplicative)} need blocks sieved with the multiplicative arrays"
             )
         expected = block.hi
         covered = block.hi - 1
-        r0 = block.r0_pair if r0_convention == "pair" else block.r0_div
         for off in range(0, block.hi - block.lo, _SLICE):
             sl = slice(off, off + _SLICE)
             tallies = Tallies(
                 block.lo + off,
-                r0[sl].astype(np.int64),
+                block.r0_pair[sl],
                 block.r1[sl].astype(np.int64),
                 block.r2[sl].astype(np.int64),
                 dispersion_c,
-                *(arr[sl] for arr in (block.r0_div, block.omega, block.phi, block.in_a)
-                  if arr is not None),
+                r0_convention,
+                *(arr[sl] for arr in (block.omega, block.phi, block.in_a) if arr is not None),
             )
             for stat, acc in zip(stats, accs):
                 acc.feed(tallies.lo, stat.term(tallies))

@@ -1,21 +1,21 @@
 """Segmented sieves for primes and the representation tallies.
 
-Per block [lo, hi) this produces up to four 16-bit arrays indexed by n - lo:
+Per block [lo, hi) this produces three 16-bit arrays indexed by n - lo:
 
 * r0_pair: ordered pairs (a, b), a, b >= 1, with a^2 + b^2 = n
 * r1:      ordered pairs (a, p), a >= 1, p prime
 * r2:      ordered pairs (p, q), both prime
+
+and derives a fourth from r0_pair on first read:
+
 * r0_div:  sum_{d | n} chi4(d), the divisor-sum variant of r0
 
-Every block runs the pair tallies (r0_pair, r1, r2).  The divisor walk
-(r0_div, and the multiplicative arrays below) runs only when SieveConfig asks
-for it, so a run whose statistics read only the pair tallies skips it; the
-default config runs it.
-
-The two r0 conventions differ exactly on perfect squares (r0_div counts the
-d = sqrt(n) diagonal divisor pairing); both are carried so mean values can
-be reported under either.  b(n), the indicator of sums of two squares, is
-r0_div(n) > 0.
+By Jacobi's two-square theorem the 4 sum_{d | n} chi4(d) lattice points on
+x^2 + y^2 = n are the 4 r0_pair(n) off the axes plus 4 on them when n is a
+square, so r0_div = r0_pair + [n is a square] (chi4_divisor_sums).  The two
+r0 conventions differ exactly on perfect squares; both are carried so mean
+values can be reported under either.  b(n), the indicator of sums of two
+squares, is r0_div(n) > 0.
 
 r0_pair, r1 and r2 are counted without a loop over a: each block is cut into
 sub-windows of _SUB integers, every (a, b) with a^2 + b^2 in a sub-window is
@@ -28,20 +28,18 @@ bincount and repeat and the walk's short strided updates hold the GIL, so a
 thread pool over blocks measured slower than one thread (0.67-1.05x per
 kernel on 2 cores) and held about 40-50 MB more.
 
-r0_div comes from a division-free walk over the primes p <= sqrt(hi - 1) of
-each block: strided slice updates multiply an int32 smooth part by p at the
-multiples of p and of each higher power p^k, so one division per block,
-n // smooth(n), leaves the cofactor (1 or a single prime above the root).
-r0_div is the product of e + 1 over the primes p = 1 (mod 4) dividing n
-exactly e times, built up in place, and is zeroed where an int8 count of the
-primes 3 (mod 4) of odd exponent is positive.  With SieveConfig.multiplicative
-set, the same walk also yields three multiplicative arrays per block:
+With SieveConfig.multiplicative set, each block also gets three
+multiplicative arrays from a division-free walk over the primes
+p <= sqrt(hi - 1):
 
 * omega: int8, the number of distinct prime factors
 * phi:   int32, Euler's totient, a product of p - 1 and p factors
 * in_a:  bool, every prime factor is 1 mod 4 (true at n = 1)
 
-Every intermediate is at most n <= MAX_SIEVE_LIMIT < 2^31, which is what lets
+Strided slice updates multiply an int32 smooth part by p at the multiples of
+p and of each higher power p^k, so one division per block, n // smooth(n),
+leaves the cofactor (1 or a single prime above the root).  Every
+intermediate is at most n <= MAX_SIEVE_LIMIT < 2^31, which is what lets
 smooth and phi live in int32.
 """
 
@@ -50,6 +48,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
@@ -58,8 +57,8 @@ from .errors import CapacityError, TallyOverflowError, ValidationError
 
 # A full boolean sieve at this cap costs ~1 GB; beyond it, refuse.
 MAX_SIEVE_LIMIT = 10**9
-# sieve_block peaks near 44 MB per 2^20 integers with the multiplicative
-# arrays, so one block of this width stays below about 180 MB; a wider block
+# sieve_block peaks near 34 MB per 2^20 integers with the multiplicative
+# arrays, so one block of this width stays below about 140 MB; a wider block
 # is refused before any sieving starts.
 MAX_BLOCK_SIZE = 1 << 22
 
@@ -86,13 +85,12 @@ class PrimeTable:
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Run geometry (overall limit, block width) and the kernels each block
-    runs beyond the pair tallies: the divisor walk for r0_div, and in that
-    walk the multiplicative arrays omega, phi and in_a."""
+    """Run geometry (overall limit, block width) and whether each block runs,
+    beyond the pair tallies, the walk for the multiplicative arrays omega,
+    phi and in_a."""
 
     limit: int
     block_size: int = 1 << 20
-    divisor_walk: bool = True
     multiplicative: bool = False
 
     def __post_init__(self) -> None:
@@ -104,17 +102,11 @@ class SieveConfig:
             raise ValidationError(f"block_size must be >= 2, got {self.block_size}")
         if self.block_size > MAX_BLOCK_SIZE:
             raise CapacityError(f"block_size {self.block_size} exceeds cap {MAX_BLOCK_SIZE}")
-        if self.multiplicative and not self.divisor_walk:
-            raise ValidationError("the multiplicative arrays need the divisor walk")
 
     @property
     def kernels(self) -> tuple[str, ...]:
         """Names of the kernels every block runs, in the order they run."""
-        return (
-            ("pair_tallies",)
-            + ("divisor_walk",) * self.divisor_walk
-            + ("multiplicative_arrays",) * self.multiplicative
-        )
+        return ("pair_tallies",) + ("multiplicative_arrays",) * self.multiplicative
 
 
 _PAIR_DTYPES = {"r0_pair": np.uint16, "r1": np.uint16, "r2": np.uint16}
@@ -125,14 +117,13 @@ _MULTIPLICATIVE_DTYPES = {"omega": np.int8, "phi": np.int32, "in_a": np.bool_}
 class RepresentationBlock:
     """Tallies for the half-open range [lo, hi), arrays indexed by n - lo.
 
-    r0_div is None when the divisor walk did not run.  omega, phi and in_a
-    are either all present or all None, and present only with r0_div.
+    omega, phi and in_a are either all present or all None.  r0_div is
+    derived from r0_pair on first read.
     """
 
     lo: int
     hi: int
     r0_pair: np.ndarray
-    r0_div: np.ndarray | None
     r1: np.ndarray
     r2: np.ndarray
     omega: np.ndarray | None = None
@@ -145,11 +136,7 @@ class RepresentationBlock:
         width = self.hi - self.lo
         if len({self.omega is None, self.phi is None, self.in_a is None}) > 1:
             raise ValidationError("omega, phi and in_a must be given together")
-        if self.r0_div is None and self.omega is not None:
-            raise ValidationError("omega, phi and in_a need r0_div from the same walk")
         dtypes = dict(_PAIR_DTYPES)
-        if self.r0_div is not None:
-            dtypes["r0_div"] = np.uint16
         if self.omega is not None:
             dtypes.update(_MULTIPLICATIVE_DTYPES)
         for field, dtype in dtypes.items():
@@ -158,6 +145,11 @@ class RepresentationBlock:
                 raise ValidationError(f"{field} has shape {arr.shape}, expected ({width},)")
             if arr.dtype != dtype:
                 raise ValidationError(f"{field} dtype {arr.dtype}, expected {np.dtype(dtype)}")
+
+    @cached_property
+    def r0_div(self) -> np.ndarray:
+        """sum_{d | n} chi4(d) as uint16, checked like the sieved tallies."""
+        return _check_tally("r0_div", chi4_divisor_sums(self.lo, self.r0_pair), self.lo)
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -180,6 +172,15 @@ def _check_tally(name: str, arr: np.ndarray, lo: int) -> np.ndarray:
         n = lo + int(arr.argmax())
         raise TallyOverflowError(f"{name}({n}) = {peak} exceeds 16-bit tally range")
     return arr.astype(np.uint16)
+
+
+def chi4_divisor_sums(lo: int, r0_pair: np.ndarray) -> np.ndarray:
+    """sum_{d | n} chi4(d) for n = lo, lo + 1, ... as int64: r0_pair plus 1
+    at each square m^2 in the range (Jacobi's two-square theorem)."""
+    r0_div = r0_pair.astype(np.int64)
+    m = np.arange(math.isqrt(lo - 1) + 1, math.isqrt(lo + r0_pair.size - 1) + 1, dtype=np.int64)
+    r0_div[m * m - lo] += 1
+    return r0_div
 
 
 def _isqrt(x: np.ndarray) -> np.ndarray:
@@ -229,10 +230,10 @@ def _pair_tallies(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ...
     return r0, r1, r2
 
 
-def _divisor_tallies(
-    lo: int, hi: int, primes: PrimeTable, multiplicative: bool
-) -> tuple[np.ndarray | None, ...]:
-    """r0_div, omega, phi, in_a for [lo, hi); the last three are None unless `multiplicative`.
+def _multiplicative_arrays(
+    lo: int, hi: int, primes: PrimeTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """omega, phi, in_a for [lo, hi).
 
     One pass over the primes p <= sqrt(hi - 1), with strided slice updates
     only: no per-prime division, power or boolean mask.
@@ -241,30 +242,18 @@ def _divisor_tallies(
       each p^k <= hi - 1, so it ends as the part of n made of those primes.
       n // smooth(n) is then 1 or the single prime factor above sqrt(hi - 1),
       one division per block.
-    * r0_div = prod (e + 1) over the primes p = 1 (mod 4) that divide n
-      exactly e times, and 0 if a prime 3 (mod 4) has odd exponent.  The
-      factor for p is 2 after its multiples; at the multiples of p^k it goes
-      from k to k + 1 by `//= k` and `*= k + 1`, exact since it is k there.
-    * odd3 counts the primes 3 (mod 4) of odd exponent: +1 at the multiples
-      of p, then -1, +1, ... at those of p^2, p^3, ...
     * phi: times p - 1 at the multiples of p and times p at those of p^k.
 
     Headroom: smooth and phi never exceed n <= MAX_SIEVE_LIMIT < 2^31, so
-    both are int32.  r0_div is built and returned as int16, and is never
-    negative: since e + 1 <= 5^(e/2) <= p^(e/2) for p = 1 (mod 4), every
-    partial product is at most sqrt(n) < 2^15.  odd3 and omega are at most
-    9 < 2^7.
+    both are int32.  omega is at most 9 < 2^7.
     """
     width = hi - lo
     top = hi - 1
     amax = math.isqrt(top)
     smooth = np.ones(width, dtype=np.int32)
-    r0d = np.ones(width, dtype=np.int16)
-    odd3 = np.zeros(width, dtype=np.int8)
-    if multiplicative:
-        om = np.zeros(width, dtype=np.int8)
-        ph = np.ones(width, dtype=np.int32)
-        ina = np.ones(width, dtype=bool)
+    om = np.zeros(width, dtype=np.int8)
+    ph = np.ones(width, dtype=np.int32)
+    ina = np.ones(width, dtype=bool)
     cut = int(np.searchsorted(primes.primes, amax, side="right"))
     for p in primes.primes[:cut].tolist():
         first = (-lo) % p
@@ -272,51 +261,31 @@ def _divisor_tallies(
             continue
         sl = slice(first, width, p)
         smooth[sl] *= p
-        r = p & 3
-        if r == 1:
-            r0d[sl] *= 2
-        elif r == 3:
-            odd3[sl] += 1
-        if multiplicative:
-            om[sl] += 1
-            ph[sl] *= p - 1
-            if r != 1:
-                ina[sl] = False
-        pk, k = p * p, 2
+        om[sl] += 1
+        ph[sl] *= p - 1
+        if p & 3 != 1:
+            ina[sl] = False
+        pk = p * p
         while pk <= top:
             start = (-lo) % pk
             if start >= width:
                 break
             sk = slice(start, width, pk)
             smooth[sk] *= p
-            if r == 1:
-                r0d[sk] //= k
-                r0d[sk] *= k + 1
-            elif r == 3:
-                odd3[sk] += 1 if k & 1 else -1
-            if multiplicative:
-                ph[sk] *= p
+            ph[sk] *= p
             pk *= p
-            k += 1
-    # What survives is 1 or a single prime above sqrt(hi-1), so left == 3
-    # only at such a prime, and left == 1 at val = 1 (in A) or such a prime.
+    # What survives is 1 or a single prime above sqrt(hi-1), and in A exactly
+    # when it is 1 mod 4.
     val = np.arange(lo, hi, dtype=np.int32) // smooth
-    big = val > 1
-    left = val & 3
-    r0d *= odd3 == 0
-    r0d <<= big & (left == 1)
-    r0d *= left != 3
-    if not multiplicative:
-        return r0d, None, None, None
-    om += big
+    om += val > 1
     ph *= np.maximum(val - 1, 1)
-    ina &= left == 1
-    return r0d, om, ph, ina
+    ina &= (val & 3) == 1
+    return om, ph, ina
 
 
 def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> RepresentationBlock:
-    """Tally r0_pair, r1, r2 for [lo, hi), plus r0_div when cfg.divisor_walk
-    is set and omega, phi and in_a when cfg.multiplicative is set.
+    """Tally r0_pair, r1, r2 for [lo, hi), plus omega, phi and in_a when
+    cfg.multiplicative is set.
 
     Parameters
     ----------
@@ -344,15 +313,13 @@ def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> Repre
             f"prime table limit {primes.limit} below sqrt({hi - 1})"
         )
     r0, r1, r2 = _pair_tallies(lo, hi, primes)
-    r0d = om = ph = ina = None
-    if cfg.divisor_walk:
-        r0d, om, ph, ina = _divisor_tallies(lo, hi, primes, cfg.multiplicative)
-        r0d = _check_tally("r0_div", r0d, lo)
+    om = ph = ina = None
+    if cfg.multiplicative:
+        om, ph, ina = _multiplicative_arrays(lo, hi, primes)
     return RepresentationBlock(
         lo=lo,
         hi=hi,
         r0_pair=_check_tally("r0_pair", r0, lo),
-        r0_div=r0d,
         r1=_check_tally("r1", r1, lo),
         r2=_check_tally("r2", r2, lo),
         omega=om,
@@ -376,15 +343,10 @@ def write_blocks(handle: BinaryIO, blocks: Iterable[RepresentationBlock]) -> int
     """Dump blocks to an open binary file; returns the number written.
 
     Record layout: magic "PCTY", version u32, lo u64, hi u64, then the four
-    u16 little-endian arrays r0_pair, r0_div, r1, r2.  A block sieved without
-    the divisor walk is refused before any byte of it is written.
+    u16 little-endian arrays r0_pair, r0_div, r1, r2.
     """
     count = 0
     for blk in blocks:
-        if blk.r0_div is None:
-            raise ValidationError(
-                f"block [{blk.lo}, {blk.hi}) has no r0_div; dumps need the divisor walk"
-            )
         handle.write(_HEADER.pack(_MAGIC, _VERSION, blk.lo, blk.hi))
         for arr in (blk.r0_pair, blk.r0_div, blk.r1, blk.r2):
             handle.write(np.ascontiguousarray(arr, dtype="<u2").tobytes())
@@ -393,7 +355,10 @@ def write_blocks(handle: BinaryIO, blocks: Iterable[RepresentationBlock]) -> int
 
 
 def read_blocks(handle: BinaryIO) -> Iterator[RepresentationBlock]:
-    """Read back a block dump produced by write_blocks."""
+    """Read back a block dump produced by write_blocks.
+
+    A stored r0_div that differs from r0_pair + [n is a square] is refused.
+    """
     while True:
         head = handle.read(_HEADER.size)
         if not head:
@@ -414,4 +379,9 @@ def read_blocks(handle: BinaryIO) -> Iterator[RepresentationBlock]:
             if len(raw) != 2 * width:
                 raise ValidationError("truncated block payload")
             arrays.append(np.frombuffer(raw, dtype="<u2").copy())
-        yield RepresentationBlock(lo, hi, *arrays)
+        r0_pair, r0_div, r1, r2 = arrays
+        block = RepresentationBlock(lo, hi, r0_pair, r1, r2)
+        if not np.array_equal(r0_div, block.r0_div):
+            n = lo + int(np.flatnonzero(r0_div != block.r0_div)[0])
+            raise ValidationError(f"stored r0_div({n}) disagrees with r0_pair in block [{lo}, {hi})")
+        yield block

@@ -106,8 +106,8 @@ def r_arrays_slow(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 
     r0_pair counts ordered (a, b) with a, b >= 1 and a^2 + b^2 = n; r1
     additionally needs b prime, r2 needs both prime.  r0_div comes from a
-    divisor-stride pass over chi4, a different route from the package's
-    prime-power factor sieve.
+    divisor-stride pass over chi4, a different route from the package's,
+    which adds one to r0_pair at each square (Jacobi's two-square theorem).
     """
     r0 = np.zeros(limit + 1, dtype=np.int64)
     r1 = np.zeros(limit + 1, dtype=np.int64)

@@ -29,7 +29,7 @@ RECORDED_C7 = 85.9
 @pytest.fixture(scope="module")
 def decade_series():
     grid = CheckpointGrid(points=DECADES)
-    cfg = SieveConfig(limit=10**7, block_size=1 << 20, divisor_walk=False)
+    cfg = SieveConfig(limit=10**7, block_size=1 << 20)
     series = accumulate(sieve_all(cfg), grid, ["S01", "S02", "S22", "M2"])
     return {s.statistic: s.values for s in series}
 
@@ -91,11 +91,12 @@ def test_criterion_02_congruence_closed_forms():
             pairs.append((t, d))
     spf1k = build_spf_table(1000)
     for delta in range(1, 1001):
-        if any(e > 1 for _, e in factorize(delta, spf1k).factors):
+        f = factorize(delta, spf1k)
+        if any(e > 1 for _, e in f.factors):
             continue
         for t, d in pairs:
             params = FormParams(t, d)
-            closed = nu_closed(delta, params).count
+            closed = nu_closed(f, params).count
             oracle = nu_oracle(delta, params).count
             assert closed == oracle, f"nu({delta}; t={t}, d={d}): {closed} != {oracle}"
     elapsed = time.monotonic() - start

@@ -55,10 +55,10 @@ def test_mean_deterministic_across_geometry(tmp_path):
 
 
 def test_mean_rows_do_not_depend_on_walk(tmp_path):
-    # The first run skips the divisor walk; LANDAU_B makes the second one run it.
+    # The first run skips the multiplicative walk; COUNT_A makes the second one run it.
     rows = []
     for i, (stats, block) in enumerate((("S01,S02,S22,M2", "1048576"),
-                                        ("S01,S02,S22,M2,LANDAU_B", "31337"))):
+                                        ("S01,S02,S22,M2,COUNT_A", "31337"))):
         out = tmp_path / f"w{i}"
         rc = run_cli(
             "mean", "--limit", "100000", "--stats", stats, "--block-size", block,
@@ -66,7 +66,7 @@ def test_mean_rows_do_not_depend_on_walk(tmp_path):
         )
         assert rc == 0
         lines = (out / "mean.csv").read_text().splitlines()
-        rows.append([line for line in lines if ",LANDAU_B," not in line])
+        rows.append([line for line in lines if ",COUNT_A," not in line])
     assert len(rows[0]) == 1 + 4 * 3
     assert rows[0] == rows[1]
 
@@ -74,12 +74,11 @@ def test_mean_rows_do_not_depend_on_walk(tmp_path):
 def test_manifest_records_sieve_kernels(tmp_path):
     # Whatever --threads says, the sieve runs in this one process.
     pairs = ["pair_tallies"]
-    walk = pairs + ["divisor_walk"]
     for i, (extra, kernels) in enumerate((
         (["--stats", "S01,S22,M2,DISPERSION"], pairs),
-        (["--stats", "S01,LANDAU_B"], walk),
-        (["--stats", "S01", "--r0-convention", "div"], walk),
-        (["--stats", "M2,COUNT_A"], walk + ["multiplicative_arrays"]),
+        (["--stats", "S01,LANDAU_B"], pairs),
+        (["--stats", "S01", "--r0-convention", "div"], pairs),
+        (["--stats", "M2,COUNT_A"], pairs + ["multiplicative_arrays"]),
     )):
         out = tmp_path / f"k{i}"
         rc = run_cli("mean", "--limit", "5000", "--threads", "2", *extra, "--out-dir", str(out))
@@ -169,7 +168,7 @@ def test_sieve_dump_round_trip(tmp_path):
     assert blocks[0].lo == 1 and blocks[-1].hi == 4001
     manifest = json.loads((out / "sieve_manifest.json").read_text())
     assert manifest["config"]["sieve"] == {
-        "kernels": ["pair_tallies", "divisor_walk"], "processes": 1,
+        "kernels": ["pair_tallies"], "processes": 1,
     }
     total_r2 = sum(int(b.r2.sum()) for b in blocks)
     r2 = oracles.r_arrays_slow(4000)[3]
@@ -205,6 +204,21 @@ def test_congruence_csv_bytes(tmp_path):
     assert run_cli("congruence", "--rho-max", "500", "--nu-max", "200", "--out-dir", str(out)) == 0
     digest = hashlib.sha256((out / "congruence.csv").read_bytes()).hexdigest()
     assert digest == "50f62825155dc027f5f95dd388b3dca9af7103f063f14f66b8e4dd506da92d3a"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("mean", "--limit", "1000000", "--stats", "all"),
+     "00232a4056868174773bd2d22e2456d341f25f43695ac8c560cdacf774f1d958"),
+    (("mean", "--limit", "1000000", "--stats", "all", "--r0-convention", "div"),
+     "becd4755223af3862a8b7e141189fe037ca49e444a13a08c2dea01e7997b5475"),
+    (("sieve", "--limit", "2000000"),
+     "20921888687b54cf67e883a3f7774c49c0abccd8d5a0a71f9d2e9549601e85b1"),
+], ids=["mean-all", "mean-all-div", "sieve"])
+def test_mean_and_sieve_bytes(tmp_path, argv, digest):
+    out = tmp_path / "b"
+    assert run_cli(*argv, "--out-dir", str(out)) == 0
+    name = "mean.csv" if argv[0] == "mean" else "blocks.pcty"
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 def test_offdiag_both_modes(tmp_path):

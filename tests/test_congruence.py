@@ -126,16 +126,16 @@ def test_nu_oracle_matches_full_grid():
 def test_nu_closed_squarefree_composites():
     for delta in (6, 10, 15, 21, 30, 33, 35, 66, 105, 210):
         for t, d in ((1, 2), (3, 4), (5, 6)):
-            closed = nu_closed(delta, FormParams(t, d)).count
+            closed = nu_closed(factorize(delta, TABLE), FormParams(t, d)).count
             oracle = nu_oracle(delta, FormParams(t, d)).count
             assert closed == oracle, (delta, t, d)
 
 
 def test_nu_closed_rejects_square_factor():
     with pytest.raises(ValidationError):
-        nu_closed(12, FormParams(t=1, d=2))
+        nu_closed(factorize(12, TABLE), FormParams(t=1, d=2))
     with pytest.raises(ValidationError):
-        nu_closed(49, FormParams(t=1, d=2))
+        nu_closed(factorize(49, TABLE), FormParams(t=1, d=2))
 
 
 def test_params_validation():

@@ -29,11 +29,8 @@ GRID = CheckpointGrid(points=(10, 100, 1000, 10000))
 R0, R0D, R1, R2 = oracles.r_arrays_slow(LIMIT)
 
 
-def _blocks(block_size=2048, limit=LIMIT, divisor_walk=True, multiplicative=False):
-    return sieve_all(SieveConfig(
-        limit=limit, block_size=block_size,
-        divisor_walk=divisor_walk, multiplicative=multiplicative,
-    ))
+def _blocks(block_size=2048, limit=LIMIT, multiplicative=False):
+    return sieve_all(SieveConfig(limit=limit, block_size=block_size, multiplicative=multiplicative))
 
 
 def _slow_sum(term: np.ndarray) -> list[int]:
@@ -161,12 +158,15 @@ def test_accumulate_validation():
         accumulate(_blocks(), GRID, ["S01", "COUNT_A"])
     with pytest.raises(ValidationError):
         accumulate(_blocks(multiplicative=True), GRID, ["COUNT_A", "COUNT_A"])
-    # r0_div is read by LANDAU_B and by the div convention; a pair-only sieve has none.
-    for stats, convention in ((["S01", "LANDAU_B"], "pair"), (["S01"], "div"), (["COUNT_A"], "pair")):
-        with pytest.raises(ValidationError, match="divisor walk"):
-            accumulate(_blocks(divisor_walk=False), GRID, stats, r0_convention=convention)
-    pairs_only = accumulate(_blocks(divisor_walk=False), GRID, ["S01", "DISPERSION"])
-    assert pairs_only == accumulate(_blocks(), GRID, ["S01", "DISPERSION"])
+    # omega, phi and in_a come only from the walk; r0_div comes from r0_pair,
+    # so LANDAU_B and the div convention read any block.
+    with pytest.raises(ValidationError, match="multiplicative arrays"):
+        accumulate(_blocks(), GRID, ["COUNT_A"])
+    for convention in ("pair", "div"):
+        stats = ["S01", "DISPERSION", "LANDAU_B"]
+        pairs_only = accumulate(_blocks(), GRID, stats, r0_convention=convention)
+        walked = accumulate(_blocks(multiplicative=True), GRID, stats, r0_convention=convention)
+        assert pairs_only == walked
     for c in (math.nan, math.inf):
         blocks = _blocks()
         with pytest.raises(ValidationError):

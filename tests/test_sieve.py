@@ -68,8 +68,6 @@ def test_config_validation():
         SieveConfig(limit=0)
     with pytest.raises(ValidationError):
         SieveConfig(limit=10, block_size=1)
-    with pytest.raises(ValidationError):
-        SieveConfig(limit=10, divisor_walk=False, multiplicative=True)
     with pytest.raises(CapacityError):
         SieveConfig(limit=MAX_SIEVE_LIMIT + 1)
     SieveConfig(limit=MAX_SIEVE_LIMIT, block_size=MAX_BLOCK_SIZE)
@@ -116,7 +114,7 @@ def test_multiplicative_arrays_match_factorize():
 
 
 def test_multiplicative_arrays_near_cap():
-    # The divisor-tally kernel keeps smooth parts and phi (both <= n) in int32.
+    # The multiplicative walk keeps smooth parts and phi (both <= n) in int32.
     assert MAX_SIEVE_LIMIT < 2**31
     cap = MAX_SIEVE_LIMIT
     primes = sieve_primes(math.isqrt(cap))
@@ -127,19 +125,18 @@ def test_multiplicative_arrays_near_cap():
     windows += [(q - 300, q + 301) for q in (2**29, 3**18, 5**12, 7**10, 13**8, 31607**2)]
     want = oracles.multiplicative_slow(np.concatenate([np.arange(lo, hi) for lo, hi in windows]))
     blocks = {}
-    for kernels in ("multiplicative", "walk", "pairs"):
-        cfg = SieveConfig(
-            limit=cap, divisor_walk=kernels != "pairs", multiplicative=kernels == "multiplicative"
-        )
-        blocks[kernels] = [sieve_block(cfg, lo, hi, primes) for lo, hi in windows]
+    for multiplicative in (True, False):
+        cfg = SieveConfig(limit=cap, multiplicative=multiplicative)
+        blocks[multiplicative] = [sieve_block(cfg, lo, hi, primes) for lo, hi in windows]
     for field, ref in zip(("r0_div", "omega", "phi", "in_a"), want):
-        got = np.concatenate([getattr(b, field) for b in blocks["multiplicative"]])
+        got = np.concatenate([getattr(b, field) for b in blocks[True]])
         assert np.array_equal(got, ref), field
-    for plain, pairs, full in zip(blocks["walk"], blocks["pairs"], blocks["multiplicative"]):
-        assert plain.omega is None
-        assert np.array_equal(plain.r0_div, full.r0_div)
+    # r0_div comes from r0_pair alone, whichever kernels ran.
+    got = np.concatenate([b.r0_div for b in blocks[False]])
+    assert np.array_equal(got, want[0])
+    for pairs, full in zip(blocks[False], blocks[True]):
         # Skipping the walk leaves the pair tallies as they were.
-        assert pairs.r0_div is None and pairs.omega is None
+        assert pairs.omega is None
         for field in ("r0_pair", "r1", "r2"):
             assert np.array_equal(getattr(pairs, field), getattr(full, field)), field
 
@@ -245,11 +242,18 @@ def test_dump_round_trip():
         assert np.array_equal(a.r2, b.r2)
 
 
-def test_dump_refuses_blocks_without_walk():
+def test_dump_checks_r0_div_on_read():
     buf = io.BytesIO()
-    with pytest.raises(ValidationError, match="no r0_div"):
-        write_blocks(buf, sieve_all(SieveConfig(limit=5000, divisor_walk=False)))
-    assert buf.getvalue() == b""
+    write_blocks(buf, sieve_all(SieveConfig(limit=5000, block_size=2048)))
+    data = bytearray(buf.getvalue())
+    assert len(list(read_blocks(io.BytesIO(bytes(data))))) == 3
+    # r0_div(2100) sits in the second block [2049, 4097), after the first
+    # block's four arrays, then its own header and r0_pair.
+    record = sieve._HEADER.size + 4 * 2 * 2048
+    at = record + sieve._HEADER.size + 2 * 2048 + 2 * (2100 - 2049)
+    data[at] ^= 1
+    with pytest.raises(ValidationError, match=r"r0_div\(2100\)"):
+        list(read_blocks(io.BytesIO(bytes(data))))
 
 
 def test_dump_rejects_garbage():
@@ -270,19 +274,17 @@ def test_dump_rejects_garbage():
 def test_block_type_validation():
     ok = np.zeros(4, dtype=np.uint16)
     with pytest.raises(ValidationError):
-        RepresentationBlock(lo=5, hi=5, r0_pair=ok, r0_div=ok, r1=ok, r2=ok)
+        RepresentationBlock(lo=5, hi=5, r0_pair=ok, r1=ok, r2=ok)
     with pytest.raises(ValidationError):
-        RepresentationBlock(lo=1, hi=5, r0_pair=ok[:2], r0_div=ok, r1=ok, r2=ok)
-    tallies = dict(lo=1, hi=5, r0_pair=ok, r0_div=ok, r1=ok, r2=ok)
+        RepresentationBlock(lo=1, hi=5, r0_pair=ok[:2], r1=ok, r2=ok)
+    tallies = dict(lo=1, hi=5, r0_pair=ok, r1=ok, r2=ok)
     extra = dict(
         omega=np.zeros(4, dtype=np.int8),
         phi=np.ones(4, dtype=np.int32),
         in_a=np.ones(4, dtype=bool),
     )
     RepresentationBlock(**tallies, **extra)
-    RepresentationBlock(**{**tallies, "r0_div": None})
-    with pytest.raises(ValidationError):
-        RepresentationBlock(**{**tallies, "r0_div": None}, **extra)
+    RepresentationBlock(**tallies)
     for field, bad in (
         ("omega", np.zeros(4, dtype=np.int16)),
         ("phi", np.ones(4, dtype=np.int64)),
@@ -303,8 +305,8 @@ def test_overflow_guard():
         _check_tally("r1", big, lo=100)
     big[7] = (1 << 16) - 1
     assert _check_tally("r1", big, lo=100).dtype == np.uint16
-    # r0_div arrives as int16 from the divisor walk.
-    small = np.arange(10, dtype=np.int16) * 3000
+    # r0_div arrives as int64 from chi4_divisor_sums.
+    small = np.arange(10, dtype=np.int64) * 3000
     checked = _check_tally("r0_div", small, lo=100)
     assert checked.dtype == np.uint16 and np.array_equal(checked, small)
 
