@@ -142,7 +142,10 @@ class Tallies:
 
     @cached_property
     def lemma_weight(self) -> np.ndarray:
-        """2^omega(n) f_A(n), with f_A(1) = 1; shared by LEMMA31 and LEMMA32."""
+        """2^omega(n) f_A(n), with f_A(1) = 1; shared by LEMMA31 and LEMMA32.
+
+        It reads omega only on A, the only place the sieve defines it.
+        """
         return np.where(self.in_a, np.exp2(self.omega.astype(np.float64)), 0.0)
 
 

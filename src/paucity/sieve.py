@@ -29,18 +29,22 @@ thread pool over blocks measured slower than one thread (0.67-1.05x per
 kernel on 2 cores) and held about 40-50 MB more.
 
 With SieveConfig.multiplicative set, each block also gets three
-multiplicative arrays from a division-free walk over the primes
-p <= sqrt(hi - 1):
+multiplicative arrays, which the set-A statistics read:
 
-* omega: int8, the number of distinct prime factors
-* phi:   int32, Euler's totient, a product of p - 1 and p factors
-* in_a:  bool, every prime factor is 1 mod 4 (true at n = 1)
+* in_a:  bool, every prime factor is 1 mod 4 (true at n = 1), exact at every n
+* omega: int8, the number of distinct prime factors, on A; 0 off A
+* phi:   int32, Euler's totient, on A; 1 off A
 
-Strided slice updates multiply an int32 smooth part by p at the multiples of
-p and of each higher power p^k, so one division per block, n // smooth(n),
-leaves the cofactor (1 or a single prime above the root).  Every
-intermediate is at most n <= MAX_SIEVE_LIMIT < 2^31, which is what lets
-smooth and phi live in int32.
+Every n in A is 1 mod 4, so the walk over the primes p <= sqrt(hi - 1) runs
+only on the quarter lattice n = n0 + 4j of the block, each prime power
+starting at j = -n0 * 4^-1 mod p^k.  A prime 3 mod 4 only clears in_a; a
+prime 1 mod 4 multiplies an int32 smooth part by p at its multiples and at
+those of each p^k, and updates omega and phi, so one division per block,
+n // smooth(n), leaves the cofactor (on A, 1 or a single prime above the
+root).  The lattice results are scattered to full width, and off A in_a
+is false, omega 0 and phi 1; phi is never 0, so a term divided by it is 0
+off A.  Every intermediate is at most n <= MAX_SIEVE_LIMIT < 2^31, which is
+what lets smooth and phi live in int32.
 """
 
 from __future__ import annotations
@@ -57,16 +61,16 @@ from .errors import CapacityError, TallyOverflowError, ValidationError
 
 # A full boolean sieve at this cap costs ~1 GB; beyond it, refuse.
 MAX_SIEVE_LIMIT = 10**9
-# sieve_block peaks near 34 MB per 2^20 integers with the multiplicative
-# arrays, so one block of this width stays below about 140 MB; a wider block
-# is refused before any sieving starts.
+# sieve_block's tracemalloc peak is 24 MiB per 2^20 integers with the
+# multiplicative arrays (18 MiB without), and 96 MiB for one block of this
+# width at the cap; a wider block is refused before any sieving starts.
 MAX_BLOCK_SIZE = 1 << 22
 
 # Pair tallies are counted in sub-windows of this many integers.
 _SUB = 1 << 16
 
 _MAGIC = b"PCTY"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sIQQ")
 
 
@@ -117,8 +121,9 @@ _MULTIPLICATIVE_DTYPES = {"omega": np.int8, "phi": np.int32, "in_a": np.bool_}
 class RepresentationBlock:
     """Tallies for the half-open range [lo, hi), arrays indexed by n - lo.
 
-    omega, phi and in_a are either all present or all None.  r0_div is
-    derived from r0_pair on first read.
+    omega, phi and in_a are either all present or all None.  in_a is exact
+    at every n; omega and phi are defined only on A (where in_a holds) and
+    read 0 and 1 elsewhere.  r0_div is derived from r0_pair on first read.
     """
 
     lo: int
@@ -230,57 +235,87 @@ def _pair_tallies(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ...
     return r0, r1, r2
 
 
+def _inverse_of_4(m: np.ndarray) -> np.ndarray:
+    """4^-1 mod m for odd int64 m, elementwise, in closed form: 3m + 1 and
+    m + 1 are both 1 mod m, and the one that is a multiple of 4 is taken
+    ((3m + 1)/4 when m is 1 mod 4, else (m + 1)/4)."""
+    return np.where(m & 3 == 1, (3 * m + 1) >> 2, (m + 1) >> 2)
+
+
+def _live_strides(
+    n0: int, size: int, p: np.ndarray, m: np.ndarray
+) -> Iterator[tuple[int, int, int]]:
+    """(p, m, j) for each odd int64 modulus m <= 2^31 whose first lattice
+    index j, the least j >= 0 with m | n0 + 4j, is below size."""
+    j = (-n0 % m) * _inverse_of_4(m) % m
+    live = j < size
+    return zip(p[live].tolist(), m[live].tolist(), j[live].tolist())
+
+
 def _multiplicative_arrays(
     lo: int, hi: int, primes: PrimeTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """omega, phi, in_a for [lo, hi).
+    """omega, phi, in_a for [lo, hi); omega and phi are 0 and 1 off A.
 
-    One pass over the primes p <= sqrt(hi - 1), with strided slice updates
-    only: no per-prime division, power or boolean mask.
+    Every n in A is 1 mod 4, so the walk runs only on the lattice
+    n = n0 + 4j of the block, with strided slice updates and no per-prime
+    division, power or boolean mask.  The odd prime powers m = p^k <= hi - 1
+    start at j = -n0 * 4^-1 mod m, computed for all of them at once.
 
-    * smooth: times p at the multiples of p, and again at the multiples of
-      each p^k <= hi - 1, so it ends as the part of n made of those primes.
-      n // smooth(n) is then 1 or the single prime factor above sqrt(hi - 1),
-      one division per block.
-    * phi: times p - 1 at the multiples of p and times p at those of p^k.
+    * A prime 3 mod 4 clears in_a at its multiples and does nothing else.
+    * A prime 1 mod 4 multiplies smooth by p and phi by p - 1 at its
+      multiples and adds one to omega; each p^k, k >= 2, multiplies smooth
+      and phi by p.  n // smooth(n) is then, on A, 1 or the single prime
+      factor above sqrt(hi - 1): one division per block.
 
     Headroom: smooth and phi never exceed n <= MAX_SIEVE_LIMIT < 2^31, so
     both are int32.  omega is at most 9 < 2^7.
     """
     width = hi - lo
     top = hi - 1
-    amax = math.isqrt(top)
-    smooth = np.ones(width, dtype=np.int32)
-    om = np.zeros(width, dtype=np.int8)
-    ph = np.ones(width, dtype=np.int32)
-    ina = np.ones(width, dtype=bool)
-    cut = int(np.searchsorted(primes.primes, amax, side="right"))
-    for p in primes.primes[:cut].tolist():
-        first = (-lo) % p
-        if first >= width:
-            continue
-        sl = slice(first, width, p)
+    n0 = lo + (1 - lo) % 4
+    n = np.arange(n0, hi, 4, dtype=np.int32)
+    size = n.size
+    smooth = np.ones(size, dtype=np.int32)
+    om = np.zeros(size, dtype=np.int8)
+    ph = np.ones(size, dtype=np.int32)
+    ina = np.ones(size, dtype=bool)
+    cut = int(np.searchsorted(primes.primes, math.isqrt(top), side="right"))
+    odd = primes.primes[1:cut].astype(np.int64)
+    p3, p1 = odd[odd & 3 == 3], odd[odd & 3 == 1]
+    for _, p, s in _live_strides(n0, size, p3, p3):
+        ina[s::p] = False
+    for _, p, s in _live_strides(n0, size, p1, p1):
+        sl = slice(s, size, p)
         smooth[sl] *= p
         om[sl] += 1
         ph[sl] *= p - 1
-        if p & 3 != 1:
-            ina[sl] = False
-        pk = p * p
-        while pk <= top:
-            start = (-lo) % pk
-            if start >= width:
-                break
-            sk = slice(start, width, pk)
-            smooth[sk] *= p
-            ph[sk] *= p
-            pk *= p
-    # What survives is 1 or a single prime above sqrt(hi-1), and in A exactly
-    # when it is 1 mod 4.
-    val = np.arange(lo, hi, dtype=np.int32) // smooth
+    base, pk = p1, p1 * p1
+    while base.size:
+        keep = pk <= top
+        base, pk = base[keep], pk[keep]
+        for p, q, s in _live_strides(n0, size, base, pk):
+            sl = slice(s, size, q)
+            smooth[sl] *= p
+            ph[sl] *= p
+        pk = pk * base
+    # On A what survives is 1 or a single prime above sqrt(hi - 1), 1 mod 4;
+    # off A, omega and phi are reset to their fixed values.
+    val = n // smooth
+    ina &= (val & 3) == 1
     om += val > 1
     ph *= np.maximum(val - 1, 1)
-    ina &= (val & 3) == 1
-    return om, ph, ina
+    off = ~ina
+    om[off] = 0
+    ph[off] = 1
+    full_om = np.zeros(width, dtype=np.int8)
+    full_ph = np.ones(width, dtype=np.int32)
+    full_ina = np.zeros(width, dtype=bool)
+    lattice = slice(n0 - lo, width, 4)
+    full_om[lattice] = om
+    full_ph[lattice] = ph
+    full_ina[lattice] = ina
+    return full_om, full_ph, full_ina
 
 
 def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> RepresentationBlock:
@@ -342,23 +377,22 @@ def sieve_all(cfg: SieveConfig) -> Iterator[RepresentationBlock]:
 def write_blocks(handle: BinaryIO, blocks: Iterable[RepresentationBlock]) -> int:
     """Dump blocks to an open binary file; returns the number written.
 
-    Record layout: magic "PCTY", version u32, lo u64, hi u64, then the four
-    u16 little-endian arrays r0_pair, r0_div, r1, r2.
+    Record layout (version 2): magic "PCTY", version u32, lo u64, hi u64,
+    then the three u16 little-endian arrays r0_pair, r1, r2.  r0_div is not
+    stored: it is r0_pair + [n is a square].
     """
     count = 0
     for blk in blocks:
         handle.write(_HEADER.pack(_MAGIC, _VERSION, blk.lo, blk.hi))
-        for arr in (blk.r0_pair, blk.r0_div, blk.r1, blk.r2):
+        for arr in (blk.r0_pair, blk.r1, blk.r2):
             handle.write(np.ascontiguousarray(arr, dtype="<u2").tobytes())
         count += 1
     return count
 
 
 def read_blocks(handle: BinaryIO) -> Iterator[RepresentationBlock]:
-    """Read back a block dump produced by write_blocks.
-
-    A stored r0_div that differs from r0_pair + [n is a square] is refused.
-    """
+    """Read back a block dump produced by write_blocks; a record of any other
+    version is refused."""
     while True:
         head = handle.read(_HEADER.size)
         if not head:
@@ -374,14 +408,9 @@ def read_blocks(handle: BinaryIO) -> Iterator[RepresentationBlock]:
             raise ValidationError(f"bad block range [{lo}, {hi}) in header")
         width = hi - lo
         arrays = []
-        for _ in range(4):
+        for _ in range(3):
             raw = handle.read(2 * width)
             if len(raw) != 2 * width:
                 raise ValidationError("truncated block payload")
             arrays.append(np.frombuffer(raw, dtype="<u2").copy())
-        r0_pair, r0_div, r1, r2 = arrays
-        block = RepresentationBlock(lo, hi, r0_pair, r1, r2)
-        if not np.array_equal(r0_div, block.r0_div):
-            n = lo + int(np.flatnonzero(r0_div != block.r0_div)[0])
-            raise ValidationError(f"stored r0_div({n}) disagrees with r0_pair in block [{lo}, {hi})")
-        yield block
+        yield RepresentationBlock(lo, hi, *arrays)

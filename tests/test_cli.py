@@ -212,7 +212,7 @@ def test_congruence_csv_bytes(tmp_path):
     (("mean", "--limit", "1000000", "--stats", "all", "--r0-convention", "div"),
      "becd4755223af3862a8b7e141189fe037ca49e444a13a08c2dea01e7997b5475"),
     (("sieve", "--limit", "2000000"),
-     "20921888687b54cf67e883a3f7774c49c0abccd8d5a0a71f9d2e9549601e85b1"),
+     "2584b58646f4a5ccc35dca4dcb681c3abede084b67e3bbe883b27a505c659e54"),
 ], ids=["mean-all", "mean-all-div", "sieve"])
 def test_mean_and_sieve_bytes(tmp_path, argv, digest):
     out = tmp_path / "b"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from paucity import sieve
 from paucity.arith import build_spf_table, factorize, in_A, is_sum_two_squares, omega, phi
 from paucity.cli import main as cli_main
+from paucity.constants import STATISTICS, Tallies
 from paucity.errors import CapacityError, TallyOverflowError, ValidationError
 from paucity.sieve import (
     MAX_BLOCK_SIZE,
@@ -105,9 +106,11 @@ def test_multiplicative_arrays_match_factorize():
         for n in range(lo, hi):
             f = factorize(n, table)
             i = n - lo
-            assert block.omega[i] == omega(f), n
-            assert block.phi[i] == phi(f), n
             assert bool(block.in_a[i]) == in_A(f), n
+            # omega and phi are defined on A only.
+            if in_A(f):
+                assert block.omega[i] == omega(f), n
+                assert block.phi[i] == phi(f), n
             assert bool(block.r0_div[i] > 0) == is_sum_two_squares(f), n
     plain = sieve_block(SieveConfig(limit=limit), 1, 600, primes)
     assert plain.omega is None and plain.phi is None and plain.in_a is None
@@ -128,9 +131,15 @@ def test_multiplicative_arrays_near_cap():
     for multiplicative in (True, False):
         cfg = SieveConfig(limit=cap, multiplicative=multiplicative)
         blocks[multiplicative] = [sieve_block(cfg, lo, hi, primes) for lo, hi in windows]
-    for field, ref in zip(("r0_div", "omega", "phi", "in_a"), want):
-        got = np.concatenate([getattr(b, field) for b in blocks[True]])
-        assert np.array_equal(got, ref), field
+    fields = ("r0_div", "omega", "phi", "in_a")
+    got = {f: np.concatenate([getattr(b, f) for b in blocks[True]]) for f in fields}
+    r0_div, om, ph, in_a = want
+    assert np.array_equal(got["r0_div"], r0_div)
+    assert np.array_equal(got["in_a"], in_a)
+    # omega and phi are defined on A only; the windows hold 464 n in A.
+    assert np.count_nonzero(in_a) > 400
+    assert np.array_equal(got["omega"][in_a], om[in_a])
+    assert np.array_equal(got["phi"][in_a], ph[in_a])
     # r0_div comes from r0_pair alone, whichever kernels ran.
     got = np.concatenate([b.r0_div for b in blocks[False]])
     assert np.array_equal(got, want[0])
@@ -142,6 +151,55 @@ def test_multiplicative_arrays_near_cap():
 
 
 CAP_PRIMES = sieve_primes(math.isqrt(MAX_SIEVE_LIMIT + 1))
+
+
+def test_inverse_of_4_closed_form():
+    # Every p^k <= MAX_SIEVE_LIMIT for p = 1 (mod 4), and every p = 3 (mod 4).
+    mods = []
+    for p in CAP_PRIMES.primes[1:].tolist():
+        pk = p
+        while pk <= MAX_SIEVE_LIMIT:
+            mods.append(pk)
+            if p % 4 == 3:
+                break
+            pk *= p
+    m = np.array(mods, dtype=np.int64)
+    assert 5**12 in mods and m.size > CAP_PRIMES.count
+    inv = sieve._inverse_of_4(m)
+    assert ((4 * inv) % m == 1).all() and ((0 < inv) & (inv < m)).all()
+    for n0 in (1, 5, 1001, MAX_SIEVE_LIMIT - 3):
+        _, live, starts = map(np.array, zip(*sieve._live_strides(n0, m.max(), m, m)))
+        assert np.array_equal(live, m)
+        assert ((n0 + 4 * starts) % m == 0).all() and ((0 <= starts) & (starts < m)).all()
+
+
+def test_multiplicative_arrays_lattice_edges():
+    # Every [lo, lo + w) with lo < 60 and w < 30, including the empty
+    # lattices of w < 4, then random windows below 1e9 and windows around
+    # the highest powers of 5, 13 and 17 below it.
+    windows = [(lo, lo + w) for lo in range(1, 60) for w in range(1, 30)]
+    rng = random.Random(4)
+    for _ in range(200):
+        width = rng.randint(1, 80)
+        lo = rng.randint(1, MAX_SIEVE_LIMIT + 1 - width)
+        windows.append((lo, lo + width))
+    windows += [(q - 300, q + 301) for q in (5**12, 13**8, 17**7)]
+    ns = np.concatenate([np.arange(lo, hi) for lo, hi in windows])
+    _, om, ph, in_a = oracles.multiplicative_slow(ns)
+    got = [sieve._multiplicative_arrays(lo, hi, CAP_PRIMES) for lo, hi in windows]
+    got_om, got_ph, got_a = (np.concatenate(arrs) for arrs in zip(*got))
+    assert (got_om.dtype, got_ph.dtype, got_a.dtype) == (np.int8, np.int32, np.bool_)
+    assert np.array_equal(got_a, in_a)
+    assert np.array_equal(got_om[in_a], om[in_a])
+    assert np.array_equal(got_ph[in_a], ph[in_a])
+    assert (got_ph != 0).all()
+    assert (got_om[~in_a] == 0).all() and (got_ph[~in_a] == 1).all()
+    # LEMMA31 and LEMMA32 terms stay finite, phi never divides by zero.
+    zeros = np.zeros(got_a.size, dtype=np.int64)
+    tallies = Tallies(1, zeros, zeros, zeros, 0.0, omega=got_om, phi=got_ph, in_a=got_a)
+    with np.errstate(all="raise"):
+        for name in ("LEMMA31", "LEMMA32"):
+            assert np.isfinite(STATISTICS[name].term(tallies)).all(), name
 
 
 def _assert_pairs_match(lo: int, hi: int, want: tuple[np.ndarray, ...]) -> None:
@@ -242,18 +300,19 @@ def test_dump_round_trip():
         assert np.array_equal(a.r2, b.r2)
 
 
-def test_dump_checks_r0_div_on_read():
+def test_dump_refuses_other_versions():
     buf = io.BytesIO()
     write_blocks(buf, sieve_all(SieveConfig(limit=5000, block_size=2048)))
-    data = bytearray(buf.getvalue())
-    assert len(list(read_blocks(io.BytesIO(bytes(data))))) == 3
-    # r0_div(2100) sits in the second block [2049, 4097), after the first
-    # block's four arrays, then its own header and r0_pair.
-    record = sieve._HEADER.size + 4 * 2 * 2048
-    at = record + sieve._HEADER.size + 2 * 2048 + 2 * (2100 - 2049)
-    data[at] ^= 1
-    with pytest.raises(ValidationError, match=r"r0_div\(2100\)"):
-        list(read_blocks(io.BytesIO(bytes(data))))
+    data = buf.getvalue()
+    # Three records, each a header and r0_pair, r1, r2; r0_div is not stored.
+    assert len(data) == 3 * sieve._HEADER.size + 3 * 2 * 5000
+    assert len(list(read_blocks(io.BytesIO(data)))) == 3
+    # Version 1 stored r0_div as well; no other version is read.
+    body = data[sieve._HEADER.size :]
+    for version in (0, 1, 3):
+        head = struct.pack("<4sIQQ", b"PCTY", version, 1, 2049)
+        with pytest.raises(ValidationError, match=f"^bad block header: .* version={version}$"):
+            list(read_blocks(io.BytesIO(head + body)))
 
 
 def test_dump_rejects_garbage():
@@ -266,7 +325,7 @@ def test_dump_rejects_garbage():
         list(read_blocks(io.BytesIO(good.getvalue()[:10])))
     # Empty, reversed or past-the-cap ranges are refused before any payload is read.
     for lo, hi in ((9, 9), (9, 3), (0, 5), (1, 2**64 - 1)):
-        head = struct.pack("<4sIQQ", b"PCTY", 1, lo, hi)
+        head = struct.pack("<4sIQQ", b"PCTY", sieve._VERSION, lo, hi)
         with pytest.raises(ValidationError, match="bad block range"):
             list(read_blocks(io.BytesIO(head + b"\x00" * 64)))
 
