@@ -2,11 +2,13 @@
 
 Subcommands: sieve, mean, constants, congruence, offdiag, report.  Exit code
 0 on success, 2 on validation errors (including argparse failures), 3 on
-capacity/overflow errors.  Every command runs in this one process: thread
-pools over sieve blocks and over the offdiag census measured no faster than
-one thread.  --threads (PAUCITY_THREADS overrides it) is still validated and
-recorded in the manifest, but sizes nothing.  mean runs only the sieve
-kernels its statistics read, and sieve and mean record the kernels in the
+capacity/overflow errors.  --threads (PAUCITY_THREADS overrides it, and
+both are at most MAX_THREADS) sizes mean's worker processes, which sieve
+and reduce blocks while this process merges them in block order; sieve,
+offdiag and the other commands run in this one process, where thread pools
+over sieve blocks and over the offdiag census measured no faster than one
+thread.  mean runs only the sieve kernels its statistics read, and sieve
+and mean record the kernels and the processes that ran them in the
 manifest.  Every output lands under --out-dir.  CSVs are deterministic
 (byte-identical across thread counts and block sizes); manifests carry
 timestamps and are not.
@@ -46,6 +48,7 @@ from .errors import CapacityError, PaucityError, ValidationError
 from .meanvalue import (
     CheckpointGrid,
     accumulate,
+    accumulate_forked,
     csv_fields,
     read_csv,
     write_csv,
@@ -58,6 +61,9 @@ _CENSUS_NOTE = (
     "classification over normalized quadruples (q <= r); N1'' interval (p,a) "
     "read as (min,max); ties and coordinates < 3 routed to degenerate_count"
 )
+
+# --threads and PAUCITY_THREADS above this are refused before any work.
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -85,19 +91,22 @@ def _write_manifest(out_dir: Path, name: str, manifest: RunManifest) -> Path:
     return path
 
 
+def _check_threads(source: str, value: int) -> int:
+    if not 1 <= value <= MAX_THREADS:
+        raise ValidationError(f"{source} must be from 1 to {MAX_THREADS}, got {value}")
+    return value
+
+
 def _thread_count(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
+    _check_threads("--threads", args.threads)
     env = os.environ.get("PAUCITY_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"PAUCITY_THREADS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ValidationError(f"PAUCITY_THREADS must be >= 1, got {value}")
-        return value
-    return args.threads
+    if env is None:
+        return args.threads
+    try:
+        value = int(env)
+    except ValueError as exc:
+        raise ValidationError(f"PAUCITY_THREADS must be an integer, got {env!r}") from exc
+    return _check_threads("PAUCITY_THREADS", value)
 
 
 def _parse_grid(spec: str, limit: int) -> CheckpointGrid:
@@ -139,9 +148,9 @@ def _parse_stats(spec: str) -> list[str]:
     return stats
 
 
-def _record_sieve(args: argparse.Namespace, cfg: SieveConfig) -> None:
-    """Put the kernels that ran, all in this process, into the manifest's config."""
-    args.sieve = {"kernels": list(cfg.kernels), "processes": 1}
+def _record_sieve(args: argparse.Namespace, cfg: SieveConfig, processes: int = 1) -> None:
+    """Put the kernels that ran, and the processes that ran them, into the manifest's config."""
+    args.sieve = {"kernels": list(cfg.kernels), "processes": processes}
 
 
 def _cmd_sieve(args: argparse.Namespace, out_dir: Path) -> list[str]:
@@ -165,11 +174,13 @@ def _cmd_mean(args: argparse.Namespace, out_dir: Path) -> list[str]:
         limit=args.limit, block_size=args.block_size,
         multiplicative=any(STATISTICS[s].multiplicative for s in stats),
     )
-    _record_sieve(args, cfg)
-    series = accumulate(
-        sieve_all(cfg), grid, stats,
-        r0_convention=args.r0_convention, dispersion_c=args.dispersion_c,
-    )
+    workers = min(args.threads, cfg.block_count)
+    _record_sieve(args, cfg, workers)
+    options = {"r0_convention": args.r0_convention, "dispersion_c": args.dispersion_c}
+    if workers == 1:
+        series = accumulate(sieve_all(cfg), grid, stats, **options)
+    else:
+        series = accumulate_forked(cfg, workers, grid, stats, **options)
     csv_path = out_dir / "mean.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         write_csv(fh, series, grid)
@@ -348,9 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=".", help="output directory (default: .)")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="at least 1 and recorded in the manifest (PAUCITY_THREADS "
-                                "overrides), but sizes nothing: every command runs in one "
-                                "process, where threads measured no faster")
+                           help=f"from 1 to {MAX_THREADS} (PAUCITY_THREADS overrides): the "
+                                "worker processes of mean, which sieve and reduce blocks; "
+                                "sieve and offdiag run in one process")
 
     p = sub.add_parser("sieve", help="compute tallies and dump raw blocks")
     p.add_argument("--limit", type=int, required=True)

@@ -23,10 +23,11 @@ listed at once from vectorised integer square roots (exact below 2^52), and
 three bincounts tally them.  That keeps memory at O(_SUB + sqrt(hi)) beyond
 the block's own arrays and leaves no per-a Python loop.
 
-Blocks are sieved one after another in the calling process.  numpy's
+sieve_all sieves blocks one after another in the calling process.  numpy's
 bincount and repeat and the walk's short strided updates hold the GIL, so a
 thread pool over blocks measured slower than one thread (0.67-1.05x per
-kernel on 2 cores) and held about 40-50 MB more.
+kernel on 2 cores) and held about 40-50 MB more.  Worker processes call
+sieve_block on blocks of their own (meanvalue.accumulate_forked).
 
 With SieveConfig.multiplicative set, each block also gets three
 multiplicative arrays, which the set-A statistics read:
@@ -111,6 +112,15 @@ class SieveConfig:
     def kernels(self) -> tuple[str, ...]:
         """Names of the kernels every block runs, in the order they run."""
         return ("pair_tallies",) + ("multiplicative_arrays",) * self.multiplicative
+
+    @property
+    def block_count(self) -> int:
+        return len(range(1, self.limit + 1, self.block_size))
+
+    def block_ranges(self) -> Iterator[tuple[int, int]]:
+        """(lo, hi) of every block, in ascending order, covering [1, limit]."""
+        for lo in range(1, self.limit + 1, self.block_size):
+            yield lo, min(lo + self.block_size, self.limit + 1)
 
 
 _PAIR_DTYPES = {"r0_pair": np.uint16, "r1": np.uint16, "r2": np.uint16}
@@ -370,8 +380,8 @@ def sieve_all(cfg: SieveConfig) -> Iterator[RepresentationBlock]:
     one, so blocks arrive in order whatever their size.
     """
     primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
-    for lo in range(1, cfg.limit + 1, cfg.block_size):
-        yield sieve_block(cfg, lo, min(lo + cfg.block_size, cfg.limit + 1), primes)
+    for lo, hi in cfg.block_ranges():
+        yield sieve_block(cfg, lo, hi, primes)
 
 
 def write_blocks(handle: BinaryIO, blocks: Iterable[RepresentationBlock]) -> int:

@@ -1,7 +1,10 @@
 """End-to-end command-line runs: files, manifests, exit codes, determinism."""
 
+import concurrent.futures
+import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import paucity
-from paucity.cli import main
-from paucity.constants import catalan
+import paucity.cli
+from paucity.cli import MAX_THREADS, main
+from paucity.constants import STATISTICS, catalan
+from paucity.errors import ValidationError
 from paucity.meanvalue import read_csv
 from paucity.sieve import MAX_BLOCK_SIZE, read_blocks
 
@@ -29,7 +34,8 @@ def test_mean_end_to_end(tmp_path):
         "--grid", "explicit:100,1000,20000", "--out-dir", str(out),
     )
     assert rc == 0
-    rows = read_csv(open(out / "mean.csv", encoding="utf-8"))
+    with open(out / "mean.csv", encoding="utf-8") as fh:
+        rows = read_csv(fh)
     stats = {r["statistic"] for r in rows}
     assert stats == {"S01", "S22", "DISPERSION(c=1)", "LANDAU_B"}
     assert len(rows) == 12
@@ -72,7 +78,7 @@ def test_mean_rows_do_not_depend_on_walk(tmp_path):
 
 
 def test_manifest_records_sieve_kernels(tmp_path):
-    # Whatever --threads says, the sieve runs in this one process.
+    # One block is sieved in this process, whatever --threads says.
     pairs = ["pair_tallies"]
     for i, (extra, kernels) in enumerate((
         (["--stats", "S01,S22,M2,DISPERSION"], pairs),
@@ -86,6 +92,101 @@ def test_manifest_records_sieve_kernels(tmp_path):
         manifest = json.loads((out / "mean_manifest.json").read_text())
         assert manifest["config"]["sieve"] == {"kernels": kernels, "processes": 1}, extra
         assert manifest["config"]["threads"] == 2
+    # Over several blocks, mean uses min(--threads, blocks) worker processes.
+    for i, (threads, processes) in enumerate((("1", 1), ("2", 2), ("8", 5))):
+        out = tmp_path / f"p{i}"
+        rc = run_cli("mean", "--limit", "5000", "--block-size", "1000", "--threads", threads,
+                     "--out-dir", str(out))
+        assert rc == 0
+        manifest = json.loads((out / "mean_manifest.json").read_text())
+        assert manifest["config"]["sieve"] == {"kernels": pairs, "processes": processes}
+        assert multiprocessing.active_children() == []
+
+
+def test_mean_bytes_across_workers(tmp_path):
+    # Block sizes that split the 2^16 cut intervals, explicit checkpoints on
+    # block edges (16650 ends a 333 block, 1048577 starts a 2^20 block), and
+    # a 2^20 block count below --threads.
+    for limit, grid, blocks in (
+        ("30000", "explicit:1000,16650,16651,30000", ("333", "7777")),
+        ("1248576", "explicit:1000,65536,200006,1048576,1048577,1248576",
+         ("100003", "1048576")),
+    ):
+        texts = set()
+        for block in blocks:
+            for threads in ("1", "2", "3"):
+                out = tmp_path / f"{limit}-{block}-{threads}"
+                rc = run_cli("mean", "--limit", limit, "--stats", "all", "--grid", grid,
+                             "--block-size", block, "--threads", threads, "--out-dir", str(out))
+                assert rc == 0
+                texts.add((out / "mean.csv").read_bytes())
+        assert len(texts) == 1, (limit, grid)
+    assert multiprocessing.active_children() == []
+
+
+def _failing_term(monkeypatch, term):
+    """Make S01's term call `term` on every slice, in this process and in forked workers."""
+    s01 = STATISTICS["S01"]
+
+    def failing(v):
+        term(v.lo)
+        return s01.term(v)
+
+    monkeypatch.setitem(STATISTICS, "S01", dataclasses.replace(s01, term=failing))
+
+
+def test_worker_error_exits_like_one_process(tmp_path, monkeypatch, capsys):
+    def term(lo):
+        if lo >= 3001:
+            raise ValidationError(f"term refused n = {lo}")
+
+    _failing_term(monkeypatch, term)
+    messages = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        rc = run_cli("mean", "--limit", "5000", "--stats", "S01,S22", "--block-size", "1000",
+                     "--threads", threads, "--out-dir", str(out))
+        assert rc == 2
+        assert not (out / "mean.csv").exists()
+        messages.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert messages[0] == messages[1] == "error: term refused n = 3001\n"
+
+
+def test_worker_death_exits_three(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def term(lo):
+        if os.getpid() != parent and lo >= 2001:
+            os._exit(1)
+
+    _failing_term(monkeypatch, term)
+    rc = run_cli("mean", "--limit", "5000", "--stats", "S01", "--block-size", "1000",
+                 "--threads", "2", "--out-dir", str(tmp_path))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: a worker process died") and err.count("\n") == 1
+    assert not (tmp_path / "mean.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_thread_cap_refused_before_work(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no work may start")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(paucity.cli, "sieve_all", refuse)
+    out = str(tmp_path)
+    assert run_cli("mean", "--limit", "1000", "--threads", "100000000", "--out-dir", out) == 2
+    assert capsys.readouterr().err == "error: --threads must be from 1 to 64, got 100000000\n"
+    assert run_cli("mean", "--limit", "1000", "--threads", str(MAX_THREADS + 1),
+                   "--out-dir", out) == 2
+    monkeypatch.setenv("PAUCITY_THREADS", str(MAX_THREADS + 1))
+    assert run_cli("mean", "--limit", "1000", "--out-dir", out) == 2
+    assert capsys.readouterr().err.endswith("error: PAUCITY_THREADS must be from 1 to 64, got 65\n")
+    assert run_cli("offdiag", "--limit", "100", "--out-dir", out) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_thread_env_override(tmp_path, monkeypatch):
@@ -211,9 +312,13 @@ def test_congruence_csv_bytes(tmp_path):
      "00232a4056868174773bd2d22e2456d341f25f43695ac8c560cdacf774f1d958"),
     (("mean", "--limit", "1000000", "--stats", "all", "--r0-convention", "div"),
      "becd4755223af3862a8b7e141189fe037ca49e444a13a08c2dea01e7997b5475"),
+    # The first digest again, from two worker processes over ten blocks.
+    (("mean", "--limit", "1000000", "--stats", "all", "--threads", "2",
+      "--block-size", "100003"),
+     "00232a4056868174773bd2d22e2456d341f25f43695ac8c560cdacf774f1d958"),
     (("sieve", "--limit", "2000000"),
      "2584b58646f4a5ccc35dca4dcb681c3abede084b67e3bbe883b27a505c659e54"),
-], ids=["mean-all", "mean-all-div", "sieve"])
+], ids=["mean-all", "mean-all-div", "mean-all-workers", "sieve"])
 def test_mean_and_sieve_bytes(tmp_path, argv, digest):
     out = tmp_path / "b"
     assert run_cli(*argv, "--out-dir", str(out)) == 0
