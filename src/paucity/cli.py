@@ -2,10 +2,10 @@
 
 Subcommands: sieve, mean, constants, congruence, offdiag, report.  Exit code
 0 on success, 2 on validation errors (including argparse failures), 3 on
-capacity/overflow errors.  --threads (PAUCITY_THREADS overrides it, and
-both are at most MAX_THREADS) sizes mean's worker processes, which sieve
-and reduce blocks while this process merges them in block order; sieve,
-offdiag and the other commands run in this one process, where thread pools
+capacity/overflow errors.  mean's --threads (PAUCITY_THREADS overrides it,
+and both are at most MAX_THREADS) sizes its worker processes, which sieve
+and reduce blocks while this process merges them in block order; the other
+commands take no --threads and run in this one process, where thread pools
 over sieve blocks and over the offdiag census measured no faster than one
 thread.  mean runs only the sieve kernels its statistics read, and sieve
 and mean record the kernels and the processes that ran them in the
@@ -166,6 +166,8 @@ def _cmd_sieve(args: argparse.Namespace, out_dir: Path) -> list[str]:
 
 
 def _cmd_mean(args: argparse.Namespace, out_dir: Path) -> list[str]:
+    # The manifest then records the count in effect, PAUCITY_THREADS included.
+    args.threads = _thread_count(args)
     if args.limit < 2:
         raise ValidationError(f"limit must be >= 2, got {args.limit}")
     stats = _parse_stats(args.stats)
@@ -355,13 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"paucity {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, threads: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out-dir", default=".", help="output directory (default: .)")
-        if threads:
-            p.add_argument("--threads", type=int, default=1,
-                           help=f"from 1 to {MAX_THREADS} (PAUCITY_THREADS overrides): the "
-                                "worker processes of mean, which sieve and reduce blocks; "
-                                "sieve and offdiag run in one process")
 
     p = sub.add_parser("sieve", help="compute tallies and dump raw blocks")
     p.add_argument("--limit", type=int, required=True)
@@ -375,20 +372,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-size", type=int, default=1 << 20)
     p.add_argument("--r0-convention", choices=("pair", "div"), default="pair")
     p.add_argument("--dispersion-c", type=float, default=1.0)
+    p.add_argument("--threads", type=int, default=1,
+                   help=f"worker processes that sieve and reduce blocks, from 1 to "
+                        f"{MAX_THREADS} (PAUCITY_THREADS overrides)")
     common(p)
 
     p = sub.add_parser("constants", help="evaluate the predicted-constant toolbox")
     p.add_argument("--eps", type=float, default=1e-10)
     p.add_argument("--prime-limit", type=int, default=10**7)
     p.add_argument("--z", type=float, nargs="*", default=[10.0, 100.0, 1000.0])
-    common(p, threads=False)
+    common(p)
 
     p = sub.add_parser("congruence", help="closed forms vs exhaustive oracles")
     p.add_argument("--rho-max", type=int, default=100)
     p.add_argument("--nu-max", type=int, default=50)
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--d", type=int, default=2)
-    common(p, threads=False)
+    common(p)
 
     p = sub.add_parser("offdiag", help="off-diagonal census and parametrization")
     p.add_argument("--limit", type=int, required=True)
@@ -398,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="join empirical CSVs with predictions")
     p.add_argument("--inputs", nargs="*", default=[])
-    common(p, threads=False)
+    common(p)
 
     return parser
 
@@ -419,9 +419,6 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if hasattr(args, "threads"):
-        # The manifest then records the count in effect, PAUCITY_THREADS included.
-        args.threads = _thread_count(args)
     started = _timestamp()
     outputs = _DISPATCH[args.command](args, out_dir)
     config = {k: v for k, v in vars(args).items() if k not in ("command",)}

@@ -1,22 +1,21 @@
 """Checkpointed accumulation of every reported sum.
 
-Every statistic is summed in one pass over the sieve blocks, as a reduction
-of each block followed by an in-order merge.  A block is reduced in fixed
-slices to partial sums; the merge feeds those to one accumulator per
-statistic in ascending block order.  accumulate reduces the blocks of
-sieve_all in the calling process; accumulate_forked has worker processes
-sieve and reduce the blocks and merges their reductions in block order.
-The sieve runs the multiplicative walk only when a requested term reads
-omega, phi or in_a.
+Every statistic is summed in one pass over the sieve blocks.  Each block is
+reduced, a slice at a time, to the sums of one run of n, and the runs are
+merged in ascending block order; an exact and a float type of sums each do
+both.  accumulate reduces the blocks of sieve_all in the calling process;
+accumulate_forked has worker processes sieve and reduce the blocks and
+merges their sums in block order.  The sieve runs the multiplicative walk
+only when a requested term reads omega, phi or in_a.
 
 Integer statistics (the S_{i,j}, first moments, support and Landau counts)
-are exact in 64-bit: a block reduces to its sums between the checkpoint
-edges inside it.  Harmonic-weighted and squared-residual sums accumulate on
-a fixed absolute grid of cut points (64 Ki atoms plus the checkpoint edges)
-with Neumaier compensation between cuts.  A block reduces to the raw terms
-before its first cut, the np.sum of each whole interval between cuts, and
-the raw terms after its last cut; the merge sums an interval that spans
-blocks from their raw parts.  Every interval's sum thus has
+are exact in 64-bit: a run holds its sums between the checkpoint edges
+inside it.  Harmonic-weighted and squared-residual sums accumulate on a
+fixed absolute grid of cut points (64 Ki atoms plus the checkpoint edges)
+with Neumaier compensation between cuts.  A run holds the raw terms before
+its first cut, the np.sum of each whole interval between cuts, and the raw
+terms after its last cut; a merge sums the interval that spans two runs
+once, from their raw parts.  Every interval's sum thus has
 partition-independent content and the intervals are added in ascending
 order (the ordered merge of Demmel and Nguyen, "Parallel reproducible
 summation", IEEE Trans. Comput. 64(7), 2015), so the result is
@@ -26,6 +25,7 @@ walk ran.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from collections import deque
@@ -90,80 +90,100 @@ class MeanValueSeries:
             raise ValidationError(f"limit must be >= 1, got {self.limit}")
 
 
-class _IntAccumulator:
-    """Exact running total, read out at every checkpoint edge."""
+class _ExactSums:
+    """Exact sums between consecutive checkpoint edges over a run of n.
 
-    def __init__(self) -> None:
-        self.total = 0
-        self.out: list[int] = []
-
-    def merge(self, lo: int, hi: int, segments: list[int]) -> None:
-        """Add a block's sums between the checkpoint edges inside it."""
-        self.total += segments[0]
-        for segment in segments[1:]:
-            self.out.append(self.total)
-            self.total += segment
-
-
-class _FloatAccumulator:
-    """Deterministic float accumulation over a fixed absolute cut grid.
-
-    Raw fragments are buffered and flushed at cut points (multiples of the
-    atom width, plus each checkpoint edge).  Every flushed interval has
-    partition-independent content, and intervals merge in ascending order
-    under Neumaier compensation, so totals never depend on how the range was
-    split across blocks.
+    The last segment is open: it runs on to an edge beyond the run.
     """
 
     def __init__(self, points: Sequence[int]):
         self.points = points
-        self.ci = 0
-        self.total = 0.0
-        self.comp = 0.0
-        self.buf: list[np.ndarray] = []
-        self.start = 0
-        self.out: list[float] = []
+        self.segments = [0]
 
-    def _add(self, x: float) -> None:
-        s = self.total + x
-        if abs(self.total) >= abs(x):
-            self.comp += (self.total - s) + x
-        else:
-            self.comp += (x - s) + self.total
-        self.total = s
+    def add(self, lo: int, terms: np.ndarray) -> None:
+        """Append the terms of n = lo, lo + 1, ..., split at the checkpoint edges."""
+        off = 0
+        for edge in _edges(self.points, lo, lo + terms.size):
+            self.segments[-1] += int(terms[off : edge - lo].sum())
+            self.segments.append(0)
+            off = edge - lo
+        self.segments[-1] += int(terms[off:].sum())
 
-    def _close(self, cut: int, value: float) -> None:
-        """Add the sum of the interval that ends at `cut`; read out a checkpoint edge."""
-        self._add(value)
-        self.start = cut
-        if self.ci < len(self.points) and cut == self.points[self.ci] + 1:
-            self.out.append(self.total + self.comp)
-            self.ci += 1
+    def merge(self, later: "_ExactSums") -> None:
+        """Append the run that follows this one."""
+        self.segments[-1] += later.segments[0]
+        self.segments += later.segments[1:]
 
-    def feed(self, lo: int, terms: np.ndarray) -> None:
-        """Buffer raw terms from n = lo on, closing every interval they complete."""
-        if not self.buf:
-            self.start = lo
-        self.buf.append(terms)
-        base = self.start
-        end = base + sum(b.size for b in self.buf)
-        cuts = _cuts(self.points, base, end)
-        if not cuts:
+    def values(self) -> list[int]:
+        """The running total at every checkpoint edge the run closed."""
+        return list(itertools.accumulate(self.segments[:-1]))
+
+
+class _FloatSums:
+    """Float sums over a run of n on a fixed absolute grid of cut points:
+    the multiples of _ATOM and the checkpoint edges.
+
+    `head` holds the raw terms before the run's first cut, `first`; `sums`
+    holds (cut, np.sum) for each whole interval after it; `tail` holds the
+    raw terms after the last cut.  A run without a cut point has first None
+    and is all head.  Each interval is summed once, from terms that do not
+    depend on how the range was split, and values() adds the interval sums
+    in ascending order.
+    """
+
+    def __init__(self, points: Sequence[int]):
+        self.points = points
+        self.head = np.empty(0)
+        self.first: int | None = None
+        self.sums: list[tuple[int, float]] = []
+        self.tail = np.empty(0)
+
+    def add(self, lo: int, terms: np.ndarray) -> None:
+        """Append the terms of n = lo, lo + 1, ...; whole intervals are summed from views."""
+        cuts = _cuts(self.points, lo, lo + terms.size)
+        later = _FloatSums(self.points)
+        later.head = terms[: cuts[0] - lo] if cuts else terms  # a view: merge copies it
+        if cuts:
+            later.first = cuts[0]
+            later.sums = [
+                (cut, float(np.sum(terms[start - lo : cut - lo])))
+                for start, cut in zip(cuts, cuts[1:])
+            ]
+            # A copy, not a view pinning the whole slice's terms.
+            later.tail = terms[cuts[-1] - lo :].copy()
+        self.merge(later)
+
+    def merge(self, later: "_FloatSums") -> None:
+        """Append the run that follows this one; copies later's head and keeps its tail."""
+        if self.first is None:
+            self.head = np.concatenate([self.head, later.head])
+            self.first = later.first
+        elif later.first is None:
+            self.tail = np.concatenate([self.tail, later.head])
             return
-        merged = self.buf[0] if len(self.buf) == 1 else np.concatenate(self.buf)
-        for cut in cuts:
-            self._close(cut, float(np.sum(merged[self.start - base : cut - base])))
-        # Keep the tail (under one atom), not a view pinning the whole fed array.
-        self.buf = [merged[self.start - base :].copy()] if end > self.start else []
+        else:
+            spanning = np.concatenate([self.tail, later.head])
+            self.sums.append((later.first, float(np.sum(spanning))))
+        self.sums += later.sums
+        self.tail = later.tail
 
-    def merge(self, lo: int, hi: int, part: tuple) -> None:
-        """Add a block's float reduction: its head and tail raw, its whole intervals summed."""
-        head, sums, tail = part
-        self.feed(lo, head)
-        for cut, value in sums:
-            self._close(cut, value)
-        if tail.size:
-            self.feed(hi - tail.size, tail)
+    def values(self) -> list[float]:
+        """The running total at every checkpoint edge the run closed, with
+        the interval sums added in ascending order under Neumaier
+        compensation."""
+        edges = {p + 1 for p in self.points}
+        total = comp = 0.0
+        out = []
+        for cut, x in [(self.first, float(np.sum(self.head))), *self.sums]:
+            s = total + x
+            if abs(total) >= abs(x):
+                comp += (total - s) + x
+            else:
+                comp += (x - s) + total
+            total = s
+            if cut in edges:
+                out.append(total + comp)
+        return out
 
 
 def _edges(points: Sequence[int], lo: int, hi: int) -> list[int]:
@@ -174,56 +194,6 @@ def _edges(points: Sequence[int], lo: int, hi: int) -> list[int]:
 def _cuts(points: Sequence[int], lo: int, hi: int) -> list[int]:
     """The float sums' cut points in (lo, hi]: multiples of _ATOM and checkpoint edges."""
     return sorted({*range((lo // _ATOM + 1) * _ATOM, hi + 1, _ATOM), *_edges(points, lo, hi)})
-
-
-class _ExactReduction:
-    """One block's exact sums between the checkpoint edges inside it."""
-
-    def __init__(self) -> None:
-        self.segments = [0]
-
-    def add(self, points: Sequence[int], lo: int, terms: np.ndarray) -> None:
-        off = 0
-        for edge in _edges(points, lo, lo + terms.size):
-            self.segments[-1] += int(terms[off : edge - lo].sum())
-            self.segments.append(0)
-            off = edge - lo
-        self.segments[-1] += int(terms[off:].sum())
-
-    def result(self) -> list[int]:
-        return self.segments
-
-
-class _FloatReduction:
-    """One block's float terms as (head, sums, tail): the raw terms before
-    its first cut point, (cut, np.sum) for each whole interval between cut
-    points, and the raw terms after its last one.  A block without a cut
-    point is all head."""
-
-    def __init__(self) -> None:
-        self.head: np.ndarray | None = None
-        self.sums: list[tuple[int, float]] = []
-        self.pending: list[np.ndarray] = []
-
-    def add(self, points: Sequence[int], lo: int, terms: np.ndarray) -> None:
-        off = 0
-        for cut in _cuts(points, lo, lo + terms.size):
-            piece = terms[off : cut - lo]
-            interval = np.concatenate([*self.pending, piece]) if self.pending else piece
-            self.pending = []
-            if self.head is None:
-                self.head = interval.copy()
-            else:
-                self.sums.append((cut, float(np.sum(interval))))
-            off = cut - lo
-        if off < terms.size:
-            self.pending.append(terms[off:].copy())
-
-    def result(self) -> tuple[np.ndarray, list[tuple[int, float]], np.ndarray]:
-        rest = np.concatenate(self.pending) if self.pending else np.empty(0)
-        if self.head is None:
-            return rest, [], np.empty(0)
-        return self.head, self.sums, rest
 
 
 @dataclass(frozen=True)
@@ -276,7 +246,7 @@ class _Plan:
             raise ValidationError(
                 f"{', '.join(self.multiplicative)} need blocks sieved with the multiplicative arrays"
             )
-        parts = [_ExactReduction() if s.exact else _FloatReduction() for s in self.stats]
+        parts = self._sums()
         for off in range(0, block.hi - block.lo, _SLICE):
             sl = slice(off, off + _SLICE)
             tallies = Tallies(
@@ -289,28 +259,32 @@ class _Plan:
                 *(arr[sl] for arr in (block.omega, block.phi, block.in_a) if arr is not None),
             )
             for stat, part in zip(self.stats, parts):
-                part.add(self.points, tallies.lo, stat.term(tallies))
-        return _BlockSums(block.lo, block.hi, [part.result() for part in parts])
+                part.add(tallies.lo, stat.term(tallies))
+        return _BlockSums(block.lo, block.hi, parts)
 
     def merge(self, reductions: Iterable[_BlockSums]) -> list[MeanValueSeries]:
         """The series at every checkpoint from block reductions in ascending order."""
-        accs = [_IntAccumulator() if s.exact else _FloatAccumulator(self.points) for s in self.stats]
+        runs = self._sums()
         covered = 0
         for red in reductions:
             if red.lo != covered + 1:
                 raise ValidationError(f"blocks out of order: expected lo={covered + 1}, got {red.lo}")
             covered = red.hi - 1
-            for acc, part in zip(accs, red.parts):
-                acc.merge(red.lo, red.hi, part)
-            del red, part  # free the raw parts before the next block is sieved
+            for run, part in zip(runs, red.parts):
+                run.merge(part)
+            del red, part  # free the raw heads before the next block is sieved
         if covered < self.points[-1]:
             raise ValidationError(
                 f"checkpoint {self.points[-1]} beyond covered range [1, {covered}]"
             )
         return [
-            MeanValueSeries(stat.label(self.dispersion_c), tuple(acc.out), covered)
-            for stat, acc in zip(self.stats, accs)
+            MeanValueSeries(stat.label(self.dispersion_c), tuple(run.values()), covered)
+            for stat, run in zip(self.stats, runs)
         ]
+
+    def _sums(self) -> list:
+        """An empty run of sums per statistic, in request order."""
+        return [(_ExactSums if s.exact else _FloatSums)(self.points) for s in self.stats]
 
 
 def accumulate(
@@ -329,42 +303,30 @@ def accumulate(
     """
     plan = _Plan(grid, statistics, r0_convention, dispersion_c)
     # Not map(plan.reduce, blocks): the generator keeps each block alive
-    # while the next one is sieved (see _Worker).
+    # while the next one is sieved (see _block).
     return plan.merge(plan.reduce(block) for block in blocks)
 
 
-class _Worker:
-    """Sieves and reduces blocks in a worker process.
-
-    The last block stays allocated while the next one is sieved, so the
-    allocator reuses its pages instead of handing them back to the system
-    and faulting them in again: freeing each block first cost 5x the minor
-    page faults (99k against 19k for mean --limit 30000000 in one process).
-    """
-
-    def __init__(self, plan: _Plan, cfg: SieveConfig, primes: PrimeTable):
-        self.plan = plan
-        self.cfg = cfg
-        self.primes = primes
-        self.block: RepresentationBlock | None = None
-
-    def __call__(self, bounds: tuple[int, int]) -> _BlockSums:
-        self.block = sieve_block(self.cfg, *bounds, self.primes)
-        return self.plan.reduce(self.block)
-
-
-# Set by _adopt in each worker process, and only there, from the plan, the
+# Set in each worker process, and only there, by _init_worker: the plan, the
 # sieve geometry and the prime table that the worker inherited at fork.
-_worker: _Worker | None = None
+_job: tuple[_Plan, SieveConfig, PrimeTable] | None = None
+# The worker's last block stays allocated while the next one is sieved, so
+# the allocator reuses its pages instead of handing them back to the system
+# and faulting them in again: freeing each block first cost 5x the minor
+# page faults (99k against 19k for mean --limit 30000000 in one process).
+_block: RepresentationBlock | None = None
 
 
-def _adopt(plan: _Plan, cfg: SieveConfig, primes: PrimeTable) -> None:
-    global _worker
-    _worker = _Worker(plan, cfg, primes)
+def _init_worker(plan: _Plan, cfg: SieveConfig, primes: PrimeTable) -> None:
+    global _job
+    _job = (plan, cfg, primes)
 
 
 def _sieve_and_reduce(bounds: tuple[int, int]) -> _BlockSums:
-    return _worker(bounds)
+    global _block
+    plan, cfg, primes = _job
+    _block = sieve_block(cfg, *bounds, primes)
+    return plan.reduce(_block)
 
 
 def accumulate_forked(
@@ -396,7 +358,7 @@ def accumulate_forked(
     from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"), initializer=_adopt,
+        workers, multiprocessing.get_context("fork"), initializer=_init_worker,
         initargs=(plan, cfg, primes),
     )
 

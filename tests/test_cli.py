@@ -104,13 +104,14 @@ def test_manifest_records_sieve_kernels(tmp_path):
 
 
 def test_mean_bytes_across_workers(tmp_path):
-    # Block sizes that split the 2^16 cut intervals, explicit checkpoints on
-    # block edges (16650 ends a 333 block, 1048577 starts a 2^20 block), and
-    # a 2^20 block count below --threads.
+    # Block sizes that split the 2^16 cut intervals, a first 65535 block that
+    # ends on the cut 2^16, explicit checkpoints on block edges (16650 ends a
+    # 333 block, 1048577 starts a 2^20 block), and a 2^20 block count below
+    # --threads.
     for limit, grid, blocks in (
         ("30000", "explicit:1000,16650,16651,30000", ("333", "7777")),
         ("1248576", "explicit:1000,65536,200006,1048576,1048577,1248576",
-         ("100003", "1048576")),
+         ("65535", "100003", "1048576")),
     ):
         texts = set()
         for block in blocks:
@@ -184,8 +185,11 @@ def test_thread_cap_refused_before_work(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PAUCITY_THREADS", str(MAX_THREADS + 1))
     assert run_cli("mean", "--limit", "1000", "--out-dir", out) == 2
     assert capsys.readouterr().err.endswith("error: PAUCITY_THREADS must be from 1 to 64, got 65\n")
-    assert run_cli("offdiag", "--limit", "100", "--out-dir", out) == 2
     assert list(tmp_path.iterdir()) == []
+    # Only mean reads --threads and PAUCITY_THREADS.
+    off = tmp_path / "offdiag"
+    assert run_cli("offdiag", "--limit", "100", "--out-dir", str(off)) == 0
+    assert "threads" not in json.loads((off / "offdiag_manifest.json").read_text())["config"]
     assert multiprocessing.active_children() == []
 
 
@@ -224,9 +228,13 @@ def test_validation_exit_codes(tmp_path):
     assert run_cli("congruence", "--rho-max", "-5", "--nu-max", "-3", "--out-dir", out) == 2
     assert run_cli("congruence", "--nu-max", "-1", "--out-dir", out) == 2
     assert not (tmp_path / "congruence.csv").exists()
-    for threads in ("0", "-1"):
-        assert run_cli("offdiag", "--limit", "100", "--threads", threads, "--out-dir", out) == 2
+    # sieve and offdiag take no --threads: argparse exits 2.
+    for command, threads in (("offdiag", "0"), ("offdiag", "-1"), ("sieve", "1")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--limit", "100", "--threads", threads, "--out-dir", out)
+        assert exc.value.code == 2
     assert not (tmp_path / "offdiag.csv").exists()
+    assert not (tmp_path / "blocks.pcty").exists()
     assert run_cli("mean", "--limit", "1000", "--threads", "0", "--out-dir", out) == 2
     assert not (tmp_path / "mean.csv").exists()
     for z in ("nan", "inf"):

@@ -14,7 +14,7 @@ from paucity.errors import ValidationError
 from paucity.meanvalue import (
     CheckpointGrid,
     MeanValueSeries,
-    _FloatAccumulator,
+    _FloatSums,
     accumulate,
     read_csv,
     write_csv,
@@ -138,11 +138,15 @@ def test_float_determinism_across_geometry():
 
 
 def test_float_accumulator_keeps_no_view():
-    acc = _FloatAccumulator((10**6,))
-    for lo, size in ((1, 100000), (100001, 200000)):
-        terms = np.ones(size)
-        acc.feed(lo, terms)
-        assert acc.buf and not any(np.shares_memory(b, terms) for b in acc.buf)
+    # Runs without a cut point, with cuts, and one that only extends the tail.
+    sums = _FloatSums((10**6,))
+    fed = []
+    for lo, size in ((1, 1000), (1001, 99000), (100001, 200000), (300001, 1000)):
+        fed.append(np.ones(size))
+        sums.add(lo, fed[-1])
+        held = [sums.head, sums.tail]
+        assert not any(np.shares_memory(a, terms) for a in held for terms in fed), lo
+    assert sums.first == 1 << 16 and sums.tail.size == 300001 + 1000 - (1 << 18)
 
 
 def test_accumulate_validation():
@@ -260,6 +264,10 @@ def test_series_validation():
 @given(st.integers(2, 900))
 def test_accumulate_geometry_free(block_size):
     grid = CheckpointGrid(points=(7, 50, 444, 2000))
-    series = accumulate(_blocks(block_size=block_size, limit=2000), grid, ["S11", "M2"])
+    stats = ["S11", "M2", "DISPERSION"]
+    series = accumulate(_blocks(block_size=block_size, limit=2000), grid, stats)
     assert list(series[0].values) == [int((R1[1 : x + 1] ** 2).sum()) for x in grid.points]
     assert list(series[1].values) == [int(R2[1 : x + 1].sum()) for x in grid.points]
+    # Float merges across runs of blocks that hold no cut point, bit for bit.
+    whole = accumulate(_blocks(block_size=2000, limit=2000), grid, ["DISPERSION"])
+    assert series[2].values == whole[0].values

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from paucity import sieve
 from paucity.arith import build_spf_table, factorize, in_A, is_sum_two_squares, omega, phi
-from paucity.cli import main as cli_main
 from paucity.constants import STATISTICS, Tallies
 from paucity.errors import CapacityError, TallyOverflowError, ValidationError
 from paucity.sieve import (
@@ -256,17 +255,6 @@ def test_block_partition_invariance():
         other = _collect(SieveConfig(limit=12000, block_size=block_size))
         for a, b in zip(base, other):
             assert np.array_equal(a, b), block_size
-
-
-def test_thread_invariance(tmp_path):
-    # --threads sizes no sieve pool: the dumps are the same bytes.
-    dumps = []
-    for threads in ("1", "4"):
-        out = tmp_path / threads
-        argv = ["sieve", "--limit", "50000", "--block-size", "3000", "--threads", threads]
-        assert cli_main([*argv, "--out-dir", str(out)]) == 0
-        dumps.append((out / "blocks.pcty").read_bytes())
-    assert dumps[0] == dumps[1]
 
 
 def test_sieve_block_validation():
