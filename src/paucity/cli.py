@@ -41,6 +41,8 @@ from .constants import (
     DEFAULT_STATISTICS,
     STATISTICS,
     catalan,
+    check_density_z,
+    check_prime_limit,
     landau_ramanujan,
     sieve_density_product,
 )
@@ -191,7 +193,10 @@ def _cmd_mean(args: argparse.Namespace, out_dir: Path) -> list[str]:
 
 
 def _cmd_constants(args: argparse.Namespace, out_dir: Path) -> list[str]:
-    # V(z) first: it rejects a bad --z before the slower constants run.
+    # Every --z and --prime-limit is checked before the first sieve runs.
+    for z in args.z:
+        check_density_z(z)
+    check_prime_limit(args.prime_limit)
     densities = [sieve_density_product(z) for z in args.z]
     rows = []
     g = catalan(args.eps)

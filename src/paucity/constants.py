@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
-from .sieve import chi4_divisor_sums, sieve_primes
+from .errors import CapacityError, ValidationError
+from .sieve import MAX_SIEVE_LIMIT, chi4_divisor_sums, sieve_primes
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def landau_ramanujan(prime_limit: int = 10**7, form: str = "1mod4") -> ConstantV
     Both are evaluated as exp of a compensated log sum; the truncated tail of
     sum_{p>P} |log(1 - p^-2)|/2 is below 1/(P-1), which bounds the error.
     """
-    if prime_limit < 10**3:
-        raise ValidationError(f"prime_limit must be >= 1000, got {prime_limit}")
+    check_prime_limit(prime_limit)
     if form not in ("1mod4", "3mod4"):
         raise ValidationError(f"unknown product form {form!r}")
     p = sieve_primes(prime_limit).primes
@@ -81,11 +80,27 @@ def landau_ramanujan(prime_limit: int = 10**7, form: str = "1mod4") -> ConstantV
     return ConstantValue("K", value, bound, f"euler-product-{form}:{prime_limit}")
 
 
+def check_prime_limit(prime_limit: int) -> None:
+    """Refuse a landau_ramanujan prime_limit before its sieve runs."""
+    if prime_limit < 10**3:
+        raise ValidationError(f"prime_limit must be >= 1000, got {prime_limit}")
+    if prime_limit > MAX_SIEVE_LIMIT:
+        raise CapacityError(f"prime_limit {prime_limit} exceeds cap {MAX_SIEVE_LIMIT}")
+
+
+def check_density_z(z: float) -> None:
+    """Refuse a sieve_density_product z before its sieve, which runs to the
+    largest integer below z, can start."""
+    if not math.isfinite(z) or z < 3:
+        raise ValidationError(f"sieve_density_product needs a finite z >= 3, got {z:g}")
+    if z > MAX_SIEVE_LIMIT + 1:
+        raise CapacityError(f"z {z:g} needs primes beyond the sieve cap {MAX_SIEVE_LIMIT}")
+
+
 @cache
 def sieve_density_product(z: float) -> ConstantValue:
     """V(z) = prod_{2 < p < z} (1 - (3p-2)/p^2), evaluated in log space."""
-    if not math.isfinite(z) or z < 3:
-        raise ValidationError(f"sieve_density_product needs a finite z >= 3, got {z}")
+    check_density_z(z)
     pmax = int(math.floor(z))
     if float(z).is_integer():
         pmax -= 1
@@ -100,9 +115,9 @@ def sieve_density_product(z: float) -> ConstantValue:
 
 # ---------------------------------------------------------------- registry
 #
-# Each reported statistic is defined once, in STATISTICS: exact int64 or
-# compensated float summation, its per-n term over a slice of a sieve block,
-# its normalization, its limit constant, and whether its term reads the
+# Each reported statistic is defined once, in STATISTICS: exact or
+# compensated float summation, its terms over a slice of a sieve block, its
+# normalization, its limit constant, and whether its term reads the
 # multiplicative arrays omega, phi, in_a.  The sieve runs the walk behind
 # those arrays only when a requested term reads them.  Constants are thunks
 # evaluated on first use, so only LANDAU_B and COUNT_A pay for
@@ -115,11 +130,17 @@ _PI = math.pi
 class Tallies:
     """A slice of one sieve block, starting at n = lo.
 
-    r0_pair and the multiplicative arrays are the block's own, the latter
-    None where the block was sieved without them; r1 and r2 are widened to
-    int64.  r0_div and r0 (r0_pair or r0_div, as r0_convention says) are
-    int64 and built on first read, so they cost nothing where no term reads
-    them.
+    The tallies r0_pair, r1, r2 and the multiplicative arrays are the
+    block's own, the latter None where the block was sieved without them.
+    Every other array is built on first read, so it costs nothing where no
+    term reads it:
+
+    * r0_div, int64 over the slice;
+    * support, the offsets n - lo with r0(n) != 0, where r0 is r0_pair or
+      r0_div as r0_convention says, and r0s, r1s and r2s, the values of r0,
+      r1 and r2 there as int64.  r2 <= r1 <= r0_pair <= r0_div, so a term
+      made of the r's is 0 off the support;
+    * on_a, the offsets of the n in A.
     """
 
     lo: int
@@ -136,17 +157,45 @@ class Tallies:
     def r0_div(self) -> np.ndarray:
         return chi4_divisor_sums(self.lo, self.r0_pair)
 
-    @cached_property
+    @property
     def r0(self) -> np.ndarray:
-        return self.r0_div if self.r0_convention == "div" else self.r0_pair.astype(np.int64)
+        return self.r0_div if self.r0_convention == "div" else self.r0_pair
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return np.flatnonzero(self.r0 != 0)
+
+    @cached_property
+    def r0s(self) -> np.ndarray:
+        return self.r0[self.support].astype(np.int64)
+
+    @cached_property
+    def r1s(self) -> np.ndarray:
+        return self.r1[self.support].astype(np.int64)
+
+    @cached_property
+    def r2s(self) -> np.ndarray:
+        return self.r2[self.support].astype(np.int64)
+
+    @cached_property
+    def on_a(self) -> np.ndarray:
+        """The offsets n - lo of the n in A, ascending."""
+        return np.flatnonzero(self.in_a)
 
     @cached_property
     def lemma_weight(self) -> np.ndarray:
-        """2^omega(n) f_A(n), with f_A(1) = 1; shared by LEMMA31 and LEMMA32.
+        """2^omega(n) at the offsets on_a, with f_A(1) = 1; shared by
+        LEMMA31 and LEMMA32, whose terms are 0 off A.
 
         It reads omega only on A, the only place the sieve defines it.
         """
-        return np.where(self.in_a, np.exp2(self.omega.astype(np.float64)), 0.0)
+        return np.exp2(self.omega[self.on_a].astype(np.float64))
+
+    def scatter(self, at: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """A float term over the slice: `values` at the offsets `at`, 0 elsewhere."""
+        terms = np.zeros(self.r1.size)
+        terms[at] = values
+        return terms
 
 
 # Normalizations: (raw, x, log x) -> the normalized value.
@@ -162,8 +211,13 @@ _AFFINE = lambda raw, x, lx: (raw - x * lx / 4.0) * 4.0 / x
 class Statistic:
     """One mean-value statistic: the sum of `term` over n <= x at each checkpoint x.
 
-    `term` maps a Tallies to the terms of its range; `normalization` maps
-    (raw, x, log x) to the normalized value; `constant` is None where no
+    `term` maps a Tallies to its terms over the slice, evaluated only where
+    they can be nonzero.  An exact term is an integer or bool array whose
+    sum is the slice's, so it may leave out zeros: the terms made of r0, r1
+    and r2 list the support only.  A float term is float64 at every n of
+    the slice, since its sums are cut by position: its values on its
+    support (where r0 != 0, or on A) and 0 elsewhere.  `normalization`
+    maps (raw, x, log x) to the normalized value; `constant` is None where no
     limit is claimed; `parameter` names the argument carried in the
     reported label; `multiplicative` is set for a term that reads omega,
     phi or in_a.
@@ -183,11 +237,11 @@ class Statistic:
 
 
 def _dispersion_terms(v: Tallies) -> np.ndarray:
-    n = np.arange(v.lo, v.lo + v.r1.size, dtype=np.float64)
-    res = v.r1 - v.c * v.r0 / np.log(np.maximum(n, 2.0))
+    n = (v.support + v.lo).astype(np.float64)
+    res = v.r1s - v.c * v.r0s / np.log(np.maximum(n, 2.0))
     if v.lo == 1:
-        res[0] = 0.0  # sum starts at n = 2
-    return res * res
+        res[v.support == 0] = 0.0  # sum starts at n = 2
+    return v.scatter(v.support, res * res)
 
 
 def _g() -> float:
@@ -199,33 +253,34 @@ def _k() -> float:
 
 
 STATISTICS: dict[str, Statistic] = {s.name: s for s in (
-    Statistic("S00", True, lambda v: v.r0 * v.r0, _AFFINE),
-    Statistic("S01", True, lambda v: v.r0 * v.r1, _PER_X, lambda: 0.5),
-    Statistic("S02", True, lambda v: v.r0 * v.r2, _LOG, lambda: 12.0 * _g() / _PI**2),
-    Statistic("S11", True, lambda v: v.r1 * v.r1, _LOG, lambda: _PI / 2.0 + 9.0 / 4.0),
-    Statistic("S12", True, lambda v: v.r1 * v.r2, _LOG2),
-    Statistic("S22", True, lambda v: v.r2 * v.r2, _LOG2, lambda: 2.0 * _PI),
-    Statistic("M1", True, lambda v: v.r1, _LOG, lambda: _PI / 2.0),
-    Statistic("M2", True, lambda v: v.r2, _LOG2, lambda: _PI),
-    Statistic("R2CUBE", True, lambda v: v.r2 * v.r2 * v.r2, _LOG2, lambda: 4.0 * _PI),
-    Statistic("SUPP1", True, lambda v: (v.r1 > 0).astype(np.int64), _LOG, lambda: _PI / 2.0),
-    Statistic("SUPP2", True, lambda v: (v.r2 > 0).astype(np.int64), _LOG2, lambda: _PI / 2.0),
+    Statistic("S00", True, lambda v: v.r0s * v.r0s, _AFFINE),
+    Statistic("S01", True, lambda v: v.r0s * v.r1s, _PER_X, lambda: 0.5),
+    Statistic("S02", True, lambda v: v.r0s * v.r2s, _LOG, lambda: 12.0 * _g() / _PI**2),
+    Statistic("S11", True, lambda v: v.r1s * v.r1s, _LOG, lambda: _PI / 2.0 + 9.0 / 4.0),
+    Statistic("S12", True, lambda v: v.r1s * v.r2s, _LOG2),
+    Statistic("S22", True, lambda v: v.r2s * v.r2s, _LOG2, lambda: 2.0 * _PI),
+    Statistic("M1", True, lambda v: v.r1s, _LOG, lambda: _PI / 2.0),
+    Statistic("M2", True, lambda v: v.r2s, _LOG2, lambda: _PI),
+    Statistic("R2CUBE", True, lambda v: v.r2s * v.r2s * v.r2s, _LOG2, lambda: 4.0 * _PI),
+    Statistic("SUPP1", True, lambda v: v.r1s > 0, _LOG, lambda: _PI / 2.0),
+    Statistic("SUPP2", True, lambda v: v.r2s > 0, _LOG2, lambda: _PI / 2.0),
     Statistic("DISPERSION", False, _dispersion_terms, _LOG, parameter="c"),
     Statistic(
         "LEMMA31", False,
-        lambda v: v.lemma_weight / np.arange(v.lo, v.lo + v.in_a.size, dtype=np.float64),
+        lambda v: v.scatter(v.on_a, v.lemma_weight / (v.on_a + v.lo).astype(np.float64)),
         _PER_LOG, lambda: 1.0 / _PI, multiplicative=True,
     ),
     Statistic(
-        "LEMMA32", False, lambda v: v.lemma_weight / v.phi.astype(np.float64),
+        "LEMMA32", False,
+        lambda v: v.scatter(v.on_a, v.lemma_weight / v.phi[v.on_a].astype(np.float64)),
         _PER_LOG, lambda: 12.0 * _g() / _PI**3, multiplicative=True,
     ),
     # b(n) = [r0_div(n) > 0] under either r0 convention.
     Statistic(
-        "LANDAU_B", True, lambda v: (v.r0_div > 0).astype(np.int64), _SQRT_LOG, _k,
+        "LANDAU_B", True, lambda v: v.r0_div > 0, _SQRT_LOG, _k,
     ),
     Statistic(
-        "COUNT_A", True, lambda v: v.in_a.astype(np.int64), _SQRT_LOG,
+        "COUNT_A", True, lambda v: v.in_a, _SQRT_LOG,
         lambda: 1.0 / (4.0 * _k()), multiplicative=True,
     ),
 )}

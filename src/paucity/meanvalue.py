@@ -8,6 +8,15 @@ accumulate_forked has worker processes sieve and reduce the blocks and
 merges their sums in block order.  The sieve runs the multiplicative walk
 only when a requested term reads omega, phi or in_a.
 
+A slice holds at most 2^16 integers, so that its temporaries stay in
+cache, and ends on a checkpoint edge wherever one falls inside the block.
+The terms are evaluated only where they can be nonzero (the r terms where
+r0 != 0, about a fifth of n at 1e7; the LEMMA sums on A, about a twelfth).
+An exact term only needs its total, so it lists just those n, and an
+indicator is a bool array, counted.  A float term is scattered into zeros,
+so every interval sum below sees the array an evaluation at every n would
+give, bit for bit.
+
 Integer statistics (the S_{i,j}, first moments, support and Landau counts)
 are exact in 64-bit: a run holds its sums between the checkpoint edges
 inside it.  Harmonic-weighted and squared-residual sums accumulate on a
@@ -19,8 +28,8 @@ once, from their raw parts.  Every interval's sum thus has
 partition-independent content and the intervals are added in ascending
 order (the ordered merge of Demmel and Nguyen, "Parallel reproducible
 summation", IEEE Trans. Comput. 64(7), 2015), so the result is
-bit-identical for every block size and worker count, and whether or not the
-walk ran.
+bit-identical for every block size, slice width and worker count, and
+whether or not the walk ran.
 """
 
 from __future__ import annotations
@@ -39,9 +48,15 @@ from .errors import CapacityError, ValidationError
 from .sieve import PrimeTable, RepresentationBlock, SieveConfig, sieve_block, sieve_primes
 
 _ATOM = 1 << 16
-# Terms are evaluated over slices of this width, which bounds the float64
-# temporaries whatever the block size.
-_SLICE = 1 << 18
+# Blocks are reduced in slices cut at the multiples of this width and at the
+# checkpoint edges.  At _ATOM each float interval is one slice, summed where
+# it lies, and a slice's 8-byte temporaries (512 KiB) stay in a 2 MiB L2
+# from one numpy pass to the next.  Reducing the blocks of
+# `mean --limit 10000000 --stats all`, sieved beforehand, took a median
+# 0.39 s at 2^14 (per-slice overhead), 0.29 s at 2^15, 0.22 s at 2^16 and
+# 2^17 and 0.25 s at 2^18 on a 2-core Xeon with 2 MiB of L2 per core; with
+# every term evaluated at every n it took 0.42 s at 2^16 and 0.62 s at 2^18.
+_SLICE = _ATOM
 
 
 @dataclass(frozen=True)
@@ -97,17 +112,20 @@ class _ExactSums:
     """
 
     def __init__(self, points: Sequence[int]):
-        self.points = points
+        self.edges = {p + 1 for p in points}
         self.segments = [0]
 
-    def add(self, lo: int, terms: np.ndarray) -> None:
-        """Append the terms of n = lo, lo + 1, ..., split at the checkpoint edges."""
-        off = 0
-        for edge in _edges(self.points, lo, lo + terms.size):
-            self.segments[-1] += int(terms[off : edge - lo].sum())
+    def add(self, lo: int, hi: int, terms: np.ndarray) -> None:
+        """Append the n in [lo, hi), which holds no checkpoint edge after lo.
+
+        Only the sum of the terms counts, so they may leave out zeros; a
+        bool array is counted.
+        """
+        self.segments[-1] += int(
+            np.count_nonzero(terms) if terms.dtype == np.bool_ else terms.sum()
+        )
+        if hi in self.edges:
             self.segments.append(0)
-            off = edge - lo
-        self.segments[-1] += int(terms[off:].sum())
 
     def merge(self, later: "_ExactSums") -> None:
         """Append the run that follows this one."""
@@ -138,11 +156,11 @@ class _FloatSums:
         self.sums: list[tuple[int, float]] = []
         self.tail = np.empty(0)
 
-    def add(self, lo: int, terms: np.ndarray) -> None:
-        """Append the terms of n = lo, lo + 1, ...; whole intervals are summed from views."""
-        cuts = _cuts(self.points, lo, lo + terms.size)
+    def add(self, lo: int, hi: int, terms: np.ndarray) -> None:
+        """Append the terms of the n in [lo, hi); whole intervals are summed from views."""
+        cuts = _cuts(self.points, lo, hi, _ATOM)
         later = _FloatSums(self.points)
-        later.head = terms[: cuts[0] - lo] if cuts else terms  # a view: merge copies it
+        later.head = terms[: cuts[0] - lo] if cuts else terms  # a view: merge copies or sums it
         if cuts:
             later.first = cuts[0]
             later.sums = [
@@ -154,7 +172,7 @@ class _FloatSums:
         self.merge(later)
 
     def merge(self, later: "_FloatSums") -> None:
-        """Append the run that follows this one; copies later's head and keeps its tail."""
+        """Append the run that follows this one; copies or sums later's head and keeps its tail."""
         if self.first is None:
             self.head = np.concatenate([self.head, later.head])
             self.first = later.first
@@ -162,7 +180,8 @@ class _FloatSums:
             self.tail = np.concatenate([self.tail, later.head])
             return
         else:
-            spanning = np.concatenate([self.tail, later.head])
+            # A slice that starts on a cut leaves the tail before it empty.
+            spanning = np.concatenate([self.tail, later.head]) if self.tail.size else later.head
             self.sums.append((later.first, float(np.sum(spanning))))
         self.sums += later.sums
         self.tail = later.tail
@@ -186,14 +205,10 @@ class _FloatSums:
         return out
 
 
-def _edges(points: Sequence[int], lo: int, hi: int) -> list[int]:
-    """p + 1 for every checkpoint lo <= p < hi: the exact sums' cut points in (lo, hi]."""
-    return [p + 1 for p in points[bisect_left(points, lo) : bisect_left(points, hi)]]
-
-
-def _cuts(points: Sequence[int], lo: int, hi: int) -> list[int]:
-    """The float sums' cut points in (lo, hi]: multiples of _ATOM and checkpoint edges."""
-    return sorted({*range((lo // _ATOM + 1) * _ATOM, hi + 1, _ATOM), *_edges(points, lo, hi)})
+def _cuts(points: Sequence[int], lo: int, hi: int, step: int) -> list[int]:
+    """The multiples of step and the checkpoint edges p + 1 in (lo, hi]."""
+    edges = (p + 1 for p in points[bisect_left(points, lo) : bisect_left(points, hi)])
+    return sorted({*range((lo // step + 1) * step, hi + 1, step), *edges})
 
 
 @dataclass(frozen=True)
@@ -239,27 +254,25 @@ class _Plan:
     def reduce(self, block: RepresentationBlock) -> _BlockSums:
         """Every statistic's partial sums over one block, a slice at a time.
 
-        Each slice's tallies are widened to int64 once and shared by every
-        statistic.
+        The slices are cut at the multiples of _SLICE and at the checkpoint
+        edges, so no exact sum is split inside one, and each slice's support
+        and int64 tallies are built once and shared by every statistic.
         """
         if self.multiplicative and block.omega is None:
             raise ValidationError(
                 f"{', '.join(self.multiplicative)} need blocks sieved with the multiplicative arrays"
             )
         parts = self._sums()
-        for off in range(0, block.hi - block.lo, _SLICE):
-            sl = slice(off, off + _SLICE)
+        bounds = [block.lo, *_cuts(self.points, block.lo, block.hi - 1, _SLICE), block.hi]
+        for lo, hi in zip(bounds, bounds[1:]):
+            sl = slice(lo - block.lo, hi - block.lo)
             tallies = Tallies(
-                block.lo + off,
-                block.r0_pair[sl],
-                block.r1[sl].astype(np.int64),
-                block.r2[sl].astype(np.int64),
-                self.dispersion_c,
-                self.r0_convention,
+                lo, block.r0_pair[sl], block.r1[sl], block.r2[sl],
+                self.dispersion_c, self.r0_convention,
                 *(arr[sl] for arr in (block.omega, block.phi, block.in_a) if arr is not None),
             )
             for stat, part in zip(self.stats, parts):
-                part.add(tallies.lo, stat.term(tallies))
+                part.add(lo, hi, stat.term(tallies))
         return _BlockSums(block.lo, block.hi, parts)
 
     def merge(self, reductions: Iterable[_BlockSums]) -> list[MeanValueSeries]:

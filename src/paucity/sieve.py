@@ -315,9 +315,8 @@ def _multiplicative_arrays(
     ina &= (val & 3) == 1
     om += val > 1
     ph *= np.maximum(val - 1, 1)
-    off = ~ina
-    om[off] = 0
-    ph[off] = 1
+    om *= ina
+    ph = np.where(ina, ph, 1)
     full_om = np.zeros(width, dtype=np.int8)
     full_ph = np.ones(width, dtype=np.int32)
     full_ina = np.zeros(width, dtype=bool)

@@ -134,6 +134,26 @@ def r_arrays_slow(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return r0, r0d, r1, r2
 
 
+def dispersion_terms_dense(lo: int, r0: np.ndarray, r1: np.ndarray, c: float) -> np.ndarray:
+    """(r1 - c r0 / log max(n, 2))^2 at every n = lo, lo + 1, ..., with the
+    n = 1 slot zeroed: the DISPERSION term evaluated at every n."""
+    n = np.arange(lo, lo + r1.size, dtype=np.float64)
+    res = r1 - c * r0 / np.log(np.maximum(n, 2.0))
+    if lo == 1:
+        res[0] = 0.0
+    return res * res
+
+
+def lemma_terms_dense(
+    lo: int, omega: np.ndarray, phi: np.ndarray, in_a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """where(in_a, 2^omega, 0)/n and where(in_a, 2^omega, 0)/phi at every
+    n = lo, lo + 1, ...: the LEMMA31 and LEMMA32 terms evaluated at every n."""
+    weight = np.where(in_a, np.exp2(omega.astype(np.float64)), 0.0)
+    n = np.arange(lo, lo + in_a.size, dtype=np.float64)
+    return weight / n, weight / phi.astype(np.float64)
+
+
 def pair_tallies_loop(lo: int, hi: int, is_prime: np.ndarray) -> tuple[np.ndarray, ...]:
     """r0_pair, r1, r2 on [lo, hi) as int32, one numpy call per a.
 

@@ -14,6 +14,7 @@ import pytest
 
 import paucity
 import paucity.cli
+import paucity.constants
 from paucity.cli import MAX_THREADS, main
 from paucity.constants import STATISTICS, catalan
 from paucity.errors import ValidationError
@@ -294,6 +295,23 @@ def test_constants_csv(tmp_path):
     assert table["K"] == pytest.approx(0.764223653, abs=5e-7)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--z", "3", "1e300"),
+    ("--z", "30000000", "1e300"),
+    ("--z", "30000000", "--prime-limit", "2000000000"),
+    ("--z", "1000000002"),
+])
+def test_constants_caps_checked_before_any_sieve(tmp_path, monkeypatch, capsys, argv):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(paucity.constants, "sieve_primes", no_sieve)
+    assert run_cli("constants", *argv, "--out-dir", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 100, err
+    assert not (tmp_path / "constants.csv").exists()
+
+
 def test_congruence_sweep(tmp_path):
     # t only enters through its residues, however large it is.
     for i, argv in enumerate((
@@ -324,9 +342,13 @@ def test_congruence_csv_bytes(tmp_path):
     (("mean", "--limit", "1000000", "--stats", "all", "--threads", "2",
       "--block-size", "100003"),
      "00232a4056868174773bd2d22e2456d341f25f43695ac8c560cdacf774f1d958"),
+    # The float statistics at c != 1 under the div convention.
+    (("mean", "--limit", "1000000", "--stats", "DISPERSION,LEMMA31,LEMMA32",
+      "--r0-convention", "div", "--dispersion-c", "2.5"),
+     "6d4c92ba34402b0daabb99658cb834f5572ccacec429872c4af69447f7472e4e"),
     (("sieve", "--limit", "2000000"),
      "2584b58646f4a5ccc35dca4dcb681c3abede084b67e3bbe883b27a505c659e54"),
-], ids=["mean-all", "mean-all-div", "mean-all-workers", "sieve"])
+], ids=["mean-all", "mean-all-div", "mean-all-workers", "mean-float-div-c2.5", "sieve"])
 def test_mean_and_sieve_bytes(tmp_path, argv, digest):
     out = tmp_path / "b"
     assert run_cli(*argv, "--out-dir", str(out)) == 0

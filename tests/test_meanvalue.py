@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paucity import meanvalue
 from paucity.arith import build_spf_table, factorize, in_A, omega, phi
-from paucity.constants import STATISTICS
+from paucity.constants import STATISTICS, Tallies
 from paucity.errors import ValidationError
 from paucity.meanvalue import (
     CheckpointGrid,
@@ -137,13 +138,72 @@ def test_float_determinism_across_geometry():
         assert values(block_size) == base, block_size
 
 
+def test_slice_width_does_not_change_any_series(monkeypatch):
+    # Slices are cut at the multiples of _SLICE.  Some checkpoints p have
+    # their edge p + 1 on such a cut (333, 666, 2331; 4096, 8192) or on a
+    # 2048-wide block's edge (2049, 4097, 6145); the others cut a slice.
+    grid = CheckpointGrid(
+        points=(2, 332, 333, 665, 2048, 2330, 4095, 4096, 6144, 8191, 9999, 10000)
+    )
+    runs = []
+    for width in (333, 4096, 1 << 16, 1 << 18):
+        monkeypatch.setattr(meanvalue, "_SLICE", width)
+        for block_size in (2048, LIMIT):
+            blocks = _blocks(block_size=block_size, multiplicative=True)
+            runs.append(accumulate(blocks, grid, list(STATISTICS)))
+    assert len(runs[0]) == len(STATISTICS)
+    direct = {"S01": R0 * R1, "M2": R2, "SUPP1": R1 > 0}
+    for series in runs[0]:
+        if series.statistic in direct:
+            want = [int(direct[series.statistic][1 : p + 1].sum()) for p in grid.points]
+            assert list(series.values) == want, series.statistic
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert got.values == want.values, got.statistic
+
+
+def _sliced_tallies(block, lo, hi, c, convention):
+    """Tallies of n in [lo, hi) of `block`, built as _Plan.reduce builds them."""
+    sl = slice(lo - block.lo, hi - block.lo)
+    return Tallies(
+        lo, block.r0_pair[sl], block.r1[sl], block.r2[sl],
+        c, convention, block.omega[sl], block.phi[sl], block.in_a[sl],
+    )
+
+
+def test_support_terms_match_dense_formulas():
+    # Terms are evaluated only where they can be nonzero.  The float terms
+    # must equal the dense formulas evaluated at every n, array for array;
+    # the exact r terms, which list the support only, must have their sums.
+    block = next(_blocks(block_size=LIMIT, multiplicative=True))
+    in_a = np.flatnonzero(block.in_a) + 1
+    k = int(np.argmax(np.diff(in_a) > 20))
+    outside_a = (int(in_a[k]) + 1, int(in_a[k]) + 21)
+    # n = 6, 7 have r0 = 0 under both conventions, and neither is in A.
+    windows = [(1, 3000), (2, 40), (6, 8), outside_a, (4097, 10001)]
+    for lo, hi in windows:
+        for convention in ("pair", "div"):
+            for c in (0.0, 1.0, 2.5):
+                v = _sliced_tallies(block, lo, hi, c, convention)
+                assert v.in_a.any() != ((lo, hi) in ((6, 8), outside_a))
+                r0, r1, r2 = (R0D if convention == "div" else R0)[lo:hi], R1[lo:hi], R2[lo:hi]
+                disp = oracles.dispersion_terms_dense(lo, r0, r1, c)
+                l31, l32 = oracles.lemma_terms_dense(lo, v.omega, v.phi, v.in_a)
+                for name, dense in (("DISPERSION", disp), ("LEMMA31", l31), ("LEMMA32", l32)):
+                    got = STATISTICS[name].term(v)
+                    assert got.dtype == np.float64, name
+                    assert np.array_equal(got, dense), (name, lo, convention, c)
+                for name, dense in (("S01", r0 * r1), ("R2CUBE", r2**3), ("SUPP2", r2 > 0)):
+                    assert np.sum(STATISTICS[name].term(v)) == dense.sum(), (name, lo)
+
+
 def test_float_accumulator_keeps_no_view():
     # Runs without a cut point, with cuts, and one that only extends the tail.
     sums = _FloatSums((10**6,))
     fed = []
     for lo, size in ((1, 1000), (1001, 99000), (100001, 200000), (300001, 1000)):
         fed.append(np.ones(size))
-        sums.add(lo, fed[-1])
+        sums.add(lo, lo + size, fed[-1])
         held = [sums.head, sums.tail]
         assert not any(np.shares_memory(a, terms) for a in held for terms in fed), lo
     assert sums.first == 1 << 16 and sums.tail.size == 300001 + 1000 - (1 << 18)
