@@ -2,16 +2,16 @@
 
 Subcommands: sieve, mean, constants, congruence, offdiag, report.  Exit code
 0 on success, 2 on validation errors (including argparse failures), 3 on
-capacity/overflow errors.  mean's --threads (PAUCITY_THREADS overrides it,
-and both are at most MAX_THREADS) sizes its worker processes, which sieve
-and reduce blocks while this process merges them in block order; the other
-commands take no --threads and run in this one process, where thread pools
-over sieve blocks and over the offdiag census measured no faster than one
-thread.  mean runs only the sieve kernels its statistics read, and sieve
-and mean record the kernels and the processes that ran them in the
-manifest.  Every output lands under --out-dir.  CSVs are deterministic
-(byte-identical across thread counts and block sizes); manifests carry
-timestamps and are not.
+capacity/overflow errors.  mean makes one meanvalue.accumulate call, with
+--threads (PAUCITY_THREADS overrides it, and both are at most MAX_THREADS)
+as its count of processes that sieve and reduce blocks; the other commands
+take no --threads and run in this one process, where thread pools over
+sieve blocks and over the offdiag census measured no faster than one
+thread.  mean runs only the sieve
+kernels its statistics read, and sieve and mean record the kernels and the
+processes that ran them in the manifest.  Every output lands under
+--out-dir.  CSVs are deterministic (byte-identical across thread counts and
+block sizes); manifests carry timestamps and are not.
 """
 
 from __future__ import annotations
@@ -47,14 +47,7 @@ from .constants import (
     sieve_density_product,
 )
 from .errors import CapacityError, PaucityError, ValidationError
-from .meanvalue import (
-    CheckpointGrid,
-    accumulate,
-    accumulate_forked,
-    csv_fields,
-    read_csv,
-    write_csv,
-)
+from .meanvalue import CheckpointGrid, accumulate, csv_fields, read_csv, write_csv
 from .quadruples import enumerate_n1_params, enumerate_offdiag
 from .sieve import SieveConfig, sieve_all, write_blocks
 from . import arith
@@ -180,11 +173,7 @@ def _cmd_mean(args: argparse.Namespace, out_dir: Path) -> list[str]:
     )
     workers = min(args.threads, cfg.block_count)
     _record_sieve(args, cfg, workers)
-    options = {"r0_convention": args.r0_convention, "dispersion_c": args.dispersion_c}
-    if workers == 1:
-        series = accumulate(sieve_all(cfg), grid, stats, **options)
-    else:
-        series = accumulate_forked(cfg, workers, grid, stats, **options)
+    series = accumulate(cfg, grid, stats, args.r0_convention, args.dispersion_c, workers)
     csv_path = out_dir / "mean.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         write_csv(fh, series, grid)

@@ -1,12 +1,12 @@
 """Checkpointed accumulation of every reported sum.
 
-Every statistic is summed in one pass over the sieve blocks.  Each block is
-reduced, a slice at a time, to the sums of one run of n, and the runs are
-merged in ascending block order; an exact and a float type of sums each do
-both.  accumulate reduces the blocks of sieve_all in the calling process;
-accumulate_forked has worker processes sieve and reduce the blocks and
-merges their sums in block order.  The sieve runs the multiplicative walk
-only when a requested term reads omega, phi or in_a.
+Every statistic is summed in one pass over the sieve blocks.  accumulate
+checks the whole request, then sieves and reduces each block, a slice at a
+time, to the sums of one run of n, and merges the runs in ascending block
+order; an exact and a float type of sums each do both.  The blocks are
+sieved and reduced in this process or by worker processes
+(workers.ordered_map), and the sieve runs the multiplicative walk only when
+a requested term reads omega, phi or in_a.
 
 A slice holds at most 2^16 integers, so that its temporaries stay in
 cache, and ends on a checkpoint edge wherever one falls inside the block.
@@ -36,16 +36,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .constants import STATISTICS, Tallies, normalized_value, predicted_constant
-from .errors import CapacityError, ValidationError
-from .sieve import PrimeTable, RepresentationBlock, SieveConfig, sieve_block, sieve_primes
+from .errors import ValidationError
+from .sieve import MAX_SIEVE_LIMIT, RepresentationBlock, SieveConfig, sieve_block, sieve_primes
+from .workers import ordered_map
 
 _ATOM = 1 << 16
 # Blocks are reduced in slices cut at the multiples of this width and at the
@@ -57,6 +58,9 @@ _ATOM = 1 << 16
 # 2^17 and 0.25 s at 2^18 on a 2-core Xeon with 2 MiB of L2 per core; with
 # every term evaluated at every n it took 0.42 s at 2^16 and 0.62 s at 2^18.
 _SLICE = _ATOM
+# Above this c a DISPERSION sum could overflow a double: MAX_SIEVE_LIMIT
+# terms, each a squared residual of at most 65535 * (1 + c / log 2).
+MAX_DISPERSION_C = (math.sqrt(sys.float_info.max / MAX_SIEVE_LIMIT) / 65535 - 1) * math.log(2)
 
 
 @dataclass(frozen=True)
@@ -221,16 +225,13 @@ class _BlockSums:
 
 
 class _Plan:
-    """A validated request: the statistics, the checkpoints, the r0
-    convention and the dispersion c, with the per-block reduction and the
-    in-order merge of the reductions."""
+    """A request checked against its sieve run: the statistics, the
+    checkpoints, the r0 convention and the dispersion c, with the per-block
+    reduction and the in-order merge of the reductions."""
 
     def __init__(
-        self,
-        grid: CheckpointGrid,
-        statistics: Sequence[str],
-        r0_convention: str,
-        dispersion_c: float,
+        self, cfg: SieveConfig, grid: CheckpointGrid, statistics: Sequence[str],
+        r0_convention: str, dispersion_c: float,
     ):
         if not statistics:
             raise ValidationError("no statistics requested")
@@ -241,12 +242,22 @@ class _Plan:
             if STATISTICS[name] in stats:
                 raise ValidationError(f"duplicate statistic {name!r}")
             stats.append(STATISTICS[name])
-        if not math.isfinite(dispersion_c) or dispersion_c < 0:
-            raise ValidationError(f"dispersion c must be finite and >= 0, got {dispersion_c}")
+        if not 0 <= dispersion_c <= MAX_DISPERSION_C:
+            raise ValidationError(
+                f"dispersion c must be from 0 to {MAX_DISPERSION_C:.4g}, got {dispersion_c}"
+            )
         if r0_convention not in ("pair", "div"):
             raise ValidationError(f"unknown r0 convention {r0_convention!r}")
+        multiplicative = [s.name for s in stats if s.multiplicative]
+        if multiplicative and not cfg.multiplicative:
+            raise ValidationError(
+                f"{', '.join(multiplicative)} need blocks sieved with the multiplicative arrays"
+            )
+        if grid.points[-1] > cfg.limit:
+            raise ValidationError(
+                f"checkpoint {grid.points[-1]} beyond covered range [1, {cfg.limit}]"
+            )
         self.stats = stats
-        self.multiplicative = [s.name for s in stats if s.multiplicative]
         self.points = grid.points
         self.r0_convention = r0_convention
         self.dispersion_c = dispersion_c
@@ -258,10 +269,6 @@ class _Plan:
         edges, so no exact sum is split inside one, and each slice's support
         and int64 tallies are built once and shared by every statistic.
         """
-        if self.multiplicative and block.omega is None:
-            raise ValidationError(
-                f"{', '.join(self.multiplicative)} need blocks sieved with the multiplicative arrays"
-            )
         parts = self._sums()
         bounds = [block.lo, *_cuts(self.points, block.lo, block.hi - 1, _SLICE), block.hi]
         for lo, hi in zip(bounds, bounds[1:]):
@@ -286,10 +293,6 @@ class _Plan:
             for run, part in zip(runs, red.parts):
                 run.merge(part)
             del red, part  # free the raw heads before the next block is sieved
-        if covered < self.points[-1]:
-            raise ValidationError(
-                f"checkpoint {self.points[-1]} beyond covered range [1, {covered}]"
-            )
         return [
             MeanValueSeries(stat.label(self.dispersion_c), tuple(run.values()), covered)
             for stat, run in zip(self.stats, runs)
@@ -301,95 +304,36 @@ class _Plan:
 
 
 def accumulate(
-    blocks: Iterable[RepresentationBlock],
-    grid: CheckpointGrid,
-    statistics: Sequence[str],
-    r0_convention: str = "pair",
-    dispersion_c: float = 1.0,
-) -> list[MeanValueSeries]:
-    """Partial sums of the requested statistics at every checkpoint.
-
-    Blocks must arrive in ascending order covering [1, limit] with
-    limit >= the last checkpoint, and must carry the multiplicative arrays
-    when a requested statistic reads them; r0 follows the given convention
-    ("pair" or "div").  Each block is reduced in this process as it arrives.
-    """
-    plan = _Plan(grid, statistics, r0_convention, dispersion_c)
-    # Not map(plan.reduce, blocks): the generator keeps each block alive
-    # while the next one is sieved (see _block).
-    return plan.merge(plan.reduce(block) for block in blocks)
-
-
-# Set in each worker process, and only there, by _init_worker: the plan, the
-# sieve geometry and the prime table that the worker inherited at fork.
-_job: tuple[_Plan, SieveConfig, PrimeTable] | None = None
-# The worker's last block stays allocated while the next one is sieved, so
-# the allocator reuses its pages instead of handing them back to the system
-# and faulting them in again: freeing each block first cost 5x the minor
-# page faults (99k against 19k for mean --limit 30000000 in one process).
-_block: RepresentationBlock | None = None
-
-
-def _init_worker(plan: _Plan, cfg: SieveConfig, primes: PrimeTable) -> None:
-    global _job
-    _job = (plan, cfg, primes)
-
-
-def _sieve_and_reduce(bounds: tuple[int, int]) -> _BlockSums:
-    global _block
-    plan, cfg, primes = _job
-    _block = sieve_block(cfg, *bounds, primes)
-    return plan.reduce(_block)
-
-
-def accumulate_forked(
     cfg: SieveConfig,
-    workers: int,
     grid: CheckpointGrid,
     statistics: Sequence[str],
     r0_convention: str = "pair",
     dispersion_c: float = 1.0,
+    workers: int = 1,
 ) -> list[MeanValueSeries]:
-    """accumulate(sieve_all(cfg), ...), with each block sieved and reduced
-    by one of `workers` worker processes.
+    """Partial sums of the requested statistics at every checkpoint <= cfg.limit.
 
-    The workers are forked once the plan and the prime table exist, so they
-    receive only each block's (lo, hi) and send back its reduction.  Fork,
-    not spawn: the plan's statistic terms are lambdas, which cannot be
-    pickled, and a spawned worker would import numpy and the package again
-    (about 0.13 s each on a 2-core machine).  At most two blocks per worker
-    are in flight, and the reductions are merged in block order, so the
-    series are those of accumulate, bit for bit.  An error raised in a worker
-    is raised here; a worker that dies raises CapacityError.  Every worker
-    has exited when this returns or raises.
+    The whole request is checked before any sieve runs.  r0 follows the
+    given convention ("pair" or "div").  Each block of cfg is sieved and
+    reduced by one of `workers` processes, this one when workers is 1, and
+    the reductions are merged in block order, so the series are the same,
+    bit for bit, at every worker count.
     """
-    plan = _Plan(grid, statistics, r0_convention, dispersion_c)
+    plan = _Plan(cfg, grid, statistics, r0_convention, dispersion_c)
     primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
-    # Imported here: a run on one process does not pay for multiprocessing.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    # A process's last block stays allocated while it sieves the next one, so
+    # the allocator reuses its pages instead of handing them back to the
+    # system and faulting them in again: freeing each block first cost 5x the
+    # minor page faults (99k against 19k for mean --limit 30000000 in one
+    # process).
+    last = None
 
-    pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"), initializer=_init_worker,
-        initargs=(plan, cfg, primes),
-    )
+    def sieve_and_reduce(bounds: tuple[int, int]) -> _BlockSums:
+        nonlocal last
+        last = sieve_block(cfg, *bounds, primes)
+        return plan.reduce(last)
 
-    def in_order() -> Iterator[_BlockSums]:
-        pending: deque = deque()
-        for bounds in cfg.block_ranges():
-            pending.append(pool.submit(_sieve_and_reduce, bounds))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-    try:
-        return plan.merge(in_order())
-    except BrokenProcessPool as exc:
-        raise CapacityError(f"a worker process died before returning its block: {exc}") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return ordered_map(sieve_and_reduce, cfg.block_ranges(), workers, plan.merge)
 
 
 def csv_fields(statistic: str, x: int, raw: int | float) -> tuple[str, str, str, str]:

@@ -26,8 +26,9 @@ the block's own arrays and leaves no per-a Python loop.
 sieve_all sieves blocks one after another in the calling process.  numpy's
 bincount and repeat and the walk's short strided updates hold the GIL, so a
 thread pool over blocks measured slower than one thread (0.67-1.05x per
-kernel on 2 cores) and held about 40-50 MB more.  Worker processes call
-sieve_block on blocks of their own (meanvalue.accumulate_forked).
+kernel on 2 cores) and held about 40-50 MB more.  meanvalue.accumulate
+calls sieve_block itself, one block per task, in this process or in worker
+processes.
 
 With SieveConfig.multiplicative set, each block also gets three
 multiplicative arrays, which the set-A statistics read:

@@ -30,7 +30,7 @@ RECORDED_C7 = 85.9
 def decade_series():
     grid = CheckpointGrid(points=DECADES)
     cfg = SieveConfig(limit=10**7, block_size=1 << 20)
-    series = accumulate(sieve_all(cfg), grid, ["S01", "S02", "S22", "M2"])
+    series = accumulate(cfg, grid, ["S01", "S02", "S22", "M2"])
     return {s.statistic: s.values for s in series}
 
 
@@ -122,7 +122,7 @@ def test_criterion_03_parametrization_bijection():
 def test_criterion_04_partition_identity():
     """S12(x) = diagonal(x) + N(x) at x in {1e3, 1e4, 1e5, 1e6}; N(50) = 1."""
     grid = CheckpointGrid(points=(10**3, 10**4, 10**5, 10**6))
-    series = accumulate(sieve_all(SieveConfig(limit=10**6)), grid, ["S12"])
+    series = accumulate(SieveConfig(limit=10**6), grid, ["S12"])
     s12_values = series[0].values
     for x, s12 in zip(grid.points, s12_values):
         census = enumerate_offdiag(x, collect=False)
@@ -210,7 +210,7 @@ def test_criterion_09_lemma_slopes():
     within +-10% of 1/pi and 12G/pi^3 (measured: both within 0.01%)."""
     cfg = SieveConfig(limit=10**7, block_size=1 << 20, multiplicative=True)
     grid = CheckpointGrid(points=(10**6, 10**7))
-    l31, l32 = accumulate(sieve_all(cfg), grid, ["LEMMA31", "LEMMA32"])
+    l31, l32 = accumulate(cfg, grid, ["LEMMA31", "LEMMA32"])
     dlog = math.log(10**7) - math.log(10**6)
     slope31 = (l31.values[1] - l31.values[0]) / dlog
     slope32 = (l32.values[1] - l32.values[0]) / dlog

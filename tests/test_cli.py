@@ -4,21 +4,24 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import paucity
 import paucity.cli
 import paucity.constants
+import paucity.meanvalue
 from paucity.cli import MAX_THREADS, main
 from paucity.constants import STATISTICS, catalan
 from paucity.errors import ValidationError
-from paucity.meanvalue import read_csv
+from paucity.meanvalue import MAX_DISPERSION_C, read_csv
 from paucity.sieve import MAX_BLOCK_SIZE, read_blocks
 
 import oracles
@@ -177,7 +180,7 @@ def test_thread_cap_refused_before_work(tmp_path, monkeypatch, capsys):
         raise AssertionError("no work may start")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(paucity.cli, "sieve_all", refuse)
+    monkeypatch.setattr(paucity.meanvalue, "sieve_primes", refuse)
     out = str(tmp_path)
     assert run_cli("mean", "--limit", "1000", "--threads", "100000000", "--out-dir", out) == 2
     assert capsys.readouterr().err == "error: --threads must be from 1 to 64, got 100000000\n"
@@ -204,6 +207,22 @@ def test_thread_env_override(tmp_path, monkeypatch):
     assert run_cli("mean", "--limit", "5000", "--stats", "S01", "--out-dir", str(out)) == 2
 
 
+def test_largest_dispersion_c_gives_finite_rows(tmp_path, capsys):
+    # Above MAX_DISPERSION_C a sum could overflow; at it, every residual's square is finite.
+    with np.errstate(all="raise"):
+        rc = run_cli("mean", "--limit", "1000", "--stats", "DISPERSION",
+                     "--dispersion-c", repr(MAX_DISPERSION_C), "--out-dir", str(tmp_path))
+    assert rc == 0
+    with open(tmp_path / "mean.csv", encoding="utf-8") as fh:
+        rows = read_csv(fh)
+    assert len(rows) == 1
+    assert math.isfinite(rows[0]["raw_value"]) and math.isfinite(rows[0]["normalized_value"])
+    bigger = repr(math.nextafter(MAX_DISPERSION_C, math.inf))
+    assert run_cli("mean", "--limit", "1000", "--stats", "DISPERSION",
+                   "--dispersion-c", bigger, "--out-dir", str(tmp_path / "no")) == 2
+    assert capsys.readouterr().err.startswith("error: dispersion c must be from 0 to ")
+
+
 def test_validation_exit_codes(tmp_path):
     out = str(tmp_path)
     assert run_cli("mean", "--limit", "1000", "--stats", "BOGUS", "--out-dir", out) == 2
@@ -215,7 +234,7 @@ def test_validation_exit_codes(tmp_path):
     assert run_cli("report", "--inputs", str(tmp_path / "missing.csv"), "--out-dir", out) == 2
     assert run_cli("mean", "--limit", "1000", "--grid", "explicit:2,1000", "--out-dir", out) == 2
     assert run_cli("mean", "--limit", "2", "--out-dir", out) == 2
-    for c in ("nan", "inf"):
+    for c in ("nan", "inf", "1e200", "1e308"):
         assert run_cli(
             "mean", "--limit", "1000", "--stats", "DISPERSION", "--dispersion-c", c,
             "--out-dir", out,
@@ -257,17 +276,33 @@ def test_capacity_exit_code(tmp_path):
     assert not (tmp_path / "blocks.pcty").exists()
 
 
-def test_argparse_errors_exit_two():
-    # The child imports the package under test even when it is not installed.
+def _child_env() -> dict:
+    """Environment for a child that imports the package under test, installed or not."""
     src = str(Path(paucity.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_argparse_errors_exit_two():
     proc = subprocess.run(
         [sys.executable, "-m", "paucity.cli", "definitely-not-a-command"],
         capture_output=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 2
+
+
+def test_one_process_imports_no_pool(tmp_path):
+    script = (
+        "import sys\n"
+        "from paucity.cli import main\n"
+        f"rc = main(['mean', '--limit', '100000', '--stats', 'all', '--threads', '1',"
+        f" '--out-dir', {str(tmp_path)!r}])\n"
+        "print(rc, 'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+    )
+    env = {k: v for k, v in _child_env().items() if k != "PAUCITY_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 False False", proc.stderr
 
 
 def test_sieve_dump_round_trip(tmp_path):

@@ -30,8 +30,8 @@ GRID = CheckpointGrid(points=(10, 100, 1000, 10000))
 R0, R0D, R1, R2 = oracles.r_arrays_slow(LIMIT)
 
 
-def _blocks(block_size=2048, limit=LIMIT, multiplicative=False):
-    return sieve_all(SieveConfig(limit=limit, block_size=block_size, multiplicative=multiplicative))
+def _cfg(block_size=2048, limit=LIMIT, multiplicative=False):
+    return SieveConfig(limit=limit, block_size=block_size, multiplicative=multiplicative)
 
 
 def _slow_sum(term: np.ndarray) -> list[int]:
@@ -49,9 +49,9 @@ def test_grid_validation():
     assert geo.points == (1000, 10000, 25000)
 
 
-def _dispersion(c, blocks, r0_convention="pair"):
+def _dispersion(c, cfg, r0_convention="pair"):
     return accumulate(
-        blocks, GRID, ["DISPERSION"], r0_convention=r0_convention, dispersion_c=c
+        cfg, GRID, ["DISPERSION"], r0_convention=r0_convention, dispersion_c=c
     )[0]
 
 
@@ -72,23 +72,23 @@ def test_integer_statistics_match_direct_sums():
     # The Landau counts have their own oracles in test_landau_counts_exact.
     exact = {s.name for s in STATISTICS.values() if s.exact} - {"LANDAU_B", "COUNT_A"}
     assert set(expected) == exact
-    series = accumulate(_blocks(), GRID, list(expected))
+    series = accumulate(_cfg(), GRID, list(expected))
     for s in series:
         assert list(s.values) == expected[s.statistic], s.statistic
         assert all(isinstance(v, int) for v in s.values)
 
 
 def test_div_convention():
-    series = accumulate(_blocks(), GRID, ["S00", "S01"], r0_convention="div")
+    series = accumulate(_cfg(), GRID, ["S00", "S01"], r0_convention="div")
     assert list(series[0].values) == _slow_sum(R0D * R0D)
     assert list(series[1].values) == _slow_sum(R0D * R1)
     with pytest.raises(ValidationError):
-        accumulate(_blocks(), GRID, ["S01"], r0_convention="both")
+        accumulate(_cfg(), GRID, ["S01"], r0_convention="both")
 
 
 def test_known_small_values():
     grid = CheckpointGrid(points=(10, 30, 49, 50))
-    series = accumulate(_blocks(limit=50), grid, ["S01", "M2", "S12", "S22"])
+    series = accumulate(_cfg(limit=50), grid, ["S01", "M2", "S12", "S22"])
     by_name = {s.statistic: list(s.values) for s in series}
     assert by_name["S01"][0] == 5
     assert by_name["M2"][0] == 1
@@ -98,7 +98,7 @@ def test_known_small_values():
 
 
 def test_chain_inequalities():
-    series = accumulate(_blocks(), GRID, ["S11", "S12", "S22"])
+    series = accumulate(_cfg(), GRID, ["S11", "S12", "S22"])
     s11, s12, s22 = (list(s.values) for s in series)
     for a, b, c in zip(s11, s12, s22):
         assert c <= b <= a
@@ -107,7 +107,7 @@ def test_chain_inequalities():
 
 
 def test_cauchy_schwarz():
-    series = accumulate(_blocks(), GRID, ["S11", "S12", "S22"])
+    series = accumulate(_cfg(), GRID, ["S11", "S12", "S22"])
     s11, s12, s22 = (list(s.values) for s in series)
     for a, b, c in zip(s11, s12, s22):
         assert b * b <= a * c
@@ -115,7 +115,7 @@ def test_cauchy_schwarz():
 
 def test_dispersion_matches_fsum():
     for c, convention, r0 in ((1.0, "pair", R0), (0.0, "pair", R0), (2.5, "div", R0D)):
-        series = _dispersion(c, _blocks(), r0_convention=convention)
+        series = _dispersion(c, _cfg(), r0_convention=convention)
         assert series.statistic == f"DISPERSION(c={c:g})"
         for x, got in zip(GRID.points, series.values):
             terms = [
@@ -123,15 +123,15 @@ def test_dispersion_matches_fsum():
             ]
             assert got == pytest.approx(math.fsum(terms), rel=1e-12, abs=1e-9), (c, x)
     with pytest.raises(ValidationError):
-        _dispersion(-1.0, _blocks())
+        _dispersion(-1.0, _cfg())
 
 
 def test_float_determinism_across_geometry():
     stats = ["DISPERSION", "LEMMA31", "LEMMA32", "LANDAU_B", "COUNT_A"]
 
     def values(block_size):
-        blocks = _blocks(block_size=block_size, multiplicative=True)
-        return [s.values for s in accumulate(blocks, GRID, stats)]
+        cfg = _cfg(block_size=block_size, multiplicative=True)
+        return [s.values for s in accumulate(cfg, GRID, stats)]
 
     base = values(LIMIT)
     for block_size in (7777, 512, 4096, 99):
@@ -149,8 +149,8 @@ def test_slice_width_does_not_change_any_series(monkeypatch):
     for width in (333, 4096, 1 << 16, 1 << 18):
         monkeypatch.setattr(meanvalue, "_SLICE", width)
         for block_size in (2048, LIMIT):
-            blocks = _blocks(block_size=block_size, multiplicative=True)
-            runs.append(accumulate(blocks, grid, list(STATISTICS)))
+            cfg = _cfg(block_size=block_size, multiplicative=True)
+            runs.append(accumulate(cfg, grid, list(STATISTICS)))
     assert len(runs[0]) == len(STATISTICS)
     direct = {"S01": R0 * R1, "M2": R2, "SUPP1": R1 > 0}
     for series in runs[0]:
@@ -175,7 +175,7 @@ def test_support_terms_match_dense_formulas():
     # Terms are evaluated only where they can be nonzero.  The float terms
     # must equal the dense formulas evaluated at every n, array for array;
     # the exact r terms, which list the support only, must have their sums.
-    block = next(_blocks(block_size=LIMIT, multiplicative=True))
+    block = next(sieve_all(_cfg(block_size=LIMIT, multiplicative=True)))
     in_a = np.flatnonzero(block.in_a) + 1
     k = int(np.argmax(np.diff(in_a) > 20))
     outside_a = (int(in_a[k]) + 1, int(in_a[k]) + 21)
@@ -209,47 +209,52 @@ def test_float_accumulator_keeps_no_view():
     assert sums.first == 1 << 16 and sums.tail.size == 300001 + 1000 - (1 << 18)
 
 
-def test_accumulate_validation():
-    with pytest.raises(ValidationError):
-        accumulate(_blocks(), GRID, [])
-    with pytest.raises(ValidationError):
-        accumulate(_blocks(), GRID, ["S01", "S01"])
-    with pytest.raises(ValidationError):
-        accumulate(_blocks(), GRID, ["S99"])
-    with pytest.raises(ValidationError):
-        accumulate(_blocks(), GRID, ["LEMMA31"])
-    with pytest.raises(ValidationError):
-        accumulate(_blocks(), GRID, ["S01", "COUNT_A"])
-    with pytest.raises(ValidationError):
-        accumulate(_blocks(multiplicative=True), GRID, ["COUNT_A", "COUNT_A"])
-    # omega, phi and in_a come only from the walk; r0_div comes from r0_pair,
-    # so LANDAU_B and the div convention read any block.
-    with pytest.raises(ValidationError, match="multiplicative arrays"):
-        accumulate(_blocks(), GRID, ["COUNT_A"])
+def test_accumulate_validation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sieve may run")
+
+    # Every refusal comes before the first sieve.  omega, phi and in_a come
+    # only from the walk, so a statistic that reads them needs a config that
+    # runs it.
+    with monkeypatch.context() as patched:
+        patched.setattr(meanvalue, "sieve_primes", refuse)
+        patched.setattr(meanvalue, "sieve_block", refuse)
+        too_large = math.nextafter(meanvalue.MAX_DISPERSION_C, math.inf)
+        for cfg, stats, options in (
+            (_cfg(), [], {}),
+            (_cfg(), ["S99"], {}),
+            (_cfg(), ["S01", "S01"], {}),
+            (_cfg(multiplicative=True), ["COUNT_A", "COUNT_A"], {}),
+            (_cfg(), ["DISPERSION"], {"dispersion_c": math.nan}),
+            (_cfg(), ["DISPERSION"], {"dispersion_c": math.inf}),
+            (_cfg(), ["DISPERSION"], {"dispersion_c": too_large}),
+            (_cfg(), ["S01"], {"dispersion_c": 1e200}),
+            (_cfg(), ["S01"], {"r0_convention": "both"}),
+            (_cfg(limit=5000), ["S01"], {}),
+            (_cfg(), ["LEMMA31"], {}),
+            (_cfg(), ["S01", "COUNT_A"], {}),
+        ):
+            with pytest.raises(ValidationError):
+                accumulate(cfg, GRID, stats, **options)
+        with pytest.raises(ValidationError, match="multiplicative arrays"):
+            accumulate(_cfg(), GRID, ["COUNT_A"])
+    # r0_div comes from r0_pair, so LANDAU_B and the div convention read any block.
     for convention in ("pair", "div"):
         stats = ["S01", "DISPERSION", "LANDAU_B"]
-        pairs_only = accumulate(_blocks(), GRID, stats, r0_convention=convention)
-        walked = accumulate(_blocks(multiplicative=True), GRID, stats, r0_convention=convention)
+        pairs_only = accumulate(_cfg(), GRID, stats, r0_convention=convention)
+        walked = accumulate(_cfg(multiplicative=True), GRID, stats, r0_convention=convention)
         assert pairs_only == walked
-    for c in (math.nan, math.inf):
-        blocks = _blocks()
-        with pytest.raises(ValidationError):
-            accumulate(blocks, GRID, ["DISPERSION"], dispersion_c=c)
-        assert next(blocks).lo == 1  # rejected before the first block
-    short = sieve_all(SieveConfig(limit=5000))
-    with pytest.raises(ValidationError):
-        accumulate(short, GRID, ["S01"])
 
 
 def test_support_counts():
-    supp1, supp2 = accumulate(_blocks(), GRID, ["SUPP1", "SUPP2"])
+    supp1, supp2 = accumulate(_cfg(), GRID, ["SUPP1", "SUPP2"])
     assert list(supp1.values) == _slow_sum((R1 > 0).astype(np.int64))
     assert list(supp2.values) == _slow_sum((R2 > 0).astype(np.int64))
 
 
 def test_lemma_sums_match_fsum():
     spf = build_spf_table(LIMIT)
-    l31, l32 = accumulate(_blocks(multiplicative=True), GRID, ["LEMMA31", "LEMMA32"])
+    l31, l32 = accumulate(_cfg(multiplicative=True), GRID, ["LEMMA31", "LEMMA32"])
     w = np.zeros(LIMIT + 1)
     ph = np.zeros(LIMIT + 1)
     for n in range(1, LIMIT + 1):
@@ -263,7 +268,7 @@ def test_lemma_sums_match_fsum():
 
 
 def test_landau_counts_exact():
-    lb, ca = accumulate(_blocks(multiplicative=True), GRID, ["LANDAU_B", "COUNT_A"])
+    lb, ca = accumulate(_cfg(multiplicative=True), GRID, ["LANDAU_B", "COUNT_A"])
     b = np.array([0] + [oracles.two_squares_slow(n) for n in range(1, LIMIT + 1)], dtype=np.int64)
     a = np.array([0] + [oracles.in_a_slow(n) for n in range(1, LIMIT + 1)], dtype=np.int64)
     assert list(lb.values) == _slow_sum(b)
@@ -272,7 +277,7 @@ def test_landau_counts_exact():
 
 def test_partition_exact_small():
     points = tuple(oracles.FROZEN_PARTITION)
-    s22 = accumulate(_blocks(limit=points[-1]), CheckpointGrid(points=points), ["S22"])[0]
+    s22 = accumulate(_cfg(limit=points[-1]), CheckpointGrid(points=points), ["S22"])[0]
     for x, got_s22 in zip(points, s22.values):
         want = oracles.FROZEN_PARTITION[x]
         census = enumerate_offdiag(x, collect=False)
@@ -284,15 +289,15 @@ def test_partition_exact_small():
 
 def test_partition_consistent_with_s12_series():
     grid = CheckpointGrid(points=(1000,))
-    series = accumulate(_blocks(limit=1000), grid, ["S12"])
+    series = accumulate(_cfg(limit=1000), grid, ["S12"])
     census = enumerate_offdiag(1000, collect=False)
     assert census.s12 == series[0].values[0]
     assert census.s12 - census.diagonal == census.n == oracles.FROZEN_CENSUS[1000]["N"]
 
 
 def test_csv_round_trip():
-    series = accumulate(_blocks(), GRID, ["S01", "S22"])
-    series.append(_dispersion(1.0, _blocks()))
+    series = accumulate(_cfg(), GRID, ["S01", "S22"])
+    series.append(_dispersion(1.0, _cfg()))
     buf = io.StringIO()
     write_csv(buf, series, GRID)
     text = buf.getvalue()
@@ -325,9 +330,9 @@ def test_series_validation():
 def test_accumulate_geometry_free(block_size):
     grid = CheckpointGrid(points=(7, 50, 444, 2000))
     stats = ["S11", "M2", "DISPERSION"]
-    series = accumulate(_blocks(block_size=block_size, limit=2000), grid, stats)
+    series = accumulate(_cfg(block_size=block_size, limit=2000), grid, stats)
     assert list(series[0].values) == [int((R1[1 : x + 1] ** 2).sum()) for x in grid.points]
     assert list(series[1].values) == [int(R2[1 : x + 1].sum()) for x in grid.points]
     # Float merges across runs of blocks that hold no cut point, bit for bit.
-    whole = accumulate(_blocks(block_size=2000, limit=2000), grid, ["DISPERSION"])
+    whole = accumulate(_cfg(block_size=2000, limit=2000), grid, ["DISPERSION"])
     assert series[2].values == whole[0].values
