@@ -115,13 +115,13 @@ def sieve_density_product(z: float) -> ConstantValue:
 
 # ---------------------------------------------------------------- registry
 #
-# Each reported statistic is defined once, in STATISTICS: exact or
-# compensated float summation, its terms over a slice of a sieve block, its
-# normalization, its limit constant, and whether its term reads the
-# multiplicative arrays omega, phi, in_a.  The sieve runs the walk behind
-# those arrays only when a requested term reads them.  Constants are thunks
-# evaluated on first use, so only LANDAU_B and COUNT_A pay for
-# landau_ramanujan's prime sieve.
+# Each reported statistic is defined once, in STATISTICS: its terms over a
+# slice of a sieve block, whose dtype sets its summation (int and bool terms
+# exactly, float64 terms compensated), its normalization, its limit constant,
+# and whether its term reads the multiplicative arrays omega, phi, in_a.
+# The sieve runs the walk behind those arrays only when a requested term
+# reads them.  Constants are thunks evaluated on first use, so only LANDAU_B
+# and COUNT_A pay for landau_ramanujan's prime sieve.
 
 _PI = math.pi
 
@@ -212,11 +212,12 @@ class Statistic:
     """One mean-value statistic: the sum of `term` over n <= x at each checkpoint x.
 
     `term` maps a Tallies to its terms over the slice, evaluated only where
-    they can be nonzero.  An exact term is an integer or bool array whose
-    sum is the slice's, so it may leave out zeros: the terms made of r0, r1
-    and r2 list the support only.  A float term is float64 at every n of
-    the slice, since its sums are cut by position: its values on its
-    support (where r0 != 0, or on A) and 0 elsewhere.  `normalization`
+    they can be nonzero; their dtype sets the summation.  An int64 or bool
+    term is summed exactly (a bool term is counted) from its total alone,
+    so it may leave out zeros: the terms made of r0, r1 and r2 list the
+    support only.  A float64 term is summed with compensation and is given
+    at every n of the slice, since its sums are cut by position: its values
+    on its support (where r0 != 0, or on A) and 0 elsewhere.  `normalization`
     maps (raw, x, log x) to the normalized value; `constant` is None where no
     limit is claimed; `parameter` names the argument carried in the
     reported label; `multiplicative` is set for a term that reads omega,
@@ -224,7 +225,6 @@ class Statistic:
     """
 
     name: str
-    exact: bool
     term: Callable[[Tallies], np.ndarray]
     normalization: Callable[[float, int, float], float]
     constant: Callable[[], float] | None = None
@@ -253,34 +253,32 @@ def _k() -> float:
 
 
 STATISTICS: dict[str, Statistic] = {s.name: s for s in (
-    Statistic("S00", True, lambda v: v.r0s * v.r0s, _AFFINE),
-    Statistic("S01", True, lambda v: v.r0s * v.r1s, _PER_X, lambda: 0.5),
-    Statistic("S02", True, lambda v: v.r0s * v.r2s, _LOG, lambda: 12.0 * _g() / _PI**2),
-    Statistic("S11", True, lambda v: v.r1s * v.r1s, _LOG, lambda: _PI / 2.0 + 9.0 / 4.0),
-    Statistic("S12", True, lambda v: v.r1s * v.r2s, _LOG2),
-    Statistic("S22", True, lambda v: v.r2s * v.r2s, _LOG2, lambda: 2.0 * _PI),
-    Statistic("M1", True, lambda v: v.r1s, _LOG, lambda: _PI / 2.0),
-    Statistic("M2", True, lambda v: v.r2s, _LOG2, lambda: _PI),
-    Statistic("R2CUBE", True, lambda v: v.r2s * v.r2s * v.r2s, _LOG2, lambda: 4.0 * _PI),
-    Statistic("SUPP1", True, lambda v: v.r1s > 0, _LOG, lambda: _PI / 2.0),
-    Statistic("SUPP2", True, lambda v: v.r2s > 0, _LOG2, lambda: _PI / 2.0),
-    Statistic("DISPERSION", False, _dispersion_terms, _LOG, parameter="c"),
+    Statistic("S00", lambda v: v.r0s * v.r0s, _AFFINE),
+    Statistic("S01", lambda v: v.r0s * v.r1s, _PER_X, lambda: 0.5),
+    Statistic("S02", lambda v: v.r0s * v.r2s, _LOG, lambda: 12.0 * _g() / _PI**2),
+    Statistic("S11", lambda v: v.r1s * v.r1s, _LOG, lambda: _PI / 2.0 + 9.0 / 4.0),
+    Statistic("S12", lambda v: v.r1s * v.r2s, _LOG2),
+    Statistic("S22", lambda v: v.r2s * v.r2s, _LOG2, lambda: 2.0 * _PI),
+    Statistic("M1", lambda v: v.r1s, _LOG, lambda: _PI / 2.0),
+    Statistic("M2", lambda v: v.r2s, _LOG2, lambda: _PI),
+    Statistic("R2CUBE", lambda v: v.r2s * v.r2s * v.r2s, _LOG2, lambda: 4.0 * _PI),
+    Statistic("SUPP1", lambda v: v.r1s > 0, _LOG, lambda: _PI / 2.0),
+    Statistic("SUPP2", lambda v: v.r2s > 0, _LOG2, lambda: _PI / 2.0),
+    Statistic("DISPERSION", _dispersion_terms, _LOG, parameter="c"),
     Statistic(
-        "LEMMA31", False,
+        "LEMMA31",
         lambda v: v.scatter(v.on_a, v.lemma_weight / (v.on_a + v.lo).astype(np.float64)),
         _PER_LOG, lambda: 1.0 / _PI, multiplicative=True,
     ),
     Statistic(
-        "LEMMA32", False,
+        "LEMMA32",
         lambda v: v.scatter(v.on_a, v.lemma_weight / v.phi[v.on_a].astype(np.float64)),
         _PER_LOG, lambda: 12.0 * _g() / _PI**3, multiplicative=True,
     ),
     # b(n) = [r0_div(n) > 0] under either r0 convention.
+    Statistic("LANDAU_B", lambda v: v.r0_div > 0, _SQRT_LOG, _k),
     Statistic(
-        "LANDAU_B", True, lambda v: v.r0_div > 0, _SQRT_LOG, _k,
-    ),
-    Statistic(
-        "COUNT_A", True, lambda v: v.in_a, _SQRT_LOG,
+        "COUNT_A", lambda v: v.in_a, _SQRT_LOG,
         lambda: 1.0 / (4.0 * _k()), multiplicative=True,
     ),
 )}

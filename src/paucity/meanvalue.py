@@ -3,38 +3,37 @@
 Every statistic is summed in one pass over the sieve blocks.  accumulate
 checks the whole request, then sieves and reduces each block, a slice at a
 time, to the sums of one run of n, and merges the runs in ascending block
-order; an exact and a float type of sums each do both.  The blocks are
+order; one type of sums does both for every statistic.  The blocks are
 sieved and reduced in this process or by worker processes
 (workers.ordered_map), and the sieve runs the multiplicative walk only when
 a requested term reads omega, phi or in_a.
 
-A slice holds at most 2^16 integers, so that its temporaries stay in
-cache, and ends on a checkpoint edge wherever one falls inside the block.
-The terms are evaluated only where they can be nonzero (the r terms where
-r0 != 0, about a fifth of n at 1e7; the LEMMA sums on A, about a twelfth).
-An exact term only needs its total, so it lists just those n, and an
-indicator is a bool array, counted.  A float term is scattered into zeros,
-so every interval sum below sees the array an evaluation at every n would
-give, bit for bit.
+Every sum is cut on one fixed absolute grid: the multiples of _ATOM (2^16)
+and the checkpoint edges p + 1.  A block is reduced in slices cut on that
+grid, so a slice lies inside one interval between cuts and its temporaries
+stay in cache.  The terms are evaluated only where they can be nonzero (the
+r terms where r0 != 0, about a fifth of n at 1e7; the LEMMA sums on A, about
+a twelfth).  An int term only needs its total, so it lists just those n,
+and an indicator is a bool array, counted.  A float term is scattered into
+zeros, so every interval sum below sees the array an evaluation at every n
+would give, bit for bit.
 
-Integer statistics (the S_{i,j}, first moments, support and Landau counts)
-are exact in 64-bit: a run holds its sums between the checkpoint edges
-inside it.  Harmonic-weighted and squared-residual sums accumulate on a
-fixed absolute grid of cut points (64 Ki atoms plus the checkpoint edges)
-with Neumaier compensation between cuts.  A run holds the raw terms before
-its first cut, the np.sum of each whole interval between cuts, and the raw
-terms after its last cut; a merge sums the interval that spans two runs
-once, from their raw parts.  Every interval's sum thus has
-partition-independent content and the intervals are added in ascending
-order (the ordered merge of Demmel and Nguyen, "Parallel reproducible
-summation", IEEE Trans. Comput. 64(7), 2015), so the result is
-bit-identical for every block size, slice width and worker count, and
-whether or not the walk ran.
+A run holds the pieces before its first cut, the sum of each whole interval
+between cuts, and the pieces after its last cut; a merge sums the interval
+that spans two runs once, from their pieces.  A piece is a slice's int
+total, and the int sums (the S_{i,j}, first moments, support and Landau
+counts) are exact.  A float piece is the slice's raw terms (harmonic-weighted
+and squared-residual sums), and an interval's float pieces are concatenated
+and passed once to np.sum.  Every interval's sum thus has
+partition-independent content, and the interval sums are added in ascending
+order with Neumaier compensation (the ordered merge of Demmel and Nguyen,
+"Parallel reproducible summation", IEEE Trans. Comput. 64(7), 2015), so the
+result is bit-identical for every block size and worker count, and whether
+or not the walk ran.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from bisect import bisect_left
@@ -57,7 +56,7 @@ _ATOM = 1 << 16
 # 0.39 s at 2^14 (per-slice overhead), 0.29 s at 2^15, 0.22 s at 2^16 and
 # 2^17 and 0.25 s at 2^18 on a 2-core Xeon with 2 MiB of L2 per core; with
 # every term evaluated at every n it took 0.42 s at 2^16 and 0.62 s at 2^18.
-_SLICE = _ATOM
+
 # Above this c a DISPERSION sum could overflow a double: MAX_SIEVE_LIMIT
 # terms, each a squared residual of at most 65535 * (1 + c / log 2).
 MAX_DISPERSION_C = (math.sqrt(sys.float_info.max / MAX_SIEVE_LIMIT) / 65535 - 1) * math.log(2)
@@ -109,110 +108,85 @@ class MeanValueSeries:
             raise ValidationError(f"limit must be >= 1, got {self.limit}")
 
 
-class _ExactSums:
-    """Exact sums between consecutive checkpoint edges over a run of n.
+class _Sums:
+    """The sums of one statistic over a run of n, on a fixed absolute grid of
+    cut points: the multiples of _ATOM and the checkpoint edges.
 
-    The last segment is open: it runs on to an edge beyond the run.
+    Each slice added becomes one piece: the int total of an int or bool term
+    (a bool term is counted) or the raw terms of a float64 term.  `head`
+    holds the pieces before the run's first cut, `first`; `sums` holds
+    (cut, sum) for each whole interval after it; `tail` holds the pieces
+    after the last cut.  A run without a cut point has first None and is all
+    head.  Each interval is summed once, from all of its pieces, and
+    values() adds the interval sums in ascending order.
     """
 
     def __init__(self, points: Sequence[int]):
         self.edges = {p + 1 for p in points}
-        self.segments = [0]
-
-    def add(self, lo: int, hi: int, terms: np.ndarray) -> None:
-        """Append the n in [lo, hi), which holds no checkpoint edge after lo.
-
-        Only the sum of the terms counts, so they may leave out zeros; a
-        bool array is counted.
-        """
-        self.segments[-1] += int(
-            np.count_nonzero(terms) if terms.dtype == np.bool_ else terms.sum()
-        )
-        if hi in self.edges:
-            self.segments.append(0)
-
-    def merge(self, later: "_ExactSums") -> None:
-        """Append the run that follows this one."""
-        self.segments[-1] += later.segments[0]
-        self.segments += later.segments[1:]
-
-    def values(self) -> list[int]:
-        """The running total at every checkpoint edge the run closed."""
-        return list(itertools.accumulate(self.segments[:-1]))
-
-
-class _FloatSums:
-    """Float sums over a run of n on a fixed absolute grid of cut points:
-    the multiples of _ATOM and the checkpoint edges.
-
-    `head` holds the raw terms before the run's first cut, `first`; `sums`
-    holds (cut, np.sum) for each whole interval after it; `tail` holds the
-    raw terms after the last cut.  A run without a cut point has first None
-    and is all head.  Each interval is summed once, from terms that do not
-    depend on how the range was split, and values() adds the interval sums
-    in ascending order.
-    """
-
-    def __init__(self, points: Sequence[int]):
-        self.points = points
-        self.head = np.empty(0)
+        self.head: list = []
         self.first: int | None = None
-        self.sums: list[tuple[int, float]] = []
-        self.tail = np.empty(0)
+        self.sums: list[tuple[int, int | float]] = []
+        self.tail: list = []
 
     def add(self, lo: int, hi: int, terms: np.ndarray) -> None:
-        """Append the terms of the n in [lo, hi); whole intervals are summed from views."""
-        cuts = _cuts(self.points, lo, hi, _ATOM)
-        later = _FloatSums(self.points)
-        later.head = terms[: cuts[0] - lo] if cuts else terms  # a view: merge copies or sums it
-        if cuts:
-            later.first = cuts[0]
-            later.sums = [
-                (cut, float(np.sum(terms[start - lo : cut - lo])))
-                for start, cut in zip(cuts, cuts[1:])
-            ]
-            # A copy, not a view pinning the whole slice's terms.
-            later.tail = terms[cuts[-1] - lo :].copy()
-        self.merge(later)
+        """Append the n in [lo, hi), which holds no cut point after lo.
 
-    def merge(self, later: "_FloatSums") -> None:
-        """Append the run that follows this one; copies or sums later's head and keeps its tail."""
+        An int or bool term only needs its total, so it may leave out zeros.
+        """
+        if terms.dtype == np.float64:
+            piece = terms
+        else:
+            piece = int(np.count_nonzero(terms) if terms.dtype == np.bool_ else terms.sum())
+        (self.head if self.first is None else self.tail).append(piece)
+        if hi % _ATOM == 0 or hi in self.edges:
+            if self.first is None:
+                self.first = hi
+            else:
+                self.sums.append((hi, _total(self.tail)))
+                self.tail = []
+
+    def merge(self, later: "_Sums") -> None:
+        """Append the run that follows this one, summing the interval they share."""
         if self.first is None:
-            self.head = np.concatenate([self.head, later.head])
+            self.head += later.head
             self.first = later.first
         elif later.first is None:
-            self.tail = np.concatenate([self.tail, later.head])
+            self.tail += later.head
             return
         else:
-            # A slice that starts on a cut leaves the tail before it empty.
-            spanning = np.concatenate([self.tail, later.head]) if self.tail.size else later.head
-            self.sums.append((later.first, float(np.sum(spanning))))
+            self.sums.append((later.first, _total(self.tail + later.head)))
         self.sums += later.sums
         self.tail = later.tail
 
-    def values(self) -> list[float]:
+    def values(self) -> list[int | float]:
         """The running total at every checkpoint edge the run closed, with
         the interval sums added in ascending order under Neumaier
-        compensation."""
-        edges = {p + 1 for p in self.points}
-        total = comp = 0.0
+        compensation, which stays exact on the ints of an int term."""
+        total = comp = 0
         out = []
-        for cut, x in [(self.first, float(np.sum(self.head))), *self.sums]:
+        for cut, x in [(self.first, _total(self.head)), *self.sums]:
             s = total + x
             if abs(total) >= abs(x):
                 comp += (total - s) + x
             else:
                 comp += (x - s) + total
             total = s
-            if cut in edges:
+            if cut in self.edges:
                 out.append(total + comp)
         return out
 
 
-def _cuts(points: Sequence[int], lo: int, hi: int, step: int) -> list[int]:
-    """The multiples of step and the checkpoint edges p + 1 in (lo, hi]."""
+def _total(pieces: list) -> int | float:
+    """One interval's sum: int pieces added, float pieces passed once to np.sum."""
+    if isinstance(pieces[0], int):
+        return sum(pieces)
+    return float(np.sum(pieces[0] if len(pieces) == 1 else np.concatenate(pieces)))
+
+
+def _cuts(points: Sequence[int], lo: int, hi: int) -> list[int]:
+    """The multiples of _ATOM and the checkpoint edges p + 1 in (lo, hi]."""
     edges = (p + 1 for p in points[bisect_left(points, lo) : bisect_left(points, hi)])
-    return sorted({*range((lo // step + 1) * step, hi + 1, step), *edges})
+    return sorted({*range((lo // _ATOM + 1) * _ATOM, hi + 1, _ATOM), *edges})
 
 
 @dataclass(frozen=True)
@@ -238,7 +212,7 @@ class _Plan:
         stats = []
         for name in statistics:
             if name not in STATISTICS:
-                raise ValidationError(f"unknown statistic {name!r}")
+                raise ValidationError(f"unknown statistic {name!r}; known: {', '.join(STATISTICS)}")
             if STATISTICS[name] in stats:
                 raise ValidationError(f"duplicate statistic {name!r}")
             stats.append(STATISTICS[name])
@@ -265,12 +239,13 @@ class _Plan:
     def reduce(self, block: RepresentationBlock) -> _BlockSums:
         """Every statistic's partial sums over one block, a slice at a time.
 
-        The slices are cut at the multiples of _SLICE and at the checkpoint
-        edges, so no exact sum is split inside one, and each slice's support
-        and int64 tallies are built once and shared by every statistic.
+        The slices are cut on the sums' grid, the multiples of _ATOM and the
+        checkpoint edges, so each lies inside one interval, and each slice's
+        support and int64 tallies are built once and shared by every
+        statistic.
         """
         parts = self._sums()
-        bounds = [block.lo, *_cuts(self.points, block.lo, block.hi - 1, _SLICE), block.hi]
+        bounds = [block.lo, *_cuts(self.points, block.lo, block.hi - 1), block.hi]
         for lo, hi in zip(bounds, bounds[1:]):
             sl = slice(lo - block.lo, hi - block.lo)
             tallies = Tallies(
@@ -300,7 +275,7 @@ class _Plan:
 
     def _sums(self) -> list:
         """An empty run of sums per statistic, in request order."""
-        return [(_ExactSums if s.exact else _FloatSums)(self.points) for s in self.stats]
+        return [_Sums(self.points) for _ in self.stats]
 
 
 def accumulate(

@@ -223,9 +223,26 @@ def test_largest_dispersion_c_gives_finite_rows(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: dispersion c must be from 0 to ")
 
 
-def test_validation_exit_codes(tmp_path):
+def test_validation_exit_codes(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sieve may run")
+
     out = str(tmp_path)
-    assert run_cli("mean", "--limit", "1000", "--stats", "BOGUS", "--out-dir", out) == 2
+    with monkeypatch.context() as patched:
+        # accumulate checks the names and the grid, once, before any sieve.
+        patched.setattr(paucity.meanvalue, "sieve_primes", refuse)
+        assert run_cli("mean", "--limit", "1000", "--stats", "BOGUS", "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'BOGUS'" in err, err
+        assert all(name in err for name in STATISTICS), err
+        for argv in (
+            ("--stats", "S01,S01"),
+            ("--stats", ","),
+            ("--grid", "explicit:3,2000"),
+        ):
+            assert run_cli("mean", "--limit", "1000", *argv, "--out-dir", out) == 2, argv
+            assert capsys.readouterr().err.count("\n") == 1, argv
+        assert not (tmp_path / "mean.csv").exists()
     assert run_cli("mean", "--limit", "-3", "--stats", "S01", "--out-dir", out) == 2
     assert run_cli("mean", "--limit", "1000", "--grid", "weird:1", "--out-dir", out) == 2
     assert run_cli("report", "--out-dir", out) == 2
@@ -381,9 +398,17 @@ def test_congruence_csv_bytes(tmp_path):
     (("mean", "--limit", "1000000", "--stats", "DISPERSION,LEMMA31,LEMMA32",
       "--r0-convention", "div", "--dispersion-c", "2.5"),
      "6d4c92ba34402b0daabb99658cb834f5572ccacec429872c4af69447f7472e4e"),
+    # Checkpoint edges one before, on and one after a 2^16 float cut, and
+    # 333-wide blocks putting about 200 pieces into one float interval.
+    (("mean", "--limit", "300000", "--stats", "all", "--block-size", "333",
+      "--grid", "explicit:3,65535,65536,65537,131072,200000,299999"),
+     "d69e51b2028d20ad517bbc1147183956069e532875dea6fe8948e6144dd35944"),
     (("sieve", "--limit", "2000000"),
      "2584b58646f4a5ccc35dca4dcb681c3abede084b67e3bbe883b27a505c659e54"),
-], ids=["mean-all", "mean-all-div", "mean-all-workers", "mean-float-div-c2.5", "sieve"])
+], ids=[
+    "mean-all", "mean-all-div", "mean-all-workers", "mean-float-div-c2.5", "mean-edges-at-cuts",
+    "sieve",
+])
 def test_mean_and_sieve_bytes(tmp_path, argv, digest):
     out = tmp_path / "b"
     assert run_cli(*argv, "--out-dir", str(out)) == 0

@@ -10,24 +10,26 @@ from hypothesis import strategies as st
 
 from paucity import meanvalue
 from paucity.arith import build_spf_table, factorize, in_A, omega, phi
-from paucity.constants import STATISTICS, Tallies
+from paucity.constants import STATISTICS, Tallies, find_statistic
 from paucity.errors import ValidationError
 from paucity.meanvalue import (
     CheckpointGrid,
     MeanValueSeries,
-    _FloatSums,
     accumulate,
+    csv_fields,
     read_csv,
     write_csv,
 )
 from paucity.quadruples import enumerate_offdiag
-from paucity.sieve import SieveConfig, sieve_all
+from paucity.sieve import SieveConfig, sieve_all, sieve_block, sieve_primes
 
 import oracles
 
 LIMIT = 10000
 GRID = CheckpointGrid(points=(10, 100, 1000, 10000))
 R0, R0D, R1, R2 = oracles.r_arrays_slow(LIMIT)
+# The statistics with float64 terms; every other term is int64 or bool.
+FLOAT_STATISTICS = {"DISPERSION", "LEMMA31", "LEMMA32"}
 
 
 def _cfg(block_size=2048, limit=LIMIT, multiplicative=False):
@@ -70,7 +72,7 @@ def test_integer_statistics_match_direct_sums():
         "SUPP2": _slow_sum((R2 > 0).astype(np.int64)),
     }
     # The Landau counts have their own oracles in test_landau_counts_exact.
-    exact = {s.name for s in STATISTICS.values() if s.exact} - {"LANDAU_B", "COUNT_A"}
+    exact = set(STATISTICS) - FLOAT_STATISTICS - {"LANDAU_B", "COUNT_A"}
     assert set(expected) == exact
     series = accumulate(_cfg(), GRID, list(expected))
     for s in series:
@@ -139,27 +141,33 @@ def test_float_determinism_across_geometry():
 
 
 def test_slice_width_does_not_change_any_series(monkeypatch):
-    # Slices are cut at the multiples of _SLICE.  Some checkpoints p have
-    # their edge p + 1 on such a cut (333, 666, 2331; 4096, 8192) or on a
-    # 2048-wide block's edge (2049, 4097, 6145); the others cut a slice.
+    # Every sum is cut at the multiples of _ATOM and at the checkpoint
+    # edges.  Some checkpoints p have their edge p + 1 on such a cut (333,
+    # 666, 2331; 4096, 8192) or on a 2048-wide block's edge (2049, 4097,
+    # 6145); the others cut a slice.  The int series must not depend on the
+    # width or the block size.  The width is the float series' cut grid, so
+    # at each width they must not depend on the block size.
     grid = CheckpointGrid(
         points=(2, 332, 333, 665, 2048, 2330, 4095, 4096, 6144, 8191, 9999, 10000)
     )
-    runs = []
+    runs = {}
     for width in (333, 4096, 1 << 16, 1 << 18):
-        monkeypatch.setattr(meanvalue, "_SLICE", width)
+        monkeypatch.setattr(meanvalue, "_ATOM", width)
         for block_size in (2048, LIMIT):
             cfg = _cfg(block_size=block_size, multiplicative=True)
-            runs.append(accumulate(cfg, grid, list(STATISTICS)))
-    assert len(runs[0]) == len(STATISTICS)
+            runs[width, block_size] = accumulate(cfg, grid, list(STATISTICS))
+    base = runs[333, 2048]
+    assert len(base) == len(STATISTICS)
     direct = {"S01": R0 * R1, "M2": R2, "SUPP1": R1 > 0}
-    for series in runs[0]:
+    for series in base:
         if series.statistic in direct:
             want = [int(direct[series.statistic][1 : p + 1].sum()) for p in grid.points]
             assert list(series.values) == want, series.statistic
-    for run in runs[1:]:
-        for got, want in zip(run, runs[0]):
-            assert got.values == want.values, got.statistic
+    for (width, block_size), run in runs.items():
+        for got, want, same_width in zip(run, base, runs[width, 2048]):
+            name = find_statistic(got.statistic).name
+            expected = same_width if name in FLOAT_STATISTICS else want
+            assert got.values == expected.values, (got.statistic, width, block_size)
 
 
 def _sliced_tallies(block, lo, hi, c, convention):
@@ -198,15 +206,44 @@ def test_support_terms_match_dense_formulas():
 
 
 def test_float_accumulator_keeps_no_view():
-    # Runs without a cut point, with cuts, and one that only extends the tail.
-    sums = _FloatSums((10**6,))
-    fed = []
-    for lo, size in ((1, 1000), (1001, 99000), (100001, 200000), (300001, 1000)):
-        fed.append(np.ones(size))
-        sums.add(lo, lo + size, fed[-1])
-        held = [sums.head, sums.tail]
-        assert not any(np.shares_memory(a, terms) for a in held for terms in fed), lo
-    assert sums.first == 1 << 16 and sums.tail.size == 300001 + 1000 - (1 << 18)
+    # What a worker sends back for a block: for a float statistic, the float
+    # sum of each closed interval, and raw terms only for the open head and
+    # tail, at most 2 * _ATOM of them, each array owning its data.
+    lo, hi = 40000, 40000 + (1 << 20)
+    cfg = SieveConfig(limit=hi - 1, block_size=1 << 20, multiplicative=True)
+    block = sieve_block(cfg, lo, hi, sieve_primes(math.isqrt(hi)))
+    grid = CheckpointGrid(points=(100000, 500000))
+    floats = sorted(FLOAT_STATISTICS)
+    reduction = meanvalue._Plan(cfg, grid, floats, "pair", 1.0).reduce(block)
+    atom = meanvalue._ATOM
+    last = hi // atom * atom
+    for name, part in zip(floats, reduction.parts):
+        # 16 multiples of _ATOM and 2 checkpoint edges fall in (lo, hi].
+        assert part.first == atom and part.sums[-1][0] == last, name
+        assert len(part.sums) == 17 and all(type(x) is float for _, x in part.sums), name
+        head, tail = (sum(a.size for a in pieces) for pieces in (part.head, part.tail))
+        assert (head, tail) == (atom - lo, hi - last) and head + tail <= 2 * atom, name
+        for a in part.head + part.tail:
+            assert a.dtype == np.float64 and a.base is None, name
+
+
+def test_registry_term_dtypes():
+    # A term's dtype sets its summation: int64 and bool terms exactly (the
+    # series print ints), float64 terms compensated (they print floats).
+    block = next(sieve_all(_cfg(block_size=LIMIT, multiplicative=True)))
+    for lo, hi in ((1, 3000), (4097, 10001)):
+        for convention in ("pair", "div"):
+            v = _sliced_tallies(block, lo, hi, 1.0, convention)
+            for name, stat in STATISTICS.items():
+                dtype = stat.term(v).dtype
+                want = (np.float64,) if name in FLOAT_STATISTICS else (np.bool_, np.int64)
+                assert dtype in want, (name, lo, convention, dtype)
+    for series in accumulate(_cfg(multiplicative=True), GRID, list(STATISTICS)):
+        kind = float if find_statistic(series.statistic).name in FLOAT_STATISTICS else int
+        for x, raw in zip(GRID.points, series.values):
+            assert type(raw) is kind, series.statistic
+            printed = csv_fields(series.statistic, x, raw)[0]
+            assert printed == (f"{raw:.15g}" if kind is float else str(raw)), series.statistic
 
 
 def test_accumulate_validation(monkeypatch):
