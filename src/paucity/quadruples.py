@@ -18,6 +18,11 @@ N1 quadruples biject with tuples (d, t, n1, n2) of positive integers,
 gcd(d,t) = gcd(n1,n2) = 1, through r = n2*t - n1*d, q = n2*d + n1*t,
 p = n1*d + n2*t, a = n1*t - n2*d; both directions are implemented and the
 two independent enumerations must agree exactly.
+
+The direct census walks n in bands of _BAND integers.  Per band it lists the
+prime pairs (q, r) with q^2 + r^2 in the band, counts them per n into dense
+offsets, and matches each probe (a, p) of the band with the rows at its
+offset, so it holds O(_BAND + sqrt(limit)) items at any limit.
 """
 
 from __future__ import annotations
@@ -29,10 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .sieve import PrimeTable, sieve_primes
+from .sieve import sieve_primes
 
-_ENUM_CAP = 10**7
+_ENUM_CAP = 10**8
 _COLLECT_CAP = 10**5
+# Integers n per band of enumerate_offdiag.
+_BAND = 1 << 16
 # Items per vectorized run of enumerate_n1_params: (d, t, n1) triples, then cells.
 _BATCH = 1 << 14
 
@@ -76,11 +83,11 @@ class ParamTuple:
 class OffdiagCensus:
     """Counts from enumerate_offdiag; classification is over normalized q <= r.
 
-    Every count is a running total over the primes p, streamed one prime's
+    Every count is a running total over the bands of n, streamed one band's
     matches at a time.  s12 counts every match of the probe, which is
     S_{1,2}(limit); diagonal is its part with {a, p} = {q, r}, counted from
-    the prime-pair table alone, so s12 - diagonal == n checks the probe's
-    diagonal test.
+    the bands' prime-pair rows alone, so s12 - diagonal == n checks the
+    probe's diagonal test.
     """
 
     limit: int
@@ -104,24 +111,6 @@ class ParamCensus:
     tuples: tuple[ParamTuple, ...] | None
 
 
-def _prime_pair_table(limit: int, table: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ordered prime pairs (q, r) with q^2 + r^2 <= limit, sorted by the sum."""
-    primes = table.primes.astype(np.int64)
-    squares = primes * primes
-    q = primes[squares + 4 <= limit]
-    cnt = np.searchsorted(squares, limit - q * q, side="right")
-    owner, pos = _flatten(np.zeros(q.size, dtype=np.int64), cnt)
-    # Each index array is gathered in sorted order and dropped at once, so
-    # the unsorted q and r columns are never built.
-    n_arr = squares[pos] + (q * q)[owner]
-    order = np.argsort(n_arr, kind="stable")
-    n_arr = n_arr[order]
-    q_arr = q[owner[order]]
-    del owner
-    r_arr = primes[pos[order]]
-    return n_arr, q_arr, r_arr
-
-
 def _flatten(lo: np.ndarray, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Owner index and value of every cell of the integer windows [lo, lo + cnt)."""
     owner = np.repeat(np.arange(cnt.size), cnt)
@@ -138,33 +127,56 @@ def _runs(cnt: np.ndarray, size: int) -> list[tuple[int, int]]:
 def enumerate_offdiag(limit: int, collect: bool = True) -> OffdiagCensus:
     """Exhaustive census of off-diagonal solutions up to `limit`.
 
-    Builds the multiset of prime-pair sums q^2 + r^2 once, then streams over
-    the primes p: each prime's (a, p) are matched against it, classified and
-    counted before the next, so memory holds the table and one prime's
-    matches.  The quadruple list (normalized q <= r) is attached when
-    collect=True and at most 1e5 solutions exist; its rows are dropped as
-    soon as the running count passes that cap.
+    Walks the bands [s, s + _BAND) of n.  Each band lists its prime pairs
+    (q, r) with q^2 + r^2 in the band, sorted by n with dense per-n offsets,
+    and its probes (a, p) with a^2 + p^2 in the band; a probe's matches are
+    the rows at its offset, classified and counted before the next band, so
+    memory holds O(_BAND + sqrt(limit)) items at any limit.  The quadruple
+    list (normalized q <= r) is attached when collect=True and at most 1e5
+    solutions exist; its rows are dropped as soon as the running count passes
+    that cap.
     """
     if limit < 1:
         raise ValidationError(f"enumerate_offdiag needs limit >= 1, got {limit}")
     if limit > _ENUM_CAP:
         raise CapacityError(f"enumerate_offdiag limit {limit} exceeds budget {_ENUM_CAP}")
-    table = sieve_primes(max(math.isqrt(max(limit - 1, 1)), 2))
-    primes = table.primes.tolist()
-    ns, qs, rs = _prime_pair_table(limit, table)
+    primes = sieve_primes(max(math.isqrt(max(limit - 1, 1)), 2)).primes.astype(np.int64)
+    pp = primes * primes
+    # Squares 0, 1, ..., (isqrt(limit) + 1)^2 for the probes' a-ranges.
+    squares = np.arange(math.isqrt(limit) + 2, dtype=np.int64) ** 2
     s12 = 0
+    pair_rows = 0
     # Off-diagonal, canonical, degenerate, N1, N1' and N1'' matches so far.
     counts = np.zeros(6, dtype=np.int64)
     rows: list[np.ndarray] | None = [np.zeros((5, 0), dtype=np.int64)] if collect else None
-    for p in primes:
-        pp = p * p
-        if pp + 1 > limit:
-            break
-        a = np.arange(1, math.isqrt(limit - pp) + 1, dtype=np.int64)
-        n = pp + a * a
-        lo = np.searchsorted(ns, n, side="left")
-        owner, pos = _flatten(lo, np.searchsorted(ns, n, side="right") - lo)
-        a, n, q, r = a[owner], n[owner], qs[pos], rs[pos]
+    # Dense per-n row counts and first-row offsets of one band, kept across
+    # bands: only the n that hold rows are set and cleared (start is read
+    # only where cnt > 0), so a band costs O(rows + probes), not O(_BAND).
+    cnt = np.zeros(min(_BAND, limit + 1), dtype=np.int64)
+    start = np.zeros_like(cnt)
+    for s in range(0, limit + 1, _BAND):
+        e = min(s + _BAND, limit + 1)
+        # The band's prime pairs in q-major order, then stably by n: ascending
+        # q within each n, the order the quadruples are listed in.
+        lo = np.searchsorted(pp, s - pp, side="left")
+        owner, pos = _flatten(lo, np.searchsorted(pp, e - pp, side="left") - lo)
+        key = pp[owner] + pp[pos] - s
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        qs, rs = primes[owner[order]], primes[pos[order]]
+        pair_rows += qs.size
+        head = np.flatnonzero(np.diff(key, prepend=-1))
+        held = key[head]
+        cnt[held] = np.diff(head, append=key.size)
+        start[held] = head
+        # The band's probes (a, p), a >= 1, and the rows at their offsets.
+        lo = np.maximum(np.searchsorted(squares, s - pp, side="left"), 1)
+        owner, a = _flatten(lo, np.maximum(np.searchsorted(squares, e - pp, side="left") - lo, 0))
+        n = pp[owner] + a * a
+        k = n - s
+        match, pos = _flatten(start[k], cnt[k])
+        cnt[held] = 0
+        a, p, n, q, r = a[match], primes[owner[match]], n[match], qs[pos], rs[pos]
         off = ~(((a == q) & (p == r)) | ((a == r) & (p == q)))
         canon = off & (q <= r)
         deg = canon & ((a == p) | (q == r) | (a < 3) | (p == 2) | (q == 2))
@@ -177,17 +189,17 @@ def enumerate_offdiag(limit: int, collect: bool = True) -> OffdiagCensus:
         if counts[1] > _COLLECT_CAP:
             rows = None
         elif rows is not None:
-            rows.append(np.stack((a, np.full_like(a, p), q, r, n))[:, canon])
+            rows.append(np.stack((a, p, q, r, n))[:, canon])
     quadruples: tuple[Quadruple, ...] | None = None
     if rows is not None:
         found = np.concatenate(rows, axis=1)
         found = found[:, np.lexsort((found[0], found[4]))]
         quadruples = tuple(Quadruple(*row) for row in found.T.tolist())
     n_total, n_canonical, n_deg, n_1, n_1p, n_1pp = counts.tolist()
-    # The diagonal from the table alone: a diagonal (a, p) has a prime, so it
-    # is a row of the table, and it matches (q, r) = (a, p) and (p, a), which
+    # The diagonal from the prime pairs alone: a diagonal (a, p) has a prime,
+    # so it is a pair row, and it matches (q, r) = (a, p) and (p, a), which
     # are one row when a = p, that is for the primes with 2p^2 <= limit.
-    equal_pairs = sum(1 for p in primes if 2 * p * p <= limit)
+    equal_pairs = int(np.count_nonzero(2 * pp <= limit))
     return OffdiagCensus(
         limit=limit,
         n=n_total,
@@ -197,7 +209,7 @@ def enumerate_offdiag(limit: int, collect: bool = True) -> OffdiagCensus:
         degenerate_count=n_deg,
         n_canonical=n_canonical,
         s12=s12,
-        diagonal=2 * int(ns.size) - equal_pairs,
+        diagonal=2 * pair_rows - equal_pairs,
         quadruples=quadruples,
     )
 

@@ -285,6 +285,11 @@ def test_capacity_exit_code(tmp_path):
     assert run_cli("congruence", "--rho-max", "100001", "--out-dir", str(tmp_path)) == 3
     assert run_cli("congruence", "--nu-max", "3001", "--out-dir", str(tmp_path)) == 3
     assert not (tmp_path / "congruence.csv").exists()
+    # The census and the param route stop at 1e8, before either runs.
+    for mode in ("direct", "param", "both"):
+        argv = ["--limit", "100000001", "--mode", mode]
+        assert run_cli("offdiag", *argv, "--out-dir", str(tmp_path)) == 3
+    assert not (tmp_path / "offdiag.csv").exists()
     # An oversized block is refused before the sieve allocates it.
     for command in ("mean", "sieve"):
         argv = ["--limit", "1000000000", "--block-size", str(MAX_BLOCK_SIZE + 1)]

@@ -1,6 +1,7 @@
 """Off-diagonal census, its S12 split and the parametrization bijection."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -49,6 +50,19 @@ def test_census_frozen_values():
         assert _census_tuple(census) == want, limit
 
 
+@functools.cache
+def _census_at(limit: int) -> OffdiagCensus:
+    return enumerate_offdiag(limit, collect=False)
+
+
+def test_census_frozen_at_cap():
+    census = _census_at(10**8)
+    assert _census_tuple(census) == {
+        "N": 3041321, "n1": 323365, "n1p": 784439, "n1pp": 410248, "deg": 2839, "canon": 1520891,
+    }
+    assert (census.s12, census.diagonal) == (5522297, 2480976)
+
+
 def test_census_partition_is_exact():
     for limit in (1000, 10000, 100000):
         c = enumerate_offdiag(limit, collect=False)
@@ -78,31 +92,50 @@ def test_census_collect_cap(monkeypatch):
         ), cap
 
 
-def test_census_memory_is_streamed():
-    # The census holds its prime-pair table and one prime's matches at a
-    # time, never all 724,863 matches at 1e7 (five int64 columns of them
-    # alone take 27.6 MiB).
+def _census_peak(limit: int) -> int:
     tracemalloc.start()
     try:
-        enumerate_offdiag(10**7, collect=False)
-        peak = tracemalloc.get_traced_memory()[1]
+        enumerate_offdiag(limit, collect=False)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_census_memory_is_streamed():
+    # The census holds one band's prime pairs, probes and matches at a time,
+    # never all 724,863 matches at 1e7 (five int64 columns of them alone
+    # take 27.6 MiB).
+    peak = _census_peak(10**7)
     assert peak < 20 * 2**20, peak
 
 
-def test_prime_pair_table_memory():
-    # The table at 1e7 has 167,229 rows; its three int64 outputs take 3.8 MiB,
-    # and the build peaks at 7.7 MiB.  Forming unsorted q and r columns
-    # besides the index arrays would take it to 11.5 MiB.
-    table = quadruples.sieve_primes(math.isqrt(10**7 - 1))
-    tracemalloc.start()
-    try:
-        quadruples._prime_pair_table(10**7, table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 9 * 2**20, peak
+def test_census_memory_is_flat():
+    # A band's dense per-n counts and offsets dominate: the peak read
+    # 2.2 MiB at both 1e6 and 1e7.  A table of every prime pair up to the
+    # limit (167,229 rows at 1e7) took it to 7.7 MiB.
+    small, large = _census_peak(10**6), _census_peak(10**7)
+    assert large < 4 * 2**20, large
+    assert abs(large - small) < 2**20, (small, large)
+
+
+def test_census_band_invariance(monkeypatch):
+    # Every band width gives the one-band census, quadruples included, also
+    # where the limit sits on a band edge.  Pairs with more than 2000 bands
+    # are left out: at one integer per band 1e5 takes 14 s.
+    limits = (50, 1000, 10000, 100000, *(k * 64 + j for k in (1, 5, 31, 313) for j in (-1, 0, 1)))
+    for limit in limits:
+        monkeypatch.setattr(quadruples, "_BAND", 1 << 30)
+        base = enumerate_offdiag(limit)
+        if limit <= 2600:
+            slow = oracles.offdiag_census_slow(limit)
+            assert _census_tuple(base) == slow["counts"], limit
+            assert [(q.a, q.p, q.q, q.r, q.n) for q in base.quadruples] == slow["quadruples"]
+            assert base.diagonal == oracles.diagonal_slow(limit), limit
+        for band in (1, 7, 64, 1000, 1 << 16):
+            if limit > 2000 * band:
+                continue
+            monkeypatch.setattr(quadruples, "_BAND", band)
+            assert enumerate_offdiag(limit) == base, (limit, band)
 
 
 def test_smallest_collision():
@@ -115,7 +148,11 @@ def test_census_validation():
     with pytest.raises(ValidationError):
         enumerate_offdiag(0)
     with pytest.raises(CapacityError):
-        enumerate_offdiag(10**7 + 1)
+        enumerate_offdiag(10**8 + 1)
+    with pytest.raises(ValidationError):
+        enumerate_n1_params(0)
+    with pytest.raises(CapacityError):
+        enumerate_n1_params(10**8 + 1)
 
 
 def test_quadruple_validation():
@@ -169,9 +206,9 @@ def test_param_enumeration_agrees_with_direct():
 
 
 def test_param_enumeration_frozen_decade():
-    for limit, want in ((2 * 10**6, 9434), (10**7, 40585)):
+    for limit, want in ((2 * 10**6, 9434), (10**7, 40585), (10**8, 323365)):
         assert enumerate_n1_params(limit).n1 == want, limit
-        assert enumerate_offdiag(limit, collect=False).n1 == want, limit
+        assert _census_at(limit).n1 == want, limit
 
 
 def test_param_enumeration_collect_matches_inversion():
