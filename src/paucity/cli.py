@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .arith import build_spf_table
+from .arith import build_spf_table, factorize
 from .congruence import (
     NU_ORACLE_CAP,
     RHO_ORACLE_CAP,
@@ -50,7 +50,6 @@ from .errors import CapacityError, PaucityError, ValidationError
 from .meanvalue import CheckpointGrid, accumulate, csv_fields, read_csv, write_csv
 from .quadruples import enumerate_n1_params, enumerate_offdiag
 from .sieve import SieveConfig, sieve_all, write_blocks
-from . import arith
 
 _CENSUS_NOTE = (
     "classification over normalized quadruples (q <= r); N1'' interval (p,a) "
@@ -219,11 +218,11 @@ def _cmd_congruence(args: argparse.Namespace, out_dir: Path) -> list[str]:
     spf = build_spf_table(max(args.rho_max, args.nu_max, 2))
     rows = []
     for d in range(1, args.rho_max + 1):
-        closed = rho_closed(arith.factorize(d, spf)).count
+        closed = rho_closed(factorize(d, spf)).count
         oracle = rho_oracle(d).count
         rows.append(("rho", d, "", "", closed, oracle, int(closed == oracle)))
     for delta in range(1, args.nu_max + 1):
-        f = arith.factorize(delta, spf)
+        f = factorize(delta, spf)
         if any(e > 1 for _, e in f.factors):
             continue
         closed = nu_closed(f, params).count
@@ -307,8 +306,11 @@ def _cmd_report(args: argparse.Namespace, out_dir: Path) -> list[str]:
         raise ValidationError(f"input CSV not found: {', '.join(missing)}")
     rows = []
     for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows.extend(read_csv(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                rows.extend(read_csv(fh))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"input CSV {path} is not UTF-8: {exc.reason}") from None
     if not rows:
         raise ValidationError("input CSVs contain no data rows")
     by_stat: dict[str, list[dict]] = {}

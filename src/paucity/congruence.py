@@ -6,12 +6,11 @@ rho(2) = 1, rho(2^a) = 0 for a >= 2.
 
 nu(delta) counts pairs (n1, n2) mod delta annihilating the product
 F = (n2 t - n1 d)(n2 d + n1 t)(n1 d + n2 t) for a fixed coprime pair (t, d).
-For a prime p the count depends only on which of the three linear factors
-degenerate mod p: each factor is a line (p points) through the origin, lines
-are distinct unless d = +-t, d = +-it (i^2 = -1) or td = 0 mod p, and the
-closed form follows by inclusion-exclusion over shared lines.  For odd p the
-conditions d = +-it and d = +-t cannot hold together (they would force
-2t^2 = 0), so a single merged branch is safe.
+For an odd prime p each factor is a line (p points) through the origin, and
+two of the lines coincide exactly when p divides td, t^2 - d^2 or t^2 + d^2.
+For coprime (t, d) at most one of these holds, and for p = 3 mod 4,
+p | t^2 + d^2 would force p | t and p | d.  So nu(p) = 2p - 1 when
+p | td(t^2 - d^2)(t^2 + d^2) and 3p - 2 otherwise, in every residue class.
 
 The exhaustive oracles assume neither multiplicativity, CRT, phi, square
 roots of -1 nor any factorization.  rho_oracle counts every residue pair: it
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import Factorization, is_prime
+from .arith import Factorization, chi4, is_prime
 from .errors import CapacityError, ValidationError
 
 # Largest moduli the exhaustive oracles accept.
@@ -38,15 +37,12 @@ RHO_ORACLE_CAP = 10**5
 
 @dataclass(frozen=True)
 class CongruenceCount:
-    """A counted congruence solution total and how it was obtained."""
+    """A counted congruence solution total for one modulus."""
 
     modulus: int
     count: int
-    method: str
 
     def __post_init__(self) -> None:
-        if self.method not in ("closed", "oracle"):
-            raise ValidationError(f"method must be closed|oracle, got {self.method!r}")
         if not 0 <= self.count <= self.modulus**2:
             raise ValidationError(f"count {self.count} outside [0, {self.modulus}^2]")
 
@@ -69,17 +65,8 @@ def rho_closed(f: Factorization) -> CongruenceCount:
     """rho(d) from the factorization of d, via multiplicativity."""
     count = 1
     for p, e in f.factors:
-        r = p & 3
-        if r == 1:
-            count *= 2 * (p - 1) * p ** (e - 1)
-        elif r == 3:
-            count = 0
-            break
-        else:  # p = 2
-            if e >= 2:
-                count = 0
-                break
-    return CongruenceCount(modulus=f.value, count=count, method="closed")
+        count *= (e == 1) if p == 2 else (1 + chi4(p)) * (p - 1) * p ** (e - 1)
+    return CongruenceCount(modulus=f.value, count=count)
 
 
 def rho_oracle(d: int) -> CongruenceCount:
@@ -109,48 +96,25 @@ def rho_oracle(d: int) -> CongruenceCount:
         unit[::k] = False
         unit[:: d // k] = False
     count = int(squares[d - sq[unit]].sum())
-    return CongruenceCount(modulus=d, count=count, method="oracle")
-
-
-def sqrt_minus_one(p: int) -> int | None:
-    """The smaller square root of -1 mod p, or None when p = 3 mod 4.
-
-    For p = 1 mod 4 it is i = g^((p-1)/4) for a quadratic non-residue g,
-    found by Euler's criterion.
-    """
-    if not is_prime(p) or p == 2:
-        raise ValidationError(f"sqrt_minus_one needs an odd prime, got {p}")
-    if p & 3 == 3:
-        return None
-    g = 2
-    while pow(g, (p - 1) // 2, p) != p - 1:
-        g += 1
-    i = pow(g, (p - 1) // 4, p)
-    return min(i, p - i)
+    return CongruenceCount(modulus=d, count=count)
 
 
 def nu_prime_closed(p: int, params: FormParams) -> CongruenceCount:
     """nu(p) by the line-counting closed form.
 
-    Cases (conditions mod p): 2 for p = 2 with t, d both odd, 3 for p = 2
-    otherwise; for odd p, 2p - 1 when td = 0 or d = +-t or d = +-it, else
-    3p - 2 (three distinct lines through the origin).
+    2 for p = 2 with t, d both odd, 3 for p = 2 otherwise; for odd p,
+    2p - 1 when p | td(t^2 - d^2)(t^2 + d^2), else 3p - 2 (three distinct
+    lines through the origin).
     """
     if not is_prime(p):
         raise ValidationError(f"nu_prime_closed needs a prime, got {p}")
     t, d = params.t, params.d
     if p == 2:
         count = 2 if (t & 1) and (d & 1) else 3
-        return CongruenceCount(modulus=2, count=count, method="closed")
-    tm, dm = t % p, d % p
-    if tm == 0 or dm == 0:
-        return CongruenceCount(modulus=p, count=2 * p - 1, method="closed")
-    merged = dm == tm or dm == p - tm
-    if not merged and p & 3 == 1:
-        i = sqrt_minus_one(p)
-        merged = dm == (i * tm) % p or dm == (-i * tm) % p
-    count = 2 * p - 1 if merged else 3 * p - 2
-    return CongruenceCount(modulus=p, count=count, method="closed")
+        return CongruenceCount(modulus=2, count=count)
+    t, d = t % p, d % p
+    count = 3 * p - 2 if t * d * (t * t - d * d) * (t * t + d * d) % p else 2 * p - 1
+    return CongruenceCount(modulus=p, count=count)
 
 
 def nu_oracle(delta: int, params: FormParams) -> CongruenceCount:
@@ -185,7 +149,7 @@ def nu_oracle(delta: int, params: FormParams) -> CongruenceCount:
     prod %= delta
     zeros = delta - np.count_nonzero(prod, axis=1)
     count = int(sizes @ zeros)
-    return CongruenceCount(modulus=delta, count=count, method="oracle")
+    return CongruenceCount(modulus=delta, count=count)
 
 
 def nu_closed(f: Factorization, params: FormParams) -> CongruenceCount:
@@ -196,4 +160,4 @@ def nu_closed(f: Factorization, params: FormParams) -> CongruenceCount:
         if e > 1:
             raise ValidationError(f"nu_closed needs squarefree delta, got {f.value}")
         count *= nu_prime_closed(p, params).count
-    return CongruenceCount(modulus=f.value, count=count, method="closed")
+    return CongruenceCount(modulus=f.value, count=count)

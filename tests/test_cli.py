@@ -383,11 +383,17 @@ def test_congruence_sweep(tmp_path):
         assert all(row.endswith(",1") for row in lines[1:]), lines
 
 
-def test_congruence_csv_bytes(tmp_path):
+@pytest.mark.parametrize("argv, digest", [
+    (("--rho-max", "500", "--nu-max", "200"),
+     "50f62825155dc027f5f95dd388b3dca9af7103f063f14f66b8e4dd506da92d3a"),
+    # t^2 + d^2 = 65 = 5 * 13: two primes = 1 mod 4 that divide t^2 + d^2.
+    (("--rho-max", "1", "--nu-max", "1000", "--t", "4", "--d", "7"),
+     "90915a35383819b8259a828596c7b96c03228f4f039891060cda8eadc8f01a32"),
+], ids=["default", "t4-d7"])
+def test_congruence_csv_bytes(tmp_path, argv, digest):
     out = tmp_path / "g"
-    assert run_cli("congruence", "--rho-max", "500", "--nu-max", "200", "--out-dir", str(out)) == 0
-    digest = hashlib.sha256((out / "congruence.csv").read_bytes()).hexdigest()
-    assert digest == "50f62825155dc027f5f95dd388b3dca9af7103f063f14f66b8e4dd506da92d3a"
+    assert run_cli("congruence", *argv, "--out-dir", str(out)) == 0
+    assert hashlib.sha256((out / "congruence.csv").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -490,10 +496,17 @@ def test_report_joins_and_plots(tmp_path):
     assert "plot_S22.csv" in manifest["outputs"]
 
 
-def test_report_rejects_malformed(tmp_path):
+def test_report_rejects_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,nope\n1,2\n")
     assert run_cli("report", "--inputs", str(bad), "--out-dir", str(tmp_path)) == 2
     header = "x,statistic,raw_value,normalized_value,predicted_constant,deviation\n"
     bad.write_text(header + "ten,S01,1,2,3,4\n")
     assert run_cli("report", "--inputs", str(bad), "--out-dir", str(tmp_path)) == 2
+    # A bad UTF-8 byte in the header, then in a later row.
+    capsys.readouterr()
+    for data in (b"x,st\xffatistic\n", header.encode() + b"10,S01,1,2,3,4\n\xfe,S01\n"):
+        bad.write_bytes(data)
+        assert run_cli("report", "--inputs", str(bad), "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err, err

@@ -17,7 +17,6 @@ from paucity.congruence import (
     nu_prime_closed,
     rho_closed,
     rho_oracle,
-    sqrt_minus_one,
 )
 from paucity.errors import CapacityError, ValidationError
 
@@ -58,26 +57,6 @@ def test_rho_multiplicative_bound():
         rho = rho_closed(f).count
         phi_d = math.prod((p - 1) * p ** (e - 1) for p, e in f.factors)
         assert 0 <= rho <= 2 ** len(f.factors) * phi_d, d
-
-
-def test_sqrt_minus_one():
-    assert sqrt_minus_one(3) is None
-    assert sqrt_minus_one(5) == 2
-    assert sqrt_minus_one(13) == 5
-    assert sqrt_minus_one(17) == 4
-    for p in (29, 37, 41, 53, 61, 73, 89, 97, 1000033, 999999937):
-        if p % 4 != 1:
-            assert sqrt_minus_one(p) is None
-            continue
-        i = sqrt_minus_one(p)
-        assert i is not None and 1 <= i <= (p - 1) // 2
-        assert (i * i + 1) % p == 0
-    with pytest.raises(ValidationError):
-        sqrt_minus_one(15)
-    with pytest.raises(ValidationError):
-        sqrt_minus_one(4)
-    with pytest.raises(ValidationError):
-        sqrt_minus_one(2)
 
 
 def test_nu_prime_all_classes_small():
@@ -131,6 +110,19 @@ def test_nu_closed_squarefree_composites():
             assert closed == oracle, (delta, t, d)
 
 
+def test_closed_forms_at_huge_parameters():
+    # t near 2^62 and past 2^64: the closed forms reduce t mod p before any
+    # product, so they must agree with the oracle as at small t.
+    primes = [p for p in range(2, 200) if all(p % k for k in range(2, p))]
+    for t, d in ((4611686018427387905, 2), (10**23 + 1, 2)):
+        params = FormParams(t, d)
+        for p in primes:
+            assert nu_prime_closed(p, params).count == nu_oracle(p, params).count, (p, t)
+        for delta in (6, 10, 15, 21, 30, 33, 35, 66, 105, 210):
+            closed = nu_closed(factorize(delta, TABLE), params).count
+            assert closed == nu_oracle(delta, params).count, (delta, t)
+
+
 def test_nu_closed_rejects_square_factor():
     with pytest.raises(ValidationError):
         nu_closed(factorize(12, TABLE), FormParams(t=1, d=2))
@@ -161,9 +153,9 @@ def test_oracle_bounds():
 
 def test_count_type_validation():
     with pytest.raises(ValidationError):
-        CongruenceCount(modulus=5, count=26, method="oracle")
+        CongruenceCount(modulus=5, count=26)
     with pytest.raises(ValidationError):
-        CongruenceCount(modulus=5, count=3, method="guess")
+        CongruenceCount(modulus=5, count=-1)
 
 
 @settings(max_examples=50, deadline=None)
