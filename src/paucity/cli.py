@@ -1,8 +1,10 @@
 """Command-line surface: batch experiments, CSV outputs, JSON run manifests.
 
 Subcommands: sieve, mean, constants, congruence, offdiag, report.  Exit code
-0 on success, 2 on validation errors (including argparse failures), 3 on
-capacity/overflow errors.  mean makes one meanvalue.accumulate call, with
+0 on success, 2 on validation errors (including argparse failures, and an
+--out-dir that cannot be made, refused before any work), 3 on
+capacity/overflow errors and on a file that cannot be written, such as an
+output or the manifest.  mean makes one meanvalue.accumulate call, with
 --threads (PAUCITY_THREADS overrides it, and both are at most MAX_THREADS)
 as its count of processes that sieve and reduce blocks; the other commands
 take no --threads and run in this one process, where thread pools over
@@ -405,7 +407,10 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create --out-dir {out_dir}: {exc.strerror}") from None
     started = _timestamp()
     outputs = _DISPATCH[args.command](args, out_dir)
     config = {k: v for k, v in vars(args).items() if k not in ("command",)}
@@ -434,6 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     except PaucityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -35,6 +35,10 @@ class ConstantValue:
             raise ValidationError(f"error_bound must be positive, got {self.error_bound}")
 
 
+# catalan builds its terms this many at a time.
+_CATALAN_CHUNK = 1 << 16
+
+
 @cache
 def catalan(eps: float = 1e-10) -> ConstantValue:
     """Catalan's constant G = sum_{k>=0} (-1)^k / (2k+1)^2 to within eps.
@@ -42,14 +46,20 @@ def catalan(eps: float = 1e-10) -> ConstantValue:
     Consecutive alternating terms are grouped in pairs
     g_j = 1/(4j+1)^2 - 1/(4j+3)^2 (all positive), summed exactly with
     math.fsum; truncation error after J pairs is below the first omitted
-    term 1/(4J+1)^2 <= eps.
+    term 1/(4J+1)^2 <= eps.  The pairs are built from a float64 arange,
+    _CATALAN_CHUNK at a time; every (4j+3)^2 is below 2^53, so each is
+    exact and every term has the bits of its integer-arithmetic form.
     """
     if not (1e-15 <= eps < 1.0):
         raise ValidationError(f"catalan needs 1e-15 <= eps < 1, got {eps}")
     pairs = int(math.ceil((1.0 / math.sqrt(eps) - 1.0) / 4.0)) + 1
-    value = math.fsum(
-        1.0 / (4 * j + 1) ** 2 - 1.0 / (4 * j + 3) ** 2 for j in range(pairs)
-    )
+
+    def terms():
+        for start in range(0, pairs, _CATALAN_CHUNK):
+            j = np.arange(start, min(start + _CATALAN_CHUNK, pairs), dtype=np.float64)
+            yield from (1.0 / (4.0 * j + 1.0) ** 2 - 1.0 / (4.0 * j + 3.0) ** 2).tolist()
+
+    value = math.fsum(terms())
     bound = 1.0 / (4 * pairs + 1) ** 2 + 1e-15
     return ConstantValue("G", value, bound, f"alternating-series-pairs:{pairs}")
 
@@ -70,11 +80,11 @@ def landau_ramanujan(prime_limit: int = 10**7, form: str = "1mod4") -> ConstantV
     p = sieve_primes(prime_limit).primes
     if form == "1mod4":
         sel = p[p & 3 == 1].astype(np.float64)
-        logsum = math.fsum(np.log1p(-1.0 / (sel * sel)))
+        logsum = math.fsum(np.log1p(-1.0 / (sel * sel)).tolist())
         value = (math.pi / 4.0) * math.exp(0.5 * logsum)
     else:
         sel = p[p & 3 == 3].astype(np.float64)
-        logsum = math.fsum(np.log1p(-1.0 / (sel * sel)))
+        logsum = math.fsum(np.log1p(-1.0 / (sel * sel)).tolist())
         value = math.exp(-0.5 * logsum) / math.sqrt(2.0)
     bound = 1.0 / (prime_limit - 1)
     return ConstantValue("K", value, bound, f"euler-product-{form}:{prime_limit}")

@@ -18,10 +18,19 @@ values can be reported under either.  b(n), the indicator of sums of two
 squares, is r0_div(n) > 0.
 
 r0_pair, r1 and r2 are counted without a loop over a: each block is cut into
-sub-windows of _SUB integers, every (a, b) with a^2 + b^2 in a sub-window is
-listed at once from vectorised integer square roots (exact below 2^52), and
-three bincounts tally them.  That keeps memory at O(_SUB + sqrt(hi)) beyond
-the block's own arrays and leaves no per-a Python loop.
+sub-windows of _SUB integers, and the cells (row, col) with row^2 + col^2 in
+a sub-window are listed at once from vectorised integer square roots (exact
+below 2^52).  Each tally lists only the cells it needs: r0_pair is symmetric,
+so it is twice the count of the half lattice col >= row, less one at each
+diagonal n = 2a^2; r1 is the count of the prime rows, and r2 that of their
+cells with a prime column.  Each sub-window's counts pass the 16-bit check and go
+straight into the block's uint16 arrays.  That keeps memory at
+O(_SUB + sqrt(hi)) beyond the block's own arrays and leaves no per-a Python
+loop.
+
+sieve_primes sieves the odd numbers only, and a PrimeTable builds its
+full-width is_prime bitmap on first read, so callers that read only the
+primes never allocate it.
 
 sieve_all sieves blocks one after another in the calling process.  numpy's
 bincount and repeat and the walk's short strided updates hold the GIL, so a
@@ -78,15 +87,22 @@ _HEADER = struct.Struct("<4sIQQ")
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes up to `limit`: sorted array plus membership bitmap."""
+    """All primes up to `limit`: a sorted int64 array, and a membership
+    bitmap over 0..limit built on first read."""
 
     limit: int
     primes: np.ndarray
-    is_prime: np.ndarray
 
     @property
     def count(self) -> int:
         return int(self.primes.size)
+
+    @cached_property
+    def is_prime(self) -> np.ndarray:
+        """is_prime[n] for 0 <= n <= limit, as bool."""
+        mask = np.zeros(self.limit + 1, dtype=bool)
+        mask[self.primes] = True
+        return mask
 
 
 @dataclass(frozen=True)
@@ -169,25 +185,35 @@ class RepresentationBlock:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Eratosthenes up to `limit` inclusive."""
+    """Eratosthenes up to `limit` inclusive, over the odd numbers only: slot
+    i >= 1 of the mask stands for 2i + 1, and each odd p strikes p^2,
+    p^2 + 2p, ... at a stride of p slots.  Slot 0 stands for 2, not 1."""
     if limit < 2:
         raise ValidationError(f"sieve_primes needs limit >= 2, got {limit}")
     if limit > MAX_SIEVE_LIMIT:
         raise CapacityError(f"sieve limit {limit} exceeds cap {MAX_SIEVE_LIMIT}")
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return PrimeTable(limit=limit, primes=np.flatnonzero(mask), is_prime=mask)
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if odd[p >> 1]:
+            odd[p * p >> 1 :: p] = False
+    primes = np.flatnonzero(odd)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return PrimeTable(limit=limit, primes=primes)
 
 
-def _check_tally(name: str, arr: np.ndarray, lo: int) -> np.ndarray:
+def _check_peak(name: str, arr: np.ndarray, lo: int) -> np.ndarray:
+    """`arr`, the tally at n = lo, lo + 1, ..., once its peak fits in 16 bits."""
     peak = int(arr.max(initial=0))
     if peak >= 1 << 16:
         n = lo + int(arr.argmax())
         raise TallyOverflowError(f"{name}({n}) = {peak} exceeds 16-bit tally range")
-    return arr.astype(np.uint16)
+    return arr
+
+
+def _check_tally(name: str, arr: np.ndarray, lo: int) -> np.ndarray:
+    return _check_peak(name, arr, lo).astype(np.uint16)
 
 
 def chi4_divisor_sums(lo: int, r0_pair: np.ndarray) -> np.ndarray:
@@ -212,37 +238,66 @@ def _isqrt(x: np.ndarray) -> np.ndarray:
     return r
 
 
+def _cells(
+    rows: np.ndarray, s: int, e: int, upper: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """(col, row^2 + col^2 - s) for every cell (row, col), col >= 1, of the
+    int64 `rows` with s <= row^2 + col^2 < e; with `upper`, col >= row too.
+
+    Every row needs row^2 <= e - 1.  For all rows at once col runs from
+    isqrt(max(s - 1 - row^2, 0)) + 1 to isqrt(e - 1 - row^2), and the cells
+    are expanded by repeat and cumsum, with no loop over the rows.
+    """
+    r2 = rows * rows
+    first = _isqrt(np.maximum(s - 1 - r2, 0)) + 1
+    if upper:
+        first = np.maximum(first, rows)
+    cnt = np.maximum(_isqrt(e - 1 - r2) - first + 1, 0)
+    ends = np.cumsum(cnt)
+    total = int(ends[-1]) if ends.size else 0
+    col = np.arange(total, dtype=np.int64) - np.repeat(ends - cnt - first, cnt)
+    return col, np.repeat(r2 - s, cnt) + col * col
+
+
 def _pair_tallies(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ...]:
-    """r0_pair, r1, r2 for [lo, hi) as int32 arrays, one sub-window at a time.
+    """r0_pair, r1, r2 for [lo, hi) as uint16 arrays, one sub-window at a time.
 
     The sub-windows [s, e) of _SUB integers partition the block, so each one's
-    counts are complete and are assigned, not added.  For every a <= sqrt(e - 1)
-    at once, b runs from isqrt(max(s - 1 - a^2, 0)) + 1 to isqrt(e - 1 - a^2);
-    the (a, b) cells are expanded by repeat and cumsum, and three bincounts of
-    a^2 + b^2 - s fill r0 (all cells), r1 (prime b) and r2 (prime a and b).
-    Memory is O(_SUB + sqrt(hi)) beyond the three output arrays, and the work
-    O(width + cells + (width / _SUB) * sqrt(hi)).
+    counts are complete and are assigned, not added.  Each tally lists only
+    the cells it needs:
+
+    * r0_pair from the half lattice, rows a <= sqrt((e - 1) / 2) and columns
+      b >= a: twice their count, less one at n = 2a^2, where the diagonal
+      cell a = b stands for itself alone;
+    * r1 from the prime rows p <= sqrt(e - 1) and any column a >= 1, the
+      ordered pairs (a, p) read with p first;
+    * r2 from those same cells whose column is prime.
+
+    Each window's counts pass the 16-bit check before they are cast into the
+    block's uint16 arrays, so none can wrap.  Memory is O(_SUB + sqrt(hi))
+    beyond the three output arrays, and the work O(width + cells +
+    (width / _SUB) * sqrt(hi)), where cells is about half the lattice for
+    r0_pair plus an eighth of it for the prime rows.
     """
     width = hi - lo
-    r0 = np.empty(width, dtype=np.int32)
-    r1 = np.empty(width, dtype=np.int32)
-    r2 = np.empty(width, dtype=np.int32)
+    r0 = np.empty(width, dtype=np.uint16)
+    r1 = np.empty(width, dtype=np.uint16)
+    r2 = np.empty(width, dtype=np.uint16)
     is_p = primes.is_prime
     for s in range(lo, hi, _SUB):
         e = min(s + _SUB, hi)
-        a = np.arange(1, math.isqrt(e - 1) + 1, dtype=np.int64)
-        a2 = a * a
-        blo = _isqrt(np.maximum(s - 1 - a2, 0)) + 1
-        cnt = np.maximum(_isqrt(e - 1 - a2) - blo + 1, 0)
-        ends = np.cumsum(cnt)
-        b = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(ends - cnt - blo, cnt)
-        idx = np.repeat(a2 - s, cnt) + b * b
-        prime_b = is_p[b]
-        idx1 = idx[prime_b]
         out = slice(s - lo, e - lo)
-        r0[out] = np.bincount(idx, minlength=e - s)
-        r1[out] = np.bincount(idx1, minlength=e - s)
-        r2[out] = np.bincount(idx1[np.repeat(is_p[a], cnt)[prime_b]], minlength=e - s)
+        rows = np.arange(1, math.isqrt((e - 1) // 2) + 1, dtype=np.int64)
+        _, idx = _cells(rows, s, e, upper=True)
+        counts = np.bincount(idx, minlength=e - s)
+        counts *= 2
+        diag = np.arange(math.isqrt((s - 1) // 2) + 1, rows.size + 1, dtype=np.int64)
+        counts[2 * diag * diag - s] -= 1
+        r0[out] = _check_peak("r0_pair", counts, s)
+        rows = primes.primes[: np.searchsorted(primes.primes, math.isqrt(e - 1), side="right")]
+        col, idx = _cells(rows, s, e)
+        r1[out] = _check_peak("r1", np.bincount(idx, minlength=e - s), s)
+        r2[out] = _check_peak("r2", np.bincount(idx[is_p[col]], minlength=e - s), s)
     return r0, r1, r2
 
 
@@ -361,16 +416,7 @@ def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> Repre
     om = ph = ina = None
     if cfg.multiplicative:
         om, ph, ina = _multiplicative_arrays(lo, hi, primes)
-    return RepresentationBlock(
-        lo=lo,
-        hi=hi,
-        r0_pair=_check_tally("r0_pair", r0, lo),
-        r1=_check_tally("r1", r1, lo),
-        r2=_check_tally("r2", r2, lo),
-        omega=om,
-        phi=ph,
-        in_a=ina,
-    )
+    return RepresentationBlock(lo, hi, r0, r1, r2, om, ph, ina)
 
 
 def sieve_all(cfg: SieveConfig) -> Iterator[RepresentationBlock]:

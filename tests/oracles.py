@@ -31,6 +31,24 @@ def is_prime_slow(n: int) -> bool:
     return True
 
 
+def eratosthenes(limit: int) -> np.ndarray:
+    """is_prime[n] for 0 <= n <= limit: every n >= 2 struck at the multiples
+    of each p <= sqrt(limit) still standing."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return mask
+
+
+def catalan_fsum(eps: float) -> float:
+    """Catalan's constant as constants.catalan sums it, term by term in
+    integer arithmetic: math.fsum of 1/(4j+1)^2 - 1/(4j+3)^2 over its pairs."""
+    pairs = int(math.ceil((1.0 / math.sqrt(eps) - 1.0) / 4.0)) + 1
+    return math.fsum(1.0 / (4 * j + 1) ** 2 - 1.0 / (4 * j + 3) ** 2 for j in range(pairs))
+
+
 def factorize_slow(n: int) -> list[tuple[int, int]]:
     factors = []
     m = n

@@ -279,6 +279,28 @@ def test_validation_exit_codes(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "constants.csv").exists()
 
 
+def test_unwritable_out_dir_exits_cleanly(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sieve may run")
+
+    a_file = tmp_path / "f"
+    a_file.write_text("not a directory\n")
+    with monkeypatch.context() as patched:
+        # --out-dir is a file, or lies under one: refused before any sieve.
+        patched.setattr(paucity.meanvalue, "sieve_primes", refuse)
+        for out in (a_file, a_file / "x"):
+            assert run_cli("mean", "--limit", "1000", "--out-dir", str(out)) == 2, out
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and str(out) in err, err
+    # An output, then the manifest, that cannot be written: exit 3 after the run.
+    for name in ("mean.csv", "mean_manifest.json"):
+        out = tmp_path / name.split(".")[0]
+        (out / name).mkdir(parents=True)
+        assert run_cli("mean", "--limit", "1000", "--out-dir", str(out)) == 3, name
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err, err
+
+
 def test_capacity_exit_code(tmp_path):
     assert run_cli("sieve", "--limit", "2000000000", "--out-dir", str(tmp_path)) == 3
     # The oracle caps are checked before any row is computed.

@@ -17,6 +17,8 @@ from paucity.constants import (
 )
 from paucity.errors import ValidationError
 
+import oracles
+
 MP_CATALAN = float(mpmath.catalan)
 # Landau constant to 20 places, from the 1 mod 4 Euler product evaluated
 # with mpmath at very high precision (frozen once; see test below).
@@ -36,6 +38,13 @@ def test_catalan_error_bound_scales():
     assert loose.error_bound <= 1e-6 * 1.01
     assert tight.error_bound <= 1e-12 * 1.5
     assert abs(loose.value - tight.value) <= loose.error_bound + tight.error_bound
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-12])
+def test_catalan_bits_match_integer_terms(eps):
+    # The float64 arange builds every pair term with the bits of its
+    # integer-arithmetic form, so the one fsum returns the same float.
+    assert catalan(eps).value.hex() == oracles.catalan_fsum(eps).hex()
 
 
 def test_catalan_validation():

@@ -55,6 +55,16 @@ def test_sieve_primes_pi_million():
     assert sieve_primes(10**6).count == 78498
 
 
+def test_sieve_primes_match_eratosthenes():
+    for limit in [*range(2, 2001), 10**6]:
+        table = sieve_primes(limit)
+        assert "is_prime" not in vars(table), limit  # built on first read only
+        mask = oracles.eratosthenes(limit)
+        assert table.primes.dtype == np.int64, limit
+        assert np.array_equal(table.primes, np.flatnonzero(mask)), limit
+        assert table.is_prime.dtype == np.bool_ and np.array_equal(table.is_prime, mask), limit
+
+
 def test_sieve_primes_bounds():
     assert sieve_primes(2).count == 1
     with pytest.raises(ValidationError):
@@ -204,7 +214,7 @@ def test_multiplicative_arrays_lattice_edges():
 def _assert_pairs_match(lo: int, hi: int, want: tuple[np.ndarray, ...]) -> None:
     got = sieve._pair_tallies(lo, hi, CAP_PRIMES)
     for name, mine, ref in zip(("r0_pair", "r1", "r2"), got, want):
-        assert mine.dtype == ref.dtype and np.array_equal(mine, ref), (name, lo, hi)
+        assert mine.dtype == np.uint16 and np.array_equal(mine, ref), (name, lo, hi)
 
 
 def _assert_pairs_match_loop(lo: int, hi: int) -> None:
@@ -247,6 +257,31 @@ def test_pair_tallies_subwindow_invariance(monkeypatch):
         for mine, ref in zip((r0, r1, r2), (ORACLE[0], ORACLE[2], ORACLE[3])):
             assert np.array_equal(mine[1:], ref[1 : limit + 1]), sub
         _assert_pairs_match_loop(top - top_width, top)
+
+
+def test_pair_tallies_diagonal_at_window_edges(monkeypatch):
+    # r0_pair counts the half lattice b >= a twice, less the diagonal n = 2a^2
+    # once.  Put 2a^2 at a sub-window's first n, at its last, and just past
+    # its end, at the block's first and last sub-windows.  22349 is prime, so
+    # 2 * 22349^2 is also on the r2 diagonal; 2 * 22360^2 lies near the cap.
+    subs = (1, 7, 64, 4099)
+    span = 2 * max(subs) + 2
+    for a in (1, 2, 3, 22349, 22360):
+        d = 2 * a * a
+        base = max(1, d - span)
+        wide = oracles.pair_tallies_loop(base, d + span, CAP_PRIMES.is_prime)
+        for sub in subs:
+            monkeypatch.setattr(sieve, "_SUB", sub)
+            w = 2 * sub + 1
+            for lo, hi in (
+                (d, d + w),
+                (d - sub, d - sub + w),
+                (d + 1 - sub, d + 1 - sub + w),
+                (d + 1 - w, d + 1),
+                (d - w, d),
+            ):
+                if lo >= 1:
+                    _assert_pairs_match(lo, hi, tuple(arr[lo - base : hi - base] for arr in wide))
 
 
 def test_block_partition_invariance():
@@ -352,6 +387,11 @@ def test_overflow_guard():
         _check_tally("r1", big, lo=100)
     big[7] = (1 << 16) - 1
     assert _check_tally("r1", big, lo=100).dtype == np.uint16
+    # The pair tallies check each window before it is cast into uint16.
+    assert sieve._check_peak("r1", big, lo=100) is big
+    big[7] = 1 << 16
+    with pytest.raises(TallyOverflowError, match=r"^r2\(107\) = 65536 "):
+        sieve._check_peak("r2", big, lo=100)
     # r0_div arrives as int64 from chi4_divisor_sums.
     small = np.arange(10, dtype=np.int64) * 3000
     checked = _check_tally("r0_div", small, lo=100)
