@@ -2,11 +2,8 @@
 
 Everything here is exact integer arithmetic on single integers: the
 non-principal character mod 4, trial-division primality, smallest-prime-factor
-tables, factorizations, and the multiplicative functions omega, tau, phi, the
-sum-of-two-squares indicator b(n), the indicator of the set A (all prime
-factors 1 mod 4), and the divisor sum sum_{d | n} chi4(d).  The congruence
-closed forms factor through these; the sieve computes the same functions for
-whole blocks, and the tests check it against them.
+tables and factorizations.  The congruence closed forms factor through these,
+and the tests factor with them to check the sieve's multiplicative arrays.
 """
 
 from __future__ import annotations
@@ -131,46 +128,3 @@ def factorize(n: int, table: SpfTable) -> Factorization:
             e += 1
         factors.append((p, e))
     return Factorization(value=n, factors=tuple(factors))
-
-
-def omega(f: Factorization) -> int:
-    """Number of distinct prime factors."""
-    return len(f.factors)
-
-
-def tau(f: Factorization) -> int:
-    """Number of divisors."""
-    out = 1
-    for _, e in f.factors:
-        out *= e + 1
-    return out
-
-
-def phi(f: Factorization) -> int:
-    """Euler totient."""
-    out = 1
-    for p, e in f.factors:
-        out *= (p - 1) * p ** (e - 1)
-    return out
-
-
-def in_A(f: Factorization) -> bool:
-    """True when every prime factor is 1 mod 4 (vacuously true at n = 1)."""
-    return all(p & 3 == 1 for p, _ in f.factors)
-
-
-def is_sum_two_squares(f: Factorization) -> bool:
-    """b(n): n is a sum of two integer squares, i.e. every p = 3 mod 4 has even exponent."""
-    return all(e & 1 == 0 for p, e in f.factors if p & 3 == 3)
-
-
-def divisor_chi4_sum(f: Factorization) -> int:
-    """sum_{d | n} chi4(d), multiplicatively: (e+1) at p=1(4), parity gate at p=3(4)."""
-    out = 1
-    for p, e in f.factors:
-        r = p & 3
-        if r == 1:
-            out *= e + 1
-        elif r == 3 and e & 1 == 1:
-            return 0
-    return out

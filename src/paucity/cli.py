@@ -9,11 +9,10 @@ output or the manifest.  mean makes one meanvalue.accumulate call, with
 as its count of processes that sieve and reduce blocks; the other commands
 take no --threads and run in this one process, where thread pools over
 sieve blocks and over the offdiag census measured no faster than one
-thread.  mean runs only the sieve
-kernels its statistics read, and sieve and mean record the kernels and the
-processes that ran them in the manifest.  Every output lands under
---out-dir.  CSVs are deterministic (byte-identical across thread counts and
-block sizes); manifests carry timestamps and are not.
+thread.  sieve and mean record the processes that sieved the blocks in the
+manifest, as config.sieve.  Every output lands under --out-dir.  CSVs are
+deterministic (byte-identical across thread counts and block sizes);
+manifests carry timestamps and are not.
 """
 
 from __future__ import annotations
@@ -135,14 +134,9 @@ def _parse_stats(spec: str) -> list[str]:
     return [tok.strip() for tok in spec.split(",") if tok.strip()]
 
 
-def _record_sieve(args: argparse.Namespace, cfg: SieveConfig, processes: int = 1) -> None:
-    """Put the kernels that ran, and the processes that ran them, into the manifest's config."""
-    args.sieve = {"kernels": list(cfg.kernels), "processes": processes}
-
-
 def _cmd_sieve(args: argparse.Namespace, out_dir: Path) -> list[str]:
     cfg = SieveConfig(limit=args.limit, block_size=args.block_size)
-    _record_sieve(args, cfg)
+    args.sieve = {"processes": 1}
     outputs = []
     dump_path = out_dir / "blocks.pcty"
     with open(dump_path, "wb") as fh:
@@ -159,12 +153,9 @@ def _cmd_mean(args: argparse.Namespace, out_dir: Path) -> list[str]:
         raise ValidationError(f"limit must be >= 2, got {args.limit}")
     stats = _parse_stats(args.stats)
     grid = _parse_grid(args.grid, args.limit)
-    cfg = SieveConfig(
-        limit=args.limit, block_size=args.block_size,
-        multiplicative=any(STATISTICS[s].multiplicative for s in stats if s in STATISTICS),
-    )
+    cfg = SieveConfig(limit=args.limit, block_size=args.block_size)
     workers = min(args.threads, cfg.block_count)
-    _record_sieve(args, cfg, workers)
+    args.sieve = {"processes": workers}
     series = accumulate(cfg, grid, stats, args.r0_convention, args.dispersion_c, workers)
     csv_path = out_dir / "mean.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:

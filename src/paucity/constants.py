@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .sieve import MAX_SIEVE_LIMIT, chi4_divisor_sums, sieve_primes
+from .sieve import MAX_SIEVE_LIMIT, RepresentationBlock, chi4_divisor_sums, sieve_primes
 
 
 @dataclass(frozen=True)
@@ -127,21 +127,25 @@ def sieve_density_product(z: float) -> ConstantValue:
 #
 # Each reported statistic is defined once, in STATISTICS: its terms over a
 # slice of a sieve block, whose dtype sets its summation (int and bool terms
-# exactly, float64 terms compensated), its normalization, its limit constant,
-# and whether its term reads the multiplicative arrays omega, phi, in_a.
-# The sieve runs the walk behind those arrays only when a requested term
-# reads them.  Constants are thunks evaluated on first use, so only LANDAU_B
-# and COUNT_A pay for landau_ramanujan's prime sieve.
+# exactly, float64 terms compensated), its normalization and its limit
+# constant.  A block runs the walk behind omega, phi and in_a only when a
+# term reads one of them.  Constants are thunks evaluated on first use, so
+# only LANDAU_B and COUNT_A pay for landau_ramanujan's prime sieve.
 
 _PI = math.pi
 
 
+def _block_slice(name: str) -> property:
+    """A Tallies attribute: the block's array `name` over the slice, as a view."""
+    return property(lambda v: getattr(v.block, name)[v.lo - v.block.lo : v.hi - v.block.lo])
+
+
 @dataclass(frozen=True)
 class Tallies:
-    """A slice of one sieve block, starting at n = lo.
+    """The slice [lo, hi) of one sieve block.
 
-    The tallies r0_pair, r1, r2 and the multiplicative arrays are the
-    block's own, the latter None where the block was sieved without them.
+    r0_pair, r1, r2, omega, phi and in_a are views of the block's arrays, so
+    a slice runs the block's walk only when a term reads omega, phi or in_a.
     Every other array is built on first read, so it costs nothing where no
     term reads it:
 
@@ -153,15 +157,18 @@ class Tallies:
     * on_a, the offsets of the n in A.
     """
 
+    block: RepresentationBlock
     lo: int
-    r0_pair: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
+    hi: int
     c: float  # the dispersion parameter
     r0_convention: str = "pair"
-    omega: np.ndarray | None = None
-    phi: np.ndarray | None = None
-    in_a: np.ndarray | None = None
+
+    r0_pair = _block_slice("r0_pair")
+    r1 = _block_slice("r1")
+    r2 = _block_slice("r2")
+    omega = _block_slice("omega")
+    phi = _block_slice("phi")
+    in_a = _block_slice("in_a")
 
     @cached_property
     def r0_div(self) -> np.ndarray:
@@ -203,7 +210,7 @@ class Tallies:
 
     def scatter(self, at: np.ndarray, values: np.ndarray) -> np.ndarray:
         """A float term over the slice: `values` at the offsets `at`, 0 elsewhere."""
-        terms = np.zeros(self.r1.size)
+        terms = np.zeros(self.hi - self.lo)
         terms[at] = values
         return terms
 
@@ -230,8 +237,7 @@ class Statistic:
     on its support (where r0 != 0, or on A) and 0 elsewhere.  `normalization`
     maps (raw, x, log x) to the normalized value; `constant` is None where no
     limit is claimed; `parameter` names the argument carried in the
-    reported label; `multiplicative` is set for a term that reads omega,
-    phi or in_a.
+    reported label.
     """
 
     name: str
@@ -239,7 +245,6 @@ class Statistic:
     normalization: Callable[[float, int, float], float]
     constant: Callable[[], float] | None = None
     parameter: str | None = None
-    multiplicative: bool = False
 
     def label(self, value: float) -> str:
         """The identifier written to CSV, e.g. DISPERSION(c=1)."""
@@ -278,19 +283,16 @@ STATISTICS: dict[str, Statistic] = {s.name: s for s in (
     Statistic(
         "LEMMA31",
         lambda v: v.scatter(v.on_a, v.lemma_weight / (v.on_a + v.lo).astype(np.float64)),
-        _PER_LOG, lambda: 1.0 / _PI, multiplicative=True,
+        _PER_LOG, lambda: 1.0 / _PI,
     ),
     Statistic(
         "LEMMA32",
         lambda v: v.scatter(v.on_a, v.lemma_weight / v.phi[v.on_a].astype(np.float64)),
-        _PER_LOG, lambda: 12.0 * _g() / _PI**3, multiplicative=True,
+        _PER_LOG, lambda: 12.0 * _g() / _PI**3,
     ),
     # b(n) = [r0_div(n) > 0] under either r0 convention.
     Statistic("LANDAU_B", lambda v: v.r0_div > 0, _SQRT_LOG, _k),
-    Statistic(
-        "COUNT_A", lambda v: v.in_a, _SQRT_LOG,
-        lambda: 1.0 / (4.0 * _k()), multiplicative=True,
-    ),
+    Statistic("COUNT_A", lambda v: v.in_a, _SQRT_LOG, lambda: 1.0 / (4.0 * _k())),
 )}
 
 # What `paucity mean` reports when no --stats is given.

@@ -5,8 +5,8 @@ checks the whole request, then sieves and reduces each block, a slice at a
 time, to the sums of one run of n, and merges the runs in ascending block
 order; one type of sums does both for every statistic.  The blocks are
 sieved and reduced in this process or by worker processes
-(workers.ordered_map), and the sieve runs the multiplicative walk only when
-a requested term reads omega, phi or in_a.
+(workers.ordered_map), and a block runs the multiplicative walk only when a
+requested term reads omega, phi or in_a.
 
 Every sum is cut on one fixed absolute grid: the multiples of _ATOM (2^16)
 and the checkpoint edges p + 1.  A block is reduced in slices cut on that
@@ -222,11 +222,6 @@ class _Plan:
             )
         if r0_convention not in ("pair", "div"):
             raise ValidationError(f"unknown r0 convention {r0_convention!r}")
-        multiplicative = [s.name for s in stats if s.multiplicative]
-        if multiplicative and not cfg.multiplicative:
-            raise ValidationError(
-                f"{', '.join(multiplicative)} need blocks sieved with the multiplicative arrays"
-            )
         if grid.points[-1] > cfg.limit:
             raise ValidationError(
                 f"checkpoint {grid.points[-1]} beyond covered range [1, {cfg.limit}]"
@@ -234,7 +229,7 @@ class _Plan:
         self.stats = stats
         self.points = grid.points
         self.r0_convention = r0_convention
-        self.dispersion_c = dispersion_c
+        self.dispersion_c = dispersion_c + 0.0  # -0.0 becomes 0.0, so both label c=0
 
     def reduce(self, block: RepresentationBlock) -> _BlockSums:
         """Every statistic's partial sums over one block, a slice at a time.
@@ -247,12 +242,7 @@ class _Plan:
         parts = self._sums()
         bounds = [block.lo, *_cuts(self.points, block.lo, block.hi - 1), block.hi]
         for lo, hi in zip(bounds, bounds[1:]):
-            sl = slice(lo - block.lo, hi - block.lo)
-            tallies = Tallies(
-                lo, block.r0_pair[sl], block.r1[sl], block.r2[sl],
-                self.dispersion_c, self.r0_convention,
-                *(arr[sl] for arr in (block.omega, block.phi, block.in_a) if arr is not None),
-            )
+            tallies = Tallies(block, lo, hi, self.dispersion_c, self.r0_convention)
             for stat, part in zip(self.stats, parts):
                 part.add(lo, hi, stat.term(tallies))
         return _BlockSums(block.lo, block.hi, parts)
@@ -296,11 +286,13 @@ def accumulate(
     """
     plan = _Plan(cfg, grid, statistics, r0_convention, dispersion_c)
     primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
-    # A process's last block stays allocated while it sieves the next one, so
-    # the allocator reuses its pages instead of handing them back to the
-    # system and faulting them in again: freeing each block first cost 5x the
-    # minor page faults (99k against 19k for mean --limit 30000000 in one
-    # process).
+    # A process's last block, with its walk arrays if a term read them, stays
+    # allocated while the next block's pair tallies are sieved, so the
+    # allocator reuses its pages instead of handing them back to the system
+    # and faulting them in again: freeing each block first cost 5x the minor
+    # page faults (99k against 19k for mean --limit 30000000 in one process).
+    # Assigning the new block frees the last one, before reduce runs the new
+    # block's walk, so two blocks' walk arrays are never alive at once.
     last = None
 
     def sieve_and_reduce(bounds: tuple[int, int]) -> _BlockSums:

@@ -16,8 +16,9 @@ the other pair strictly inside its interval.
 
 N1 quadruples biject with tuples (d, t, n1, n2) of positive integers,
 gcd(d,t) = gcd(n1,n2) = 1, through r = n2*t - n1*d, q = n2*d + n1*t,
-p = n1*d + n2*t, a = n1*t - n2*d; both directions are implemented and the
-two independent enumerations must agree exactly.
+p = n1*d + n2*t, a = n1*t - n2*d.  enumerate_n1_params counts N1 from the
+tuple side and the census counts it from the quadruples; the two
+independent enumerations must agree exactly.
 
 The direct census walks n in bands of _BAND integers.  Per band it lists the
 prime pairs (q, r) with q^2 + r^2 in the band, counts them per n into dense
@@ -212,35 +213,6 @@ def enumerate_offdiag(limit: int, collect: bool = True) -> OffdiagCensus:
         diagonal=2 * pair_rows - equal_pairs,
         quadruples=quadruples,
     )
-
-
-def param_apply(pt: ParamTuple) -> tuple[int, int, int, int]:
-    """The four linear forms (x1, x2, x3, x4) = (r, q, p, a); x1^2+x2^2 = x3^2+x4^2."""
-    d, t, n1, n2 = pt.d, pt.t, pt.n1, pt.n2
-    if n2 * t <= n1 * d or n1 * t <= n2 * d:
-        raise ValidationError(f"positivity violated for {pt}")
-    return (n2 * t - n1 * d, n2 * d + n1 * t, n1 * d + n2 * t, n1 * t - n2 * d)
-
-
-def param_invert(quad: Quadruple) -> ParamTuple:
-    """Invert an N1 quadruple (2 < a < q < r < p) to its unique ParamTuple."""
-    a, p, q, r = quad.a, quad.p, quad.q, quad.r
-    if not (2 < a < q < r < p):
-        raise ValidationError(f"param_invert needs 2 < a < q < r < p, got {quad}")
-    if (p - r) & 1 or (q - a) & 1:
-        raise ValidationError(f"parity failure in {quad}: p=r, q=a mod 2 required")
-    m1 = (p - r) // 2
-    m2 = (q - a) // 2
-    d = math.gcd(m1, m2)
-    n1 = m1 // d
-    n2 = m2 // d
-    if (q + a) % (2 * n1):
-        raise ValidationError(f"non-integral t for {quad} (inversion bug)")
-    t = (q + a) // (2 * n1)
-    pt = ParamTuple(d=d, t=t, n1=n1, n2=n2)
-    if param_apply(pt) != (r, q, p, a):
-        raise ValidationError(f"round trip failed for {quad} -> {pt} (inversion bug)")
-    return pt
 
 
 def _pair_batches(s: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -39,8 +39,9 @@ kernel on 2 cores) and held about 40-50 MB more.  meanvalue.accumulate
 calls sieve_block itself, one block per task, in this process or in worker
 processes.
 
-With SieveConfig.multiplicative set, each block also gets three
-multiplicative arrays, which the set-A statistics read:
+Each block also has three multiplicative arrays, which only the set-A
+statistics read.  A block keeps the PrimeTable it was sieved with and runs
+the walk behind them the first time any of the three is read:
 
 * in_a:  bool, every prime factor is 1 mod 4 (true at n = 1), exact at every n
 * omega: int8, the number of distinct prime factors, on A; 0 off A
@@ -62,7 +63,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import BinaryIO, Iterable, Iterator
 
@@ -72,9 +73,10 @@ from .errors import CapacityError, TallyOverflowError, ValidationError
 
 # A full boolean sieve at this cap costs ~1 GB; beyond it, refuse.
 MAX_SIEVE_LIMIT = 10**9
-# sieve_block's tracemalloc peak is 24 MiB per 2^20 integers with the
-# multiplicative arrays (18 MiB without), and 96 MiB for one block of this
-# width at the cap; a wider block is refused before any sieving starts.
+# A block's tracemalloc peak is 8.4 MiB per 2^20 integers at the cap for the
+# pair tallies and 16.6 MiB once its multiplicative arrays are read, and
+# 66 MiB for one block of this width at the cap; a wider block is refused
+# before any sieving starts.
 MAX_BLOCK_SIZE = 1 << 22
 
 # Pair tallies are counted in sub-windows of this many integers.
@@ -107,13 +109,10 @@ class PrimeTable:
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """Run geometry (overall limit, block width) and whether each block runs,
-    beyond the pair tallies, the walk for the multiplicative arrays omega,
-    phi and in_a."""
+    """Run geometry: the overall limit and the block width."""
 
     limit: int
     block_size: int = 1 << 20
-    multiplicative: bool = False
 
     def __post_init__(self) -> None:
         if self.limit < 1:
@@ -126,11 +125,6 @@ class SieveConfig:
             raise CapacityError(f"block_size {self.block_size} exceeds cap {MAX_BLOCK_SIZE}")
 
     @property
-    def kernels(self) -> tuple[str, ...]:
-        """Names of the kernels every block runs, in the order they run."""
-        return ("pair_tallies",) + ("multiplicative_arrays",) * self.multiplicative
-
-    @property
     def block_count(self) -> int:
         return len(range(1, self.limit + 1, self.block_size))
 
@@ -140,17 +134,21 @@ class SieveConfig:
             yield lo, min(lo + self.block_size, self.limit + 1)
 
 
-_PAIR_DTYPES = {"r0_pair": np.uint16, "r1": np.uint16, "r2": np.uint16}
-_MULTIPLICATIVE_DTYPES = {"omega": np.int8, "phi": np.int32, "in_a": np.bool_}
+def _check_cover(primes: PrimeTable, hi: int) -> None:
+    """Refuse a prime table that misses a prime up to sqrt(hi - 1)."""
+    if primes.limit < math.isqrt(hi - 1):
+        raise ValidationError(f"prime table limit {primes.limit} below sqrt({hi - 1})")
 
 
 @dataclass(frozen=True)
 class RepresentationBlock:
     """Tallies for the half-open range [lo, hi), arrays indexed by n - lo.
 
-    omega, phi and in_a are either all present or all None.  in_a is exact
-    at every n; omega and phi are defined only on A (where in_a holds) and
-    read 0 and 1 elsewhere.  r0_div is derived from r0_pair on first read.
+    `primes` is the table the block was sieved with, which must cover
+    sqrt(hi - 1).  r0_div is derived from r0_pair on first read, and omega,
+    phi and in_a come from one walk over `primes`, run the first time any of
+    them is read.  in_a is exact at every n; omega and phi are defined only
+    on A (where in_a holds) and read 0 and 1 elsewhere.
     """
 
     lo: int
@@ -158,30 +156,35 @@ class RepresentationBlock:
     r0_pair: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
-    omega: np.ndarray | None = None
-    phi: np.ndarray | None = None
-    in_a: np.ndarray | None = None
+    primes: PrimeTable = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lo < 1 or self.hi <= self.lo:
             raise ValidationError(f"bad block range [{self.lo}, {self.hi})")
+        _check_cover(self.primes, self.hi)
         width = self.hi - self.lo
-        if len({self.omega is None, self.phi is None, self.in_a is None}) > 1:
-            raise ValidationError("omega, phi and in_a must be given together")
-        dtypes = dict(_PAIR_DTYPES)
-        if self.omega is not None:
-            dtypes.update(_MULTIPLICATIVE_DTYPES)
-        for field, dtype in dtypes.items():
-            arr = getattr(self, field)
+        for name in ("r0_pair", "r1", "r2"):
+            arr = getattr(self, name)
             if arr.shape != (width,):
-                raise ValidationError(f"{field} has shape {arr.shape}, expected ({width},)")
-            if arr.dtype != dtype:
-                raise ValidationError(f"{field} dtype {arr.dtype}, expected {np.dtype(dtype)}")
+                raise ValidationError(f"{name} has shape {arr.shape}, expected ({width},)")
+            if arr.dtype != np.uint16:
+                raise ValidationError(f"{name} dtype {arr.dtype}, expected uint16")
 
     @cached_property
     def r0_div(self) -> np.ndarray:
         """sum_{d | n} chi4(d) as uint16, checked like the sieved tallies."""
         return _check_tally("r0_div", chi4_divisor_sums(self.lo, self.r0_pair), self.lo)
+
+    @cached_property
+    def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        arrays = _multiplicative_arrays(self.lo, self.hi, self.primes)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
+
+    omega = property(lambda self: self._walk[0])
+    phi = property(lambda self: self._walk[1])
+    in_a = property(lambda self: self._walk[2])
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -384,14 +387,13 @@ def _multiplicative_arrays(
 
 
 def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> RepresentationBlock:
-    """Tally r0_pair, r1, r2 for [lo, hi), plus omega, phi and in_a when
-    cfg.multiplicative is set.
+    """Tally r0_pair, r1, r2 for [lo, hi); the block runs its walk for omega,
+    phi and in_a when one of them is first read.
 
     Parameters
     ----------
     cfg : SieveConfig
-        Supplies the overall limit bound, 1 <= lo < hi <= cfg.limit + 1, and
-        the kernels to run.
+        Supplies the overall limit bound, 1 <= lo < hi <= cfg.limit + 1.
     lo, hi : int
         Half-open block bounds.
     primes : PrimeTable
@@ -408,15 +410,8 @@ def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> Repre
     """
     if lo < 1 or hi <= lo or hi > cfg.limit + 1:
         raise ValidationError(f"block [{lo}, {hi}) out of range for limit {cfg.limit}")
-    if primes.limit < math.isqrt(hi - 1):
-        raise ValidationError(
-            f"prime table limit {primes.limit} below sqrt({hi - 1})"
-        )
-    r0, r1, r2 = _pair_tallies(lo, hi, primes)
-    om = ph = ina = None
-    if cfg.multiplicative:
-        om, ph, ina = _multiplicative_arrays(lo, hi, primes)
-    return RepresentationBlock(lo, hi, r0, r1, r2, om, ph, ina)
+    _check_cover(primes, hi)
+    return RepresentationBlock(lo, hi, *_pair_tallies(lo, hi, primes), primes)
 
 
 def sieve_all(cfg: SieveConfig) -> Iterator[RepresentationBlock]:
@@ -448,7 +443,9 @@ def write_blocks(handle: BinaryIO, blocks: Iterable[RepresentationBlock]) -> int
 
 def read_blocks(handle: BinaryIO) -> Iterator[RepresentationBlock]:
     """Read back a block dump produced by write_blocks; a record of any other
-    version is refused."""
+    version is refused.  Every block read shares one prime table up to
+    sqrt(MAX_SIEVE_LIMIT), for its walk."""
+    primes = sieve_primes(math.isqrt(MAX_SIEVE_LIMIT))
     while True:
         head = handle.read(_HEADER.size)
         if not head:
@@ -469,4 +466,4 @@ def read_blocks(handle: BinaryIO) -> Iterator[RepresentationBlock]:
             if len(raw) != 2 * width:
                 raise ValidationError("truncated block payload")
             arrays.append(np.frombuffer(raw, dtype="<u2").copy())
-        yield RepresentationBlock(lo, hi, *arrays)
+        yield RepresentationBlock(lo, hi, *arrays, primes)

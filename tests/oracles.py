@@ -13,6 +13,10 @@ import math
 
 import numpy as np
 
+from paucity.arith import Factorization
+from paucity.errors import ValidationError
+from paucity.quadruples import ParamTuple, Quadruple
+
 
 def chi4_slow(n: int) -> int:
     return (0, 1, 0, -1)[n % 4]
@@ -82,6 +86,54 @@ def in_a_slow(n: int) -> bool:
 def two_squares_slow(n: int) -> bool:
     """No prime 3 mod 4 to an odd exponent."""
     return all(e % 2 == 0 for p, e in factorize_slow(n) if p % 4 == 3)
+
+
+# Multiplicative functions of a factorization from the SPF table, which
+# neither the sieve nor the census calls: the references for the sieve's
+# multiplicative arrays and the LEMMA sums.
+
+
+def omega(f: Factorization) -> int:
+    """Number of distinct prime factors."""
+    return len(f.factors)
+
+
+def tau(f: Factorization) -> int:
+    """Number of divisors."""
+    out = 1
+    for _, e in f.factors:
+        out *= e + 1
+    return out
+
+
+def phi(f: Factorization) -> int:
+    """Euler totient."""
+    out = 1
+    for p, e in f.factors:
+        out *= (p - 1) * p ** (e - 1)
+    return out
+
+
+def in_A(f: Factorization) -> bool:
+    """True when every prime factor is 1 mod 4 (vacuously true at n = 1)."""
+    return all(p & 3 == 1 for p, _ in f.factors)
+
+
+def is_sum_two_squares(f: Factorization) -> bool:
+    """b(n): n is a sum of two integer squares, i.e. every p = 3 mod 4 has even exponent."""
+    return all(e & 1 == 0 for p, e in f.factors if p & 3 == 3)
+
+
+def divisor_chi4_sum(f: Factorization) -> int:
+    """sum_{d | n} chi4(d), multiplicatively: (e+1) at p=1(4), parity gate at p=3(4)."""
+    out = 1
+    for p, e in f.factors:
+        r = p & 3
+        if r == 1:
+            out *= e + 1
+        elif r == 3 and e & 1 == 1:
+            return 0
+    return out
 
 
 def multiplicative_slow(ns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -311,6 +363,38 @@ def diagonal_slow(limit: int) -> int:
             orders = {(a, p), (p, a)}  # every (q, r) with {q, r} = {a, p}
             count += sum(1 for q, r in orders if is_prime_slow(q) and is_prime_slow(r))
     return count
+
+
+# Both directions of the N1 bijection, for the round-trip tests.
+
+
+def param_apply(pt: ParamTuple) -> tuple[int, int, int, int]:
+    """The four linear forms (x1, x2, x3, x4) = (r, q, p, a); x1^2+x2^2 = x3^2+x4^2."""
+    d, t, n1, n2 = pt.d, pt.t, pt.n1, pt.n2
+    if n2 * t <= n1 * d or n1 * t <= n2 * d:
+        raise ValidationError(f"positivity violated for {pt}")
+    return (n2 * t - n1 * d, n2 * d + n1 * t, n1 * d + n2 * t, n1 * t - n2 * d)
+
+
+def param_invert(quad: Quadruple) -> ParamTuple:
+    """Invert an N1 quadruple (2 < a < q < r < p) to its unique ParamTuple."""
+    a, p, q, r = quad.a, quad.p, quad.q, quad.r
+    if not (2 < a < q < r < p):
+        raise ValidationError(f"param_invert needs 2 < a < q < r < p, got {quad}")
+    if (p - r) & 1 or (q - a) & 1:
+        raise ValidationError(f"parity failure in {quad}: p=r, q=a mod 2 required")
+    m1 = (p - r) // 2
+    m2 = (q - a) // 2
+    d = math.gcd(m1, m2)
+    n1 = m1 // d
+    n2 = m2 // d
+    if (q + a) % (2 * n1):
+        raise ValidationError(f"non-integral t for {quad} (inversion bug)")
+    t = (q + a) // (2 * n1)
+    pt = ParamTuple(d=d, t=t, n1=n1, n2=n2)
+    if param_apply(pt) != (r, q, p, a):
+        raise ValidationError(f"round trip failed for {quad} -> {pt} (inversion bug)")
+    return pt
 
 
 # Frozen values computed with this module (spot-checked by hand for the

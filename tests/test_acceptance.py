@@ -15,11 +15,12 @@ from paucity.arith import build_spf_table, factorize
 from paucity.congruence import FormParams, nu_closed, nu_oracle, nu_prime_closed, rho_closed, rho_oracle
 from paucity.constants import catalan, landau_ramanujan, predicted_constant
 from paucity.meanvalue import CheckpointGrid, accumulate
-from paucity.quadruples import enumerate_n1_params, enumerate_offdiag, param_apply, param_invert
+from paucity.quadruples import enumerate_n1_params, enumerate_offdiag
 from paucity.sieve import SieveConfig, sieve_all
 from paucity.cli import main as cli_main
 
 import oracles
+from oracles import param_apply, param_invert
 
 DECADES = (10**4, 10**5, 10**6, 10**7)
 # |S22 - 2*M2| * log^3(x)/x recorded once at x = 1e6 (criterion 7).
@@ -208,7 +209,7 @@ def test_criterion_08_constants():
 def test_criterion_09_lemma_slopes():
     """Finite-difference slopes of the weighted sums between 1e6 and 1e7:
     within +-10% of 1/pi and 12G/pi^3 (measured: both within 0.01%)."""
-    cfg = SieveConfig(limit=10**7, block_size=1 << 20, multiplicative=True)
+    cfg = SieveConfig(limit=10**7, block_size=1 << 20)
     grid = CheckpointGrid(points=(10**6, 10**7))
     l31, l32 = accumulate(cfg, grid, ["LEMMA31", "LEMMA32"])
     dlog = math.log(10**7) - math.log(10**6)

@@ -83,18 +83,17 @@ def test_mean_rows_do_not_depend_on_walk(tmp_path):
 
 def test_manifest_records_sieve_kernels(tmp_path):
     # One block is sieved in this process, whatever --threads says.
-    pairs = ["pair_tallies"]
-    for i, (extra, kernels) in enumerate((
-        (["--stats", "S01,S22,M2,DISPERSION"], pairs),
-        (["--stats", "S01,LANDAU_B"], pairs),
-        (["--stats", "S01", "--r0-convention", "div"], pairs),
-        (["--stats", "M2,COUNT_A"], pairs + ["multiplicative_arrays"]),
+    for i, extra in enumerate((
+        ["--stats", "S01,S22,M2,DISPERSION"],
+        ["--stats", "S01,LANDAU_B"],
+        ["--stats", "S01", "--r0-convention", "div"],
+        ["--stats", "M2,COUNT_A"],
     )):
         out = tmp_path / f"k{i}"
         rc = run_cli("mean", "--limit", "5000", "--threads", "2", *extra, "--out-dir", str(out))
         assert rc == 0
         manifest = json.loads((out / "mean_manifest.json").read_text())
-        assert manifest["config"]["sieve"] == {"kernels": kernels, "processes": 1}, extra
+        assert manifest["config"]["sieve"] == {"processes": 1}, extra
         assert manifest["config"]["threads"] == 2
     # Over several blocks, mean uses min(--threads, blocks) worker processes.
     for i, (threads, processes) in enumerate((("1", 1), ("2", 2), ("8", 5))):
@@ -103,7 +102,7 @@ def test_manifest_records_sieve_kernels(tmp_path):
                      "--out-dir", str(out))
         assert rc == 0
         manifest = json.loads((out / "mean_manifest.json").read_text())
-        assert manifest["config"]["sieve"] == {"kernels": pairs, "processes": processes}
+        assert manifest["config"]["sieve"] == {"processes": processes}
         assert multiprocessing.active_children() == []
 
 
@@ -221,6 +220,18 @@ def test_largest_dispersion_c_gives_finite_rows(tmp_path, capsys):
     assert run_cli("mean", "--limit", "1000", "--stats", "DISPERSION",
                    "--dispersion-c", bigger, "--out-dir", str(tmp_path / "no")) == 2
     assert capsys.readouterr().err.startswith("error: dispersion c must be from 0 to ")
+
+
+def test_negative_zero_dispersion_c_labels_like_zero(tmp_path):
+    texts = []
+    for i, c in enumerate(("-0.0", "0")):
+        out = tmp_path / f"c{i}"
+        rc = run_cli("mean", "--limit", "2000", "--stats", "DISPERSION",
+                     f"--dispersion-c={c}", "--out-dir", str(out))
+        assert rc == 0
+        texts.append((out / "mean.csv").read_bytes())
+    assert texts[0] == texts[1]
+    assert b",DISPERSION(c=0)," in texts[0]
 
 
 def test_validation_exit_codes(tmp_path, monkeypatch, capsys):
@@ -349,6 +360,24 @@ def test_one_process_imports_no_pool(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False False", proc.stderr
 
 
+def test_cli_import_loads_only_numpy_and_paucity():
+    # What `import paucity.cli` adds to sys.modules sets every command's
+    # start-up time.  Only the delta is checked: a site hook may preload more.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import paucity.cli\n"
+        "new = set(sys.modules) - before\n"
+        "tops = {name.partition('.')[0] for name in new}\n"
+        "print(sorted(tops - set(sys.stdlib_module_names)))\n"
+        "print(sorted(tops & {'multiprocessing', 'concurrent'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=_child_env(), text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['numpy', 'paucity']", "[]"]
+
+
 def test_sieve_dump_round_trip(tmp_path):
     out = tmp_path / "s"
     assert run_cli("sieve", "--limit", "4000", "--block-size", "1024", "--out-dir", str(out)) == 0
@@ -356,9 +385,7 @@ def test_sieve_dump_round_trip(tmp_path):
         blocks = list(read_blocks(fh))
     assert blocks[0].lo == 1 and blocks[-1].hi == 4001
     manifest = json.loads((out / "sieve_manifest.json").read_text())
-    assert manifest["config"]["sieve"] == {
-        "kernels": ["pair_tallies"], "processes": 1,
-    }
+    assert manifest["config"]["sieve"] == {"processes": 1}
     total_r2 = sum(int(b.r2.sum()) for b in blocks)
     r2 = oracles.r_arrays_slow(4000)[3]
     assert total_r2 == int(r2.sum())

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paucity import meanvalue
-from paucity.arith import build_spf_table, factorize, in_A, omega, phi
+from paucity import meanvalue, sieve
+from paucity.arith import build_spf_table, factorize
 from paucity.constants import STATISTICS, Tallies, find_statistic
 from paucity.errors import ValidationError
 from paucity.meanvalue import (
@@ -24,6 +24,7 @@ from paucity.quadruples import enumerate_offdiag
 from paucity.sieve import SieveConfig, sieve_all, sieve_block, sieve_primes
 
 import oracles
+from oracles import in_A, omega, phi
 
 LIMIT = 10000
 GRID = CheckpointGrid(points=(10, 100, 1000, 10000))
@@ -32,8 +33,8 @@ R0, R0D, R1, R2 = oracles.r_arrays_slow(LIMIT)
 FLOAT_STATISTICS = {"DISPERSION", "LEMMA31", "LEMMA32"}
 
 
-def _cfg(block_size=2048, limit=LIMIT, multiplicative=False):
-    return SieveConfig(limit=limit, block_size=block_size, multiplicative=multiplicative)
+def _cfg(block_size=2048, limit=LIMIT):
+    return SieveConfig(limit=limit, block_size=block_size)
 
 
 def _slow_sum(term: np.ndarray) -> list[int]:
@@ -132,7 +133,7 @@ def test_float_determinism_across_geometry():
     stats = ["DISPERSION", "LEMMA31", "LEMMA32", "LANDAU_B", "COUNT_A"]
 
     def values(block_size):
-        cfg = _cfg(block_size=block_size, multiplicative=True)
+        cfg = _cfg(block_size=block_size)
         return [s.values for s in accumulate(cfg, GRID, stats)]
 
     base = values(LIMIT)
@@ -154,7 +155,7 @@ def test_slice_width_does_not_change_any_series(monkeypatch):
     for width in (333, 4096, 1 << 16, 1 << 18):
         monkeypatch.setattr(meanvalue, "_ATOM", width)
         for block_size in (2048, LIMIT):
-            cfg = _cfg(block_size=block_size, multiplicative=True)
+            cfg = _cfg(block_size=block_size)
             runs[width, block_size] = accumulate(cfg, grid, list(STATISTICS))
     base = runs[333, 2048]
     assert len(base) == len(STATISTICS)
@@ -172,18 +173,14 @@ def test_slice_width_does_not_change_any_series(monkeypatch):
 
 def _sliced_tallies(block, lo, hi, c, convention):
     """Tallies of n in [lo, hi) of `block`, built as _Plan.reduce builds them."""
-    sl = slice(lo - block.lo, hi - block.lo)
-    return Tallies(
-        lo, block.r0_pair[sl], block.r1[sl], block.r2[sl],
-        c, convention, block.omega[sl], block.phi[sl], block.in_a[sl],
-    )
+    return Tallies(block, lo, hi, c, convention)
 
 
 def test_support_terms_match_dense_formulas():
     # Terms are evaluated only where they can be nonzero.  The float terms
     # must equal the dense formulas evaluated at every n, array for array;
     # the exact r terms, which list the support only, must have their sums.
-    block = next(sieve_all(_cfg(block_size=LIMIT, multiplicative=True)))
+    block = next(sieve_all(_cfg(block_size=LIMIT)))
     in_a = np.flatnonzero(block.in_a) + 1
     k = int(np.argmax(np.diff(in_a) > 20))
     outside_a = (int(in_a[k]) + 1, int(in_a[k]) + 21)
@@ -210,7 +207,7 @@ def test_float_accumulator_keeps_no_view():
     # sum of each closed interval, and raw terms only for the open head and
     # tail, at most 2 * _ATOM of them, each array owning its data.
     lo, hi = 40000, 40000 + (1 << 20)
-    cfg = SieveConfig(limit=hi - 1, block_size=1 << 20, multiplicative=True)
+    cfg = SieveConfig(limit=hi - 1, block_size=1 << 20)
     block = sieve_block(cfg, lo, hi, sieve_primes(math.isqrt(hi)))
     grid = CheckpointGrid(points=(100000, 500000))
     floats = sorted(FLOAT_STATISTICS)
@@ -230,7 +227,7 @@ def test_float_accumulator_keeps_no_view():
 def test_registry_term_dtypes():
     # A term's dtype sets its summation: int64 and bool terms exactly (the
     # series print ints), float64 terms compensated (they print floats).
-    block = next(sieve_all(_cfg(block_size=LIMIT, multiplicative=True)))
+    block = next(sieve_all(_cfg(block_size=LIMIT)))
     for lo, hi in ((1, 3000), (4097, 10001)):
         for convention in ("pair", "div"):
             v = _sliced_tallies(block, lo, hi, 1.0, convention)
@@ -238,7 +235,7 @@ def test_registry_term_dtypes():
                 dtype = stat.term(v).dtype
                 want = (np.float64,) if name in FLOAT_STATISTICS else (np.bool_, np.int64)
                 assert dtype in want, (name, lo, convention, dtype)
-    for series in accumulate(_cfg(multiplicative=True), GRID, list(STATISTICS)):
+    for series in accumulate(_cfg(), GRID, list(STATISTICS)):
         kind = float if find_statistic(series.statistic).name in FLOAT_STATISTICS else int
         for x, raw in zip(GRID.points, series.values):
             assert type(raw) is kind, series.statistic
@@ -250,37 +247,47 @@ def test_accumulate_validation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no sieve may run")
 
-    # Every refusal comes before the first sieve.  omega, phi and in_a come
-    # only from the walk, so a statistic that reads them needs a config that
-    # runs it.
-    with monkeypatch.context() as patched:
-        patched.setattr(meanvalue, "sieve_primes", refuse)
-        patched.setattr(meanvalue, "sieve_block", refuse)
-        too_large = math.nextafter(meanvalue.MAX_DISPERSION_C, math.inf)
-        for cfg, stats, options in (
-            (_cfg(), [], {}),
-            (_cfg(), ["S99"], {}),
-            (_cfg(), ["S01", "S01"], {}),
-            (_cfg(multiplicative=True), ["COUNT_A", "COUNT_A"], {}),
-            (_cfg(), ["DISPERSION"], {"dispersion_c": math.nan}),
-            (_cfg(), ["DISPERSION"], {"dispersion_c": math.inf}),
-            (_cfg(), ["DISPERSION"], {"dispersion_c": too_large}),
-            (_cfg(), ["S01"], {"dispersion_c": 1e200}),
-            (_cfg(), ["S01"], {"r0_convention": "both"}),
-            (_cfg(limit=5000), ["S01"], {}),
-            (_cfg(), ["LEMMA31"], {}),
-            (_cfg(), ["S01", "COUNT_A"], {}),
-        ):
-            with pytest.raises(ValidationError):
-                accumulate(cfg, GRID, stats, **options)
-        with pytest.raises(ValidationError, match="multiplicative arrays"):
-            accumulate(_cfg(), GRID, ["COUNT_A"])
-    # r0_div comes from r0_pair, so LANDAU_B and the div convention read any block.
+    # Every refusal comes before the first sieve.
+    monkeypatch.setattr(meanvalue, "sieve_primes", refuse)
+    monkeypatch.setattr(meanvalue, "sieve_block", refuse)
+    too_large = math.nextafter(meanvalue.MAX_DISPERSION_C, math.inf)
+    for cfg, stats, options in (
+        (_cfg(), [], {}),
+        (_cfg(), ["S99"], {}),
+        (_cfg(), ["S01", "S01"], {}),
+        (_cfg(), ["COUNT_A", "COUNT_A"], {}),
+        (_cfg(), ["DISPERSION"], {"dispersion_c": math.nan}),
+        (_cfg(), ["DISPERSION"], {"dispersion_c": math.inf}),
+        (_cfg(), ["DISPERSION"], {"dispersion_c": too_large}),
+        (_cfg(), ["S01"], {"dispersion_c": 1e200}),
+        (_cfg(), ["S01"], {"r0_convention": "both"}),
+        (_cfg(limit=5000), ["S01"], {}),
+    ):
+        with pytest.raises(ValidationError):
+            accumulate(cfg, GRID, stats, **options)
+
+
+def test_walk_runs_only_when_read(monkeypatch):
+    # A block runs the walk behind omega, phi and in_a the first time a term
+    # reads one of them, and never twice.
+    calls = []
+    walk = sieve._multiplicative_arrays
+
+    def counted(lo, hi, primes):
+        calls.append((lo, hi))
+        return walk(lo, hi, primes)
+
+    monkeypatch.setattr(sieve, "_multiplicative_arrays", counted)
+    cfg = _cfg()
+    assert cfg.block_count == 5
+    walked = {"LEMMA31", "LEMMA32", "COUNT_A"}
+    pairs_only = [name for name in STATISTICS if name not in walked]
+    assert len(pairs_only) == 13
     for convention in ("pair", "div"):
-        stats = ["S01", "DISPERSION", "LANDAU_B"]
-        pairs_only = accumulate(_cfg(), GRID, stats, r0_convention=convention)
-        walked = accumulate(_cfg(multiplicative=True), GRID, stats, r0_convention=convention)
-        assert pairs_only == walked
+        accumulate(cfg, GRID, pairs_only, r0_convention=convention)
+        assert calls == [], convention
+    accumulate(cfg, GRID, ["LEMMA31", "LEMMA32", "COUNT_A", "S01"])
+    assert calls == list(cfg.block_ranges())
 
 
 def test_support_counts():
@@ -291,7 +298,7 @@ def test_support_counts():
 
 def test_lemma_sums_match_fsum():
     spf = build_spf_table(LIMIT)
-    l31, l32 = accumulate(_cfg(multiplicative=True), GRID, ["LEMMA31", "LEMMA32"])
+    l31, l32 = accumulate(_cfg(), GRID, ["LEMMA31", "LEMMA32"])
     w = np.zeros(LIMIT + 1)
     ph = np.zeros(LIMIT + 1)
     for n in range(1, LIMIT + 1):
@@ -305,7 +312,7 @@ def test_lemma_sums_match_fsum():
 
 
 def test_landau_counts_exact():
-    lb, ca = accumulate(_cfg(multiplicative=True), GRID, ["LANDAU_B", "COUNT_A"])
+    lb, ca = accumulate(_cfg(), GRID, ["LANDAU_B", "COUNT_A"])
     b = np.array([0] + [oracles.two_squares_slow(n) for n in range(1, LIMIT + 1)], dtype=np.int64)
     a = np.array([0] + [oracles.in_a_slow(n) for n in range(1, LIMIT + 1)], dtype=np.int64)
     assert list(lb.values) == _slow_sum(b)

@@ -17,11 +17,10 @@ from paucity.quadruples import (
     Quadruple,
     enumerate_n1_params,
     enumerate_offdiag,
-    param_apply,
-    param_invert,
 )
 
 import oracles
+from oracles import param_apply, param_invert
 
 
 def _census_tuple(c: OffdiagCensus) -> dict:

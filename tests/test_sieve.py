@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paucity import sieve
-from paucity.arith import build_spf_table, factorize, in_A, is_sum_two_squares, omega, phi
+from paucity.arith import build_spf_table, factorize
 from paucity.constants import STATISTICS, Tallies
 from paucity.errors import CapacityError, TallyOverflowError, ValidationError
 from paucity.sieve import (
@@ -28,6 +28,7 @@ from paucity.sieve import (
 )
 
 import oracles
+from oracles import in_A, is_sum_two_squares, omega, phi
 
 ORACLE_LIMIT = 30000
 ORACLE = oracles.r_arrays_slow(ORACLE_LIMIT)
@@ -106,7 +107,7 @@ def test_divisor_form_counts_square_root_term():
 
 def test_multiplicative_arrays_match_factorize():
     limit = 20000
-    cfg = SieveConfig(limit=limit, multiplicative=True)
+    cfg = SieveConfig(limit=limit)
     primes = sieve_primes(141)
     table = build_spf_table(limit)
     # n = 1, blocks with lo > 1, and a block ending at the limit.
@@ -121,8 +122,6 @@ def test_multiplicative_arrays_match_factorize():
                 assert block.omega[i] == omega(f), n
                 assert block.phi[i] == phi(f), n
             assert bool(block.r0_div[i] > 0) == is_sum_two_squares(f), n
-    plain = sieve_block(SieveConfig(limit=limit), 1, 600, primes)
-    assert plain.omega is None and plain.phi is None and plain.in_a is None
 
 
 def test_multiplicative_arrays_near_cap():
@@ -136,12 +135,15 @@ def test_multiplicative_arrays_near_cap():
     windows = [(cap - 3000, cap + 1)]
     windows += [(q - 300, q + 301) for q in (2**29, 3**18, 5**12, 7**10, 13**8, 31607**2)]
     want = oracles.multiplicative_slow(np.concatenate([np.arange(lo, hi) for lo, hi in windows]))
-    blocks = {}
-    for multiplicative in (True, False):
-        cfg = SieveConfig(limit=cap, multiplicative=multiplicative)
-        blocks[multiplicative] = [sieve_block(cfg, lo, hi, primes) for lo, hi in windows]
+    cfg = SieveConfig(limit=cap)
+    blocks = [sieve_block(cfg, lo, hi, primes) for lo, hi in windows]
+    # r0_div comes from r0_pair alone, before any walk has run.
+    pairs = ("r0_pair", "r1", "r2", "r0_div")
+    before = {f: np.concatenate([getattr(b, f) for b in blocks]) for f in pairs}
+    assert not any("_walk" in vars(b) for b in blocks)
+    assert np.array_equal(before["r0_div"], want[0])
     fields = ("r0_div", "omega", "phi", "in_a")
-    got = {f: np.concatenate([getattr(b, f) for b in blocks[True]]) for f in fields}
+    got = {f: np.concatenate([getattr(b, f) for b in blocks]) for f in fields}
     r0_div, om, ph, in_a = want
     assert np.array_equal(got["r0_div"], r0_div)
     assert np.array_equal(got["in_a"], in_a)
@@ -149,14 +151,10 @@ def test_multiplicative_arrays_near_cap():
     assert np.count_nonzero(in_a) > 400
     assert np.array_equal(got["omega"][in_a], om[in_a])
     assert np.array_equal(got["phi"][in_a], ph[in_a])
-    # r0_div comes from r0_pair alone, whichever kernels ran.
-    got = np.concatenate([b.r0_div for b in blocks[False]])
-    assert np.array_equal(got, want[0])
-    for pairs, full in zip(blocks[False], blocks[True]):
-        # Skipping the walk leaves the pair tallies as they were.
-        assert pairs.omega is None
-        for field in ("r0_pair", "r1", "r2"):
-            assert np.array_equal(getattr(pairs, field), getattr(full, field)), field
+    # Running the walk leaves the pair tallies and r0_div as they were.
+    for field in pairs:
+        after = np.concatenate([getattr(b, field) for b in blocks])
+        assert np.array_equal(after, before[field]), field
 
 
 CAP_PRIMES = sieve_primes(math.isqrt(MAX_SIEVE_LIMIT + 1))
@@ -195,8 +193,14 @@ def test_multiplicative_arrays_lattice_edges():
     windows += [(q - 300, q + 301) for q in (5**12, 13**8, 17**7)]
     ns = np.concatenate([np.arange(lo, hi) for lo, hi in windows])
     _, om, ph, in_a = oracles.multiplicative_slow(ns)
-    got = [sieve._multiplicative_arrays(lo, hi, CAP_PRIMES) for lo, hi in windows]
-    got_om, got_ph, got_a = (np.concatenate(arrs) for arrs in zip(*got))
+    # Blocks with zero pair tallies: the LEMMA terms read only the walk.
+    blocks = [
+        RepresentationBlock(lo, hi, *[np.zeros(hi - lo, dtype=np.uint16)] * 3, CAP_PRIMES)
+        for lo, hi in windows
+    ]
+    got_om, got_ph, got_a = (
+        np.concatenate([getattr(b, f) for b in blocks]) for f in ("omega", "phi", "in_a")
+    )
     assert (got_om.dtype, got_ph.dtype, got_a.dtype) == (np.int8, np.int32, np.bool_)
     assert np.array_equal(got_a, in_a)
     assert np.array_equal(got_om[in_a], om[in_a])
@@ -204,11 +208,11 @@ def test_multiplicative_arrays_lattice_edges():
     assert (got_ph != 0).all()
     assert (got_om[~in_a] == 0).all() and (got_ph[~in_a] == 1).all()
     # LEMMA31 and LEMMA32 terms stay finite, phi never divides by zero.
-    zeros = np.zeros(got_a.size, dtype=np.int64)
-    tallies = Tallies(1, zeros, zeros, zeros, 0.0, omega=got_om, phi=got_ph, in_a=got_a)
     with np.errstate(all="raise"):
-        for name in ("LEMMA31", "LEMMA32"):
-            assert np.isfinite(STATISTICS[name].term(tallies)).all(), name
+        for b in blocks:
+            tallies = Tallies(b, b.lo, b.hi, 0.0)
+            for name in ("LEMMA31", "LEMMA32"):
+                assert np.isfinite(STATISTICS[name].term(tallies)).all(), (name, b.lo)
 
 
 def _assert_pairs_match(lo: int, hi: int, want: tuple[np.ndarray, ...]) -> None:
@@ -323,6 +327,25 @@ def test_dump_round_trip():
         assert np.array_equal(a.r2, b.r2)
 
 
+def test_read_blocks_walk_like_sieved_blocks():
+    # A block read back runs its walk over the prime table its read shares;
+    # near the cap that table needs every prime up to sqrt(MAX_SIEVE_LIMIT).
+    cfg = SieveConfig(limit=MAX_SIEVE_LIMIT, block_size=5000)
+    ranges = [(1, 5001), (5001, 9001), (MAX_SIEVE_LIMIT - 3000, MAX_SIEVE_LIMIT + 1)]
+    blocks = [sieve_block(cfg, lo, hi, CAP_PRIMES) for lo, hi in ranges]
+    buf = io.BytesIO()
+    write_blocks(buf, blocks)
+    buf.seek(0)
+    loaded = list(read_blocks(buf))
+    assert len({id(b.primes) for b in loaded}) == 1
+    for a, b in zip(blocks, loaded):
+        for field in ("omega", "phi", "in_a"):
+            got = getattr(b, field)
+            assert got.dtype == getattr(a, field).dtype, field
+            assert np.array_equal(got, getattr(a, field)), (field, a.lo)
+            assert not got.flags.writeable, field
+
+
 def test_dump_refuses_other_versions():
     buf = io.BytesIO()
     write_blocks(buf, sieve_all(SieveConfig(limit=5000, block_size=2048)))
@@ -355,27 +378,19 @@ def test_dump_rejects_garbage():
 
 def test_block_type_validation():
     ok = np.zeros(4, dtype=np.uint16)
+    primes = sieve_primes(9)
     with pytest.raises(ValidationError):
-        RepresentationBlock(lo=5, hi=5, r0_pair=ok, r1=ok, r2=ok)
+        RepresentationBlock(lo=5, hi=5, r0_pair=ok, r1=ok, r2=ok, primes=primes)
     with pytest.raises(ValidationError):
-        RepresentationBlock(lo=1, hi=5, r0_pair=ok[:2], r1=ok, r2=ok)
-    tallies = dict(lo=1, hi=5, r0_pair=ok, r1=ok, r2=ok)
-    extra = dict(
-        omega=np.zeros(4, dtype=np.int8),
-        phi=np.ones(4, dtype=np.int32),
-        in_a=np.ones(4, dtype=bool),
-    )
-    RepresentationBlock(**tallies, **extra)
-    RepresentationBlock(**tallies)
-    for field, bad in (
-        ("omega", np.zeros(4, dtype=np.int16)),
-        ("phi", np.ones(4, dtype=np.int64)),
-        ("in_a", np.ones(4, dtype=np.uint8)),
-        ("phi", np.ones(3, dtype=np.int32)),
-        ("in_a", None),
-    ):
-        with pytest.raises(ValidationError):
-            RepresentationBlock(**tallies, **{**extra, field: bad})
+        RepresentationBlock(lo=1, hi=5, r0_pair=ok[:2], r1=ok, r2=ok, primes=primes)
+    with pytest.raises(ValidationError):
+        RepresentationBlock(lo=1, hi=5, r0_pair=ok, r1=ok.astype(np.int16), r2=ok, primes=primes)
+    block = RepresentationBlock(lo=1, hi=5, r0_pair=ok, r1=ok, r2=ok, primes=primes)
+    assert block.in_a.tolist() == [True, False, False, False]
+    # The walk needs every prime up to sqrt(hi - 1): 9 covers hi = 100, not 101.
+    RepresentationBlock(lo=96, hi=100, r0_pair=ok, r1=ok, r2=ok, primes=primes)
+    with pytest.raises(ValidationError, match=r"below sqrt\(100\)"):
+        RepresentationBlock(lo=97, hi=101, r0_pair=ok, r1=ok, r2=ok, primes=primes)
 
 
 def test_overflow_guard():
