@@ -224,8 +224,7 @@ def _cmd_congruence(args: argparse.Namespace, out_dir: Path) -> list[str]:
     csv_path = out_dir / "congruence.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("kind,modulus,t,d,closed,oracle,match\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        fh.writelines(f"{k},{m},{t},{d},{c},{o},{ok}\n" for k, m, t, d, c, o, ok in rows)
     mismatches = sum(1 for row in rows if not row[-1])
     print(f"wrote {len(rows)} congruence rows ({mismatches} mismatches) -> {csv_path}")
     return [csv_path.name]

@@ -16,14 +16,18 @@ The exhaustive oracles assume neither multiplicativity, CRT, phi, square
 roots of -1 nor any factorization.  rho_oracle counts every residue pair: it
 finds the units mod d by striking the multiples of every divisor g > 1 of d
 (divisors found by trial, not by factoring) and looks up -v^2 in a bincount
-of the squares.  nu_oracle uses only that F is homogeneous, scanning one full
-row per gcd class of n1 and counting (not deriving) the class sizes.
+of the squares.  It lists only half the residues, by two symmetries: u and
+d - u have the same square, and v and d - v are units together with the same
+-v^2.  nu_oracle uses only that F is homogeneous, scanning one full row per
+gcd class of n1 and counting (not deriving) the class sizes.  Both read the
+shared read-only tables of _tables, built on the first oracle call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -33,6 +37,21 @@ from .errors import CapacityError, ValidationError
 # Largest moduli the exhaustive oracles accept.
 NU_ORACLE_CAP = 3000
 RHO_ORACLE_CAP = 10**5
+
+
+@cache
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables shared by every oracle call, built on the first one.
+
+    ramp[k] = k for k <= NU_ORACLE_CAP: the residues of nu_oracle and the
+    divisor candidates of rho_oracle.  squares[u] = u^2 for u <=
+    RHO_ORACLE_CAP // 2, the half of the residues that rho_oracle lists.
+    """
+    ramp = np.arange(max(NU_ORACLE_CAP, math.isqrt(RHO_ORACLE_CAP)) + 1, dtype=np.int64)
+    squares = np.arange(RHO_ORACLE_CAP // 2 + 1, dtype=np.int64) ** 2
+    for table in (ramp, squares):
+        table.flags.writeable = False
+    return ramp, squares
 
 
 @dataclass(frozen=True)
@@ -72,31 +91,43 @@ def rho_closed(f: Factorization) -> CongruenceCount:
 def rho_oracle(d: int) -> CongruenceCount:
     """Exhaustive rho(d): counts every residue pair (u, v) mod d.
 
-    v is a unit when no divisor g > 1 of d divides it.  The divisors g up to
-    isqrt(d) are found by one vectorised d % g, and each of them, its
-    cofactor d // g and d itself strikes its multiples from the unit mask.
-    A bincount of u^2 mod d then gives, for every unit v, the number of u
-    with u^2 = -v^2 mod d.  No factorization, CRT, multiplicativity, phi or
-    square root of -1 is used.
+    u and d - u have the same square, and v and d - v are units together
+    with the same -v^2, so only 0 <= u, v <= d // 2 are listed.  A bincount
+    of u^2 mod d over that half, doubled, less one for u = 0 and one for
+    u = d/2 (their own partners), counts the u mod d with each square; it is
+    read at -v^2 for every listed v.  v is a unit when no divisor g > 1 of d
+    divides it: the divisors g up to isqrt(d) come from one vectorised d % g
+    over the shared ramp, and each of them, its cofactor d // g and d itself
+    strikes the reads at its multiples.  For d > 2 the half holds neither
+    v = 0 nor v = d/2 as a unit, so the sum over its units counts each unit
+    pair once and is doubled; for d <= 2 every listed v is its own partner.
+    No factorization, CRT, multiplicativity, phi or square root of -1 is
+    used.
     """
     if d < 1:
         raise ValidationError(f"rho_oracle needs d >= 1, got {d}")
     if d > RHO_ORACLE_CAP:
         raise CapacityError(f"rho_oracle modulus {d} exceeds cap {RHO_ORACLE_CAP}")
-    u = np.arange(d, dtype=np.int64)
-    sq = u * u % d
-    # squares[d] repeats squares[0], so squares[d - s] counts u^2 = -s for every s.
-    squares = np.bincount(sq, minlength=d + 1)
-    squares[d] = squares[0]
-    unit = np.ones(d, dtype=bool)
+    ramp, squares = _tables()
+    h = d // 2
+    sq = squares[: h + 1] % d
+    # counts[d] repeats counts[0], so counts[d - s] counts u^2 = -s for every s.
+    counts = np.bincount(sq, minlength=d + 1)
+    counts += counts
+    counts[0] -= 1
+    if d % 2 == 0:
+        counts[sq[h]] -= 1
+    counts[d] = counts[0]
+    # hits[v] counts the u with u^2 = -v^2; the non-units v are struck to 0.
+    hits = counts[d - sq]
     if d > 1:  # d itself divides only v = 0
-        unit[0] = False
-    g = np.arange(2, math.isqrt(d) + 1)
+        hits[0] = 0
+    g = ramp[2 : math.isqrt(d) + 1]
     for k in g[d % g == 0].tolist():
-        unit[::k] = False
-        unit[:: d // k] = False
-    count = int(squares[d - sq[unit]].sum())
-    return CongruenceCount(modulus=d, count=count)
+        hits[::k] = 0
+        hits[:: d // k] = 0
+    half = int(hits.sum())
+    return CongruenceCount(modulus=d, count=half if d <= 2 else 2 * half)
 
 
 def nu_prime_closed(p: int, params: FormParams) -> CongruenceCount:
@@ -125,8 +156,10 @@ def nu_oracle(delta: int, params: FormParams) -> CongruenceCount:
     u*n1; every n1 with gcd(n1, delta) = g is such a u*g.  The oracle
     therefore scans the rows g mod delta for the divisors g of delta, every
     n2 of each, and weights each row by its class size.  The class sizes are
-    counted from gcd(n, delta) over all n mod delta, not derived from phi,
-    the factorization or CRT, which are what the closed form rests on.
+    counted by a bincount of gcd(n, delta) over all n mod delta, not derived
+    from phi, the factorization or CRT, which are what the closed form rests
+    on; its nonzero bins are the divisors g.  The count is delta^2 less the
+    weighted nonzero cells.
 
     The linear forms are assembled from pre-reduced vectors (k*t) mod delta
     and (k*d) mod delta, shifted into [0, 2*delta), so each cell needs a
@@ -138,17 +171,18 @@ def nu_oracle(delta: int, params: FormParams) -> CongruenceCount:
         raise ValidationError(f"nu_oracle needs delta >= 1, got {delta}")
     if delta > NU_ORACLE_CAP:
         raise CapacityError(f"nu_oracle modulus {delta} exceeds cap {NU_ORACLE_CAP}")
-    n = np.arange(delta, dtype=np.int64)
-    g, sizes = np.unique(np.gcd(n, delta), return_counts=True)
-    rows = g % delta
-    vt = (n * (params.t % delta)) % delta
-    vd = (n * (params.d % delta)) % delta
-    prod = vt[None, :] - (vd[rows, None] - delta)
-    prod *= vd[None, :] + vt[rows, None]
-    prod *= vd[rows, None] + vt[None, :]
+    # Residues 1..delta, with delta standing for 0, so residue g sits at g - 1.
+    n = _tables()[0][1 : delta + 1]
+    sizes = np.bincount(np.gcd(n, delta))
+    g = np.flatnonzero(sizes)
+    vt = n * (params.t % delta) % delta
+    vd = n * (params.d % delta) % delta
+    rt, rd = vt[g - 1, None], vd[g - 1, None]
+    prod = vt - (rd - delta)
+    prod *= vd + rt
+    prod *= rd + vt
     prod %= delta
-    zeros = delta - np.count_nonzero(prod, axis=1)
-    count = int(sizes @ zeros)
+    count = delta * delta - int(sizes[g] @ np.count_nonzero(prod, axis=1))
     return CongruenceCount(modulus=delta, count=count)
 
 

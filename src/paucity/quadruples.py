@@ -227,12 +227,14 @@ def _pair_batches(s: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
     triples = 0
     last = (s - 1) // 2
     for d in range(1, last + 1):
-        t = np.arange(d + 1, s - d + 1, dtype=np.int64)
-        t = t[(np.gcd(t, d) == 1) & (t * t - 2 * d * t - d * d > 0)]
+        # t^2 - 2dt - d^2 > 0 is (t - d)^2 > 2d^2, never an equality.
+        t = np.arange(d + math.isqrt(2 * d * d) + 1, s - d + 1, dtype=np.int64)
         top = (s * (t - d) - 1) // (t * t + 2 * d * t - d * d)
-        keep = top >= 1
-        parts.append((np.full(np.count_nonzero(keep), d, dtype=np.int64), t[keep], top[keep]))
-        triples += int(top.sum())
+        # gcd last, on the t that the bounds leave.
+        keep = np.flatnonzero(top >= 1)
+        keep = keep[np.gcd(t[keep], d) == 1]
+        parts.append((np.full(keep.size, d, dtype=np.int64), t[keep], top[keep]))
+        triples += int(top[keep].sum())
         if triples >= _BATCH or d == last:
             yield tuple(np.concatenate(col) for col in zip(*parts))
             parts, triples = [], 0
@@ -248,7 +250,9 @@ def enumerate_n1_params(limit: int, collect: bool = False) -> ParamCensus:
     Vectorized over flattened batches instead of one step per (d, t): each
     batch of coprime pairs from _pair_batches is expanded into its (d, t, n1)
     triples, each triple into its [lo2, hi2] window of n2, and the cells are
-    filtered in runs cut by _runs, all in (d, t, n1, n2) order.  A batch holds
+    filtered in runs cut by _runs, all in (d, t, n1, n2) order.  A run tests
+    the p form for primality first and keeps only its survivors, then the r
+    and q forms, and only then gcd(n1, n2) and the exact cut.  A batch holds
     fewer than _BATCH + s(1 + ln s) triples and a run fewer than _BATCH + s
     cells, so memory is O(_BATCH + sqrt(limit) log limit) however many triples
     there are.  It uses its own prime sieve and no census helper, since the
@@ -268,16 +272,20 @@ def enumerate_n1_params(limit: int, collect: bool = False) -> ParamCensus:
         pair, n1 = _flatten(np.ones(top.size, dtype=np.int64), top)
         d, t = pair_d[pair], pair_t[pair]
         lo2 = n1 * (t + d) // (t - d) + 1
-        cnt = np.maximum(np.minimum((s - n1 * d) // t, (n1 * t - 3) // d) - lo2 + 1, 0)
+        nd = n1 * d
+        cnt = np.maximum(np.minimum((s - nd) // t, (n1 * t - 3) // d) - lo2 + 1, 0)
         for k, m in _runs(cnt, _BATCH):
             cell, n2 = _flatten(lo2[k:m], cnt[k:m])
-            dc, tc, n1c = d[k:m][cell], t[k:m][cell], n1[k:m][cell]
-            p_f = n1c * dc + n2 * tc
+            cell += k
+            # The p form first: only its primes reach the other tests.
+            p_f = nd[cell] + n2 * t[cell]
+            keep = np.flatnonzero(is_p[p_f])
+            cell, n2, p_f = cell[keep], n2[keep], p_f[keep]
+            dc, tc, n1c = d[cell], t[cell], n1[cell]
+            keep = np.flatnonzero(is_p[n2 * tc - n1c * dc] & is_p[n2 * dc + n1c * tc])
+            dc, tc, n1c, n2, p_f = dc[keep], tc[keep], n1c[keep], n2[keep], p_f[keep]
             a_f = n1c * tc - n2 * dc
-            ok = is_p[n2 * tc - n1c * dc] & is_p[n2 * dc + n1c * tc] & is_p[p_f]
-            ok &= np.gcd(n1c, n2) == 1
-            ok &= p_f * p_f + a_f * a_f <= limit
-            hits = np.flatnonzero(ok)
+            hits = np.flatnonzero((np.gcd(n1c, n2) == 1) & (p_f * p_f + a_f * a_f <= limit))
             total += hits.size
             if collect:
                 found += map(

@@ -438,7 +438,10 @@ def test_congruence_sweep(tmp_path):
     # t^2 + d^2 = 65 = 5 * 13: two primes = 1 mod 4 that divide t^2 + d^2.
     (("--rho-max", "1", "--nu-max", "1000", "--t", "4", "--d", "7"),
      "90915a35383819b8259a828596c7b96c03228f4f039891060cda8eadc8f01a32"),
-], ids=["default", "t4-d7"])
+    # The congruence benchmark's size: every halved rho modulus up to 5000.
+    (("--rho-max", "5000", "--nu-max", "1000", "--t", "3", "--d", "4"),
+     "2fa94f0587bcace2da468b39f09dca1fba832a8b0a22499792c95a26856c3257"),
+], ids=["default", "t4-d7", "rho5000-nu1000"])
 def test_congruence_csv_bytes(tmp_path, argv, digest):
     out = tmp_path / "g"
     assert run_cli("congruence", *argv, "--out-dir", str(out)) == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paucity import congruence
 from paucity.arith import build_spf_table, factorize
 from paucity.congruence import (
     NU_ORACLE_CAP,
@@ -49,6 +50,23 @@ def test_rho_oracle_matches_full_grid():
     # prime factors, and 5000 = 2^3*5^4 has high prime powers.
     for d in [*range(1, 401), 1105, 2310, 4620, 5000]:
         assert rho_oracle(d).count == oracles.rho_grid(d), d
+
+
+def test_rho_oracle_halving_edges_and_cap():
+    # rho_oracle lists 0 <= u, v <= d // 2.  d <= 2 has no residue pairs to
+    # fold; d = 4, 6 and 8 end an even half on its own partner u = d/2.  The
+    # range up to the cap uses the end of the squares table; 2^16 has only
+    # powers of 2 to strike, 2*49999 strikes the multiples of 49999 only
+    # through the cofactor, and 4*24989 (24989 = 1 mod 4) pairs 4 with a
+    # large prime.
+    spf = build_spf_table(RHO_ORACLE_CAP)
+    for d in [1, 2, 3, 4, 6, 8, *range(99990, RHO_ORACLE_CAP + 1), 65536, 2 * 49999, 4 * 24989]:
+        assert rho_oracle(d).count == rho_closed(factorize(d, spf)).count, d
+    for table in congruence._tables():
+        with pytest.raises(ValueError):
+            table[0] = 1
+    with pytest.raises(CapacityError):
+        rho_oracle(RHO_ORACLE_CAP + 1)
 
 
 def test_rho_multiplicative_bound():
