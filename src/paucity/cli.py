@@ -1,8 +1,9 @@
 """Command-line surface: batch experiments, CSV outputs, JSON run manifests.
 
 Subcommands: sieve, mean, constants, congruence, offdiag, report.  Exit code
-0 on success, 2 on validation errors (including argparse failures, and an
---out-dir that cannot be made, refused before any work), 3 on
+0 on success, 2 on validation errors (including argparse failures, an
+--out-dir that cannot be made and an output of fixed name or a manifest
+whose path is a directory, all refused before any work), 3 on
 capacity/overflow errors and on a file that cannot be written, such as an
 output or the manifest.  mean makes one meanvalue.accumulate call, with
 --threads (PAUCITY_THREADS overrides it, and both are at most MAX_THREADS)
@@ -382,6 +383,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The outputs each command writes under fixed names, whatever its data.
+_FIXED_OUTPUTS = {
+    "sieve": ("blocks.pcty",),
+    "mean": ("mean.csv",),
+    "constants": ("constants.csv",),
+    "congruence": ("congruence.csv",),
+    "offdiag": ("offdiag.csv",),
+    "report": ("report.csv",),
+}
+
 _DISPATCH = {
     "sieve": _cmd_sieve,
     "mean": _cmd_mean,
@@ -401,6 +412,12 @@ def run(argv: list[str]) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create --out-dir {out_dir}: {exc.strerror}") from None
+    names = [*_FIXED_OUTPUTS[args.command], f"{args.command}_manifest.json"]
+    if getattr(args, "emit_quadruples", False):
+        names.append("quadruples.csv")
+    for name in names:
+        if (out_dir / name).is_dir():
+            raise ValidationError(f"output {out_dir / name} is a directory")
     started = _timestamp()
     outputs = _DISPATCH[args.command](args, out_dir)
     config = {k: v for k, v in vars(args).items() if k not in ("command",)}

@@ -35,8 +35,8 @@ class ConstantValue:
             raise ValidationError(f"error_bound must be positive, got {self.error_bound}")
 
 
-# catalan builds its terms this many at a time.
-_CATALAN_CHUNK = 1 << 16
+# catalan and landau_ramanujan build their fsum terms this many at a time.
+_CHUNK = 1 << 16
 
 
 @cache
@@ -47,7 +47,7 @@ def catalan(eps: float = 1e-10) -> ConstantValue:
     g_j = 1/(4j+1)^2 - 1/(4j+3)^2 (all positive), summed exactly with
     math.fsum; truncation error after J pairs is below the first omitted
     term 1/(4J+1)^2 <= eps.  The pairs are built from a float64 arange,
-    _CATALAN_CHUNK at a time; every (4j+3)^2 is below 2^53, so each is
+    _CHUNK at a time; every (4j+3)^2 is below 2^53, so each is
     exact and every term has the bits of its integer-arithmetic form.
     """
     if not (1e-15 <= eps < 1.0):
@@ -55,8 +55,8 @@ def catalan(eps: float = 1e-10) -> ConstantValue:
     pairs = int(math.ceil((1.0 / math.sqrt(eps) - 1.0) / 4.0)) + 1
 
     def terms():
-        for start in range(0, pairs, _CATALAN_CHUNK):
-            j = np.arange(start, min(start + _CATALAN_CHUNK, pairs), dtype=np.float64)
+        for start in range(0, pairs, _CHUNK):
+            j = np.arange(start, min(start + _CHUNK, pairs), dtype=np.float64)
             yield from (1.0 / (4.0 * j + 1.0) ** 2 - 1.0 / (4.0 * j + 3.0) ** 2).tolist()
 
     value = math.fsum(terms())
@@ -73,18 +73,26 @@ def landau_ramanujan(prime_limit: int = 10**7, form: str = "1mod4") -> ConstantV
 
     Both are evaluated as exp of a compensated log sum; the truncated tail of
     sum_{p>P} |log(1 - p^-2)|/2 is below 1/(P-1), which bounds the error.
+    The log terms reach math.fsum from a generator over _CHUNK primes at a
+    time; fsum rounds once, exactly, so the value does not depend on the
+    chunking.
     """
     check_prime_limit(prime_limit)
     if form not in ("1mod4", "3mod4"):
         raise ValidationError(f"unknown product form {form!r}")
     p = sieve_primes(prime_limit).primes
+    residue = 1 if form == "1mod4" else 3
+
+    def terms():
+        for start in range(0, p.size, _CHUNK):
+            chunk = p[start : start + _CHUNK]
+            sel = chunk[chunk & 3 == residue].astype(np.float64)
+            yield from np.log1p(-1.0 / (sel * sel)).tolist()
+
+    logsum = math.fsum(terms())
     if form == "1mod4":
-        sel = p[p & 3 == 1].astype(np.float64)
-        logsum = math.fsum(np.log1p(-1.0 / (sel * sel)).tolist())
         value = (math.pi / 4.0) * math.exp(0.5 * logsum)
     else:
-        sel = p[p & 3 == 3].astype(np.float64)
-        logsum = math.fsum(np.log1p(-1.0 / (sel * sel)).tolist())
         value = math.exp(-0.5 * logsum) / math.sqrt(2.0)
     bound = 1.0 / (prime_limit - 1)
     return ConstantValue("K", value, bound, f"euler-product-{form}:{prime_limit}")
@@ -128,9 +136,10 @@ def sieve_density_product(z: float) -> ConstantValue:
 # Each reported statistic is defined once, in STATISTICS: its terms over a
 # slice of a sieve block, whose dtype sets its summation (int and bool terms
 # exactly, float64 terms compensated), its normalization and its limit
-# constant.  A block runs the walk behind omega, phi and in_a only when a
-# term reads one of them.  Constants are thunks evaluated on first use, so
-# only LANDAU_B and COUNT_A pay for landau_ramanujan's prime sieve.
+# constant.  A block runs the walk behind its list of A only when a term
+# reads it: LEMMA31, LEMMA32 and COUNT_A.  Constants are thunks evaluated on
+# first use, so only LANDAU_B and COUNT_A pay for landau_ramanujan's prime
+# sieve.
 
 _PI = math.pi
 
@@ -140,12 +149,19 @@ def _block_slice(name: str) -> property:
     return property(lambda v: getattr(v.block, name)[v.lo - v.block.lo : v.hi - v.block.lo])
 
 
+def _a_slice(name: str) -> property:
+    """A Tallies attribute: the block's compact array `name` on the n of A
+    in the slice, as a view."""
+    return property(lambda v: getattr(v.block, name)[v.a_range])
+
+
 @dataclass(frozen=True)
 class Tallies:
     """The slice [lo, hi) of one sieve block.
 
-    r0_pair, r1, r2, omega, phi and in_a are views of the block's arrays, so
-    a slice runs the block's walk only when a term reads omega, phi or in_a.
+    r0_pair, r1 and r2 are views of the block's arrays, and omega_a and
+    phi_a views of its compact arrays on the n of A in the slice, found by
+    a_range; so a slice runs the block's walk only when a term reads A.
     Every other array is built on first read, so it costs nothing where no
     term reads it:
 
@@ -154,7 +170,7 @@ class Tallies:
       r0_div as r0_convention says, and r0s, r1s and r2s, the values of r0,
       r1 and r2 there as int64.  r2 <= r1 <= r0_pair <= r0_div, so a term
       made of the r's is 0 off the support;
-    * on_a, the offsets of the n in A.
+    * on_a, the offsets n - lo of the n in A.
     """
 
     block: RepresentationBlock
@@ -166,9 +182,8 @@ class Tallies:
     r0_pair = _block_slice("r0_pair")
     r1 = _block_slice("r1")
     r2 = _block_slice("r2")
-    omega = _block_slice("omega")
-    phi = _block_slice("phi")
-    in_a = _block_slice("in_a")
+    omega_a = _a_slice("omega_a")
+    phi_a = _a_slice("phi_a")
 
     @cached_property
     def r0_div(self) -> np.ndarray:
@@ -195,18 +210,21 @@ class Tallies:
         return self.r2[self.support].astype(np.int64)
 
     @cached_property
+    def a_range(self) -> slice:
+        """The part of the block's compact arrays on A that lies in the slice."""
+        start = self.lo - self.block.lo
+        return slice(*np.searchsorted(self.block.on_a, (start, start + self.hi - self.lo)).tolist())
+
+    @cached_property
     def on_a(self) -> np.ndarray:
         """The offsets n - lo of the n in A, ascending."""
-        return np.flatnonzero(self.in_a)
+        return self.block.on_a[self.a_range] - (self.lo - self.block.lo)
 
     @cached_property
     def lemma_weight(self) -> np.ndarray:
         """2^omega(n) at the offsets on_a, with f_A(1) = 1; shared by
-        LEMMA31 and LEMMA32, whose terms are 0 off A.
-
-        It reads omega only on A, the only place the sieve defines it.
-        """
-        return np.exp2(self.omega[self.on_a].astype(np.float64))
+        LEMMA31 and LEMMA32, whose terms are 0 off A."""
+        return np.exp2(self.omega_a.astype(np.float64))
 
     def scatter(self, at: np.ndarray, values: np.ndarray) -> np.ndarray:
         """A float term over the slice: `values` at the offsets `at`, 0 elsewhere."""
@@ -287,12 +305,14 @@ STATISTICS: dict[str, Statistic] = {s.name: s for s in (
     ),
     Statistic(
         "LEMMA32",
-        lambda v: v.scatter(v.on_a, v.lemma_weight / v.phi[v.on_a].astype(np.float64)),
+        lambda v: v.scatter(v.on_a, v.lemma_weight / v.phi_a.astype(np.float64)),
         _PER_LOG, lambda: 12.0 * _g() / _PI**3,
     ),
     # b(n) = [r0_div(n) > 0] under either r0 convention.
     Statistic("LANDAU_B", lambda v: v.r0_div > 0, _SQRT_LOG, _k),
-    Statistic("COUNT_A", lambda v: v.in_a, _SQRT_LOG, lambda: 1.0 / (4.0 * _k())),
+    # One True per n of A, listed on A only.
+    Statistic("COUNT_A", lambda v: np.ones(v.phi_a.size, dtype=bool), _SQRT_LOG,
+              lambda: 1.0 / (4.0 * _k())),
 )}
 
 # What `paucity mean` reports when no --stats is given.

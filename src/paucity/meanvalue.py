@@ -5,8 +5,8 @@ checks the whole request, then sieves and reduces each block, a slice at a
 time, to the sums of one run of n, and merges the runs in ascending block
 order; one type of sums does both for every statistic.  The blocks are
 sieved and reduced in this process or by worker processes
-(workers.ordered_map), and a block runs the multiplicative walk only when a
-requested term reads omega, phi or in_a.
+(workers.ordered_map), and a block runs the multiplicative walk behind its
+list of A only when a requested term reads it.
 
 Every sum is cut on one fixed absolute grid: the multiples of _ATOM (2^16)
 and the checkpoint edges p + 1.  A block is reduced in slices cut on that
@@ -286,13 +286,13 @@ def accumulate(
     """
     plan = _Plan(cfg, grid, statistics, r0_convention, dispersion_c)
     primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
-    # A process's last block, with its walk arrays if a term read them, stays
+    # A process's last block, with its list of A if a term read it, stays
     # allocated while the next block's pair tallies are sieved, so the
     # allocator reuses its pages instead of handing them back to the system
     # and faulting them in again: freeing each block first cost 5x the minor
     # page faults (99k against 19k for mean --limit 30000000 in one process).
-    # Assigning the new block frees the last one, before reduce runs the new
-    # block's walk, so two blocks' walk arrays are never alive at once.
+    # Assigning the new block frees the last one before reduce runs the new
+    # block's walk, so the walk's temporaries never meet a second block's.
     last = None
 
     def sieve_and_reduce(bounds: tuple[int, int]) -> _BlockSums:

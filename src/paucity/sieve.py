@@ -39,24 +39,24 @@ kernel on 2 cores) and held about 40-50 MB more.  meanvalue.accumulate
 calls sieve_block itself, one block per task, in this process or in worker
 processes.
 
-Each block also has three multiplicative arrays, which only the set-A
+Each block also lists the set A of n whose prime factors are all 1 mod 4
+(n = 1 included), about a twelfth of n at 1e7, which only the set-A
 statistics read.  A block keeps the PrimeTable it was sieved with and runs
-the walk behind them the first time any of the three is read:
+the walk behind three compact arrays the first time any of them is read:
 
-* in_a:  bool, every prime factor is 1 mod 4 (true at n = 1), exact at every n
-* omega: int8, the number of distinct prime factors, on A; 0 off A
-* phi:   int32, Euler's totient, on A; 1 off A
+* on_a:    int64, the ascending offsets n - lo of the n in A
+* omega_a: int8, the number of distinct prime factors at those n
+* phi_a:   int32, Euler's totient at those n
 
 Every n in A is 1 mod 4, so the walk over the primes p <= sqrt(hi - 1) runs
 only on the quarter lattice n = n0 + 4j of the block, each prime power
-starting at j = -n0 * 4^-1 mod p^k.  A prime 3 mod 4 only clears in_a; a
-prime 1 mod 4 multiplies an int32 smooth part by p at its multiples and at
-those of each p^k, and updates omega and phi, so one division per block,
-n // smooth(n), leaves the cofactor (on A, 1 or a single prime above the
-root).  The lattice results are scattered to full width, and off A in_a
-is false, omega 0 and phi 1; phi is never 0, so a term divided by it is 0
-off A.  Every intermediate is at most n <= MAX_SIEVE_LIMIT < 2^31, which is
-what lets smooth and phi live in int32.
+starting at j = -n0 * 4^-1 mod p^k.  A prime 3 mod 4 only strikes n from A;
+a prime 1 mod 4 multiplies an int32 smooth part by p at its multiples and
+at those of each p^k, and updates omega and phi, so one division per
+block, n // smooth(n), leaves the cofactor (on A, 1 or a single prime above
+the root).  Only the values on A leave the walk, and every temporary is
+lattice-sized.  Every intermediate is at most n <= MAX_SIEVE_LIMIT < 2^31,
+which is what lets smooth and phi live in int32.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ from .errors import CapacityError, TallyOverflowError, ValidationError
 
 # A full boolean sieve at this cap costs ~1 GB; beyond it, refuse.
 MAX_SIEVE_LIMIT = 10**9
-# A block's tracemalloc peak is 8.4 MiB per 2^20 integers at the cap for the
-# pair tallies and 16.6 MiB once its multiplicative arrays are read, and
-# 66 MiB for one block of this width at the cap; a wider block is refused
-# before any sieving starts.
+# A block's tracemalloc peak is 8.5 MiB per 2^20 integers at the cap for the
+# pair tallies and 10.5 MiB once its list of A is read, and 42 MiB for one
+# block of this width at the cap; a wider block is refused before any
+# sieving starts.
 MAX_BLOCK_SIZE = 1 << 22
 
 # Pair tallies are counted in sub-windows of this many integers.
@@ -145,10 +145,11 @@ class RepresentationBlock:
     """Tallies for the half-open range [lo, hi), arrays indexed by n - lo.
 
     `primes` is the table the block was sieved with, which must cover
-    sqrt(hi - 1).  r0_div is derived from r0_pair on first read, and omega,
-    phi and in_a come from one walk over `primes`, run the first time any of
-    them is read.  in_a is exact at every n; omega and phi are defined only
-    on A (where in_a holds) and read 0 and 1 elsewhere.
+    sqrt(hi - 1).  r0_div is derived from r0_pair on first read.  on_a,
+    omega_a and phi_a list the set A compactly: the ascending offsets n - lo
+    of the n in A, and omega and phi at those n.  All three come from one
+    walk over `primes`, run the first time any of them is read, and are
+    read-only.
     """
 
     lo: int
@@ -182,9 +183,9 @@ class RepresentationBlock:
             arr.flags.writeable = False
         return arrays
 
-    omega = property(lambda self: self._walk[0])
-    phi = property(lambda self: self._walk[1])
-    in_a = property(lambda self: self._walk[2])
+    on_a = property(lambda self: self._walk[0])
+    omega_a = property(lambda self: self._walk[1])
+    phi_a = property(lambda self: self._walk[2])
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -324,23 +325,26 @@ def _live_strides(
 def _multiplicative_arrays(
     lo: int, hi: int, primes: PrimeTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """omega, phi, in_a for [lo, hi); omega and phi are 0 and 1 off A.
+    """on_a, omega_a, phi_a for [lo, hi): the ascending offsets n - lo of
+    the n in A (int64), and omega (int8) and phi (int32) at those n.
 
     Every n in A is 1 mod 4, so the walk runs only on the lattice
     n = n0 + 4j of the block, with strided slice updates and no per-prime
     division, power or boolean mask.  The odd prime powers m = p^k <= hi - 1
     start at j = -n0 * 4^-1 mod m, computed for all of them at once.
 
-    * A prime 3 mod 4 clears in_a at its multiples and does nothing else.
+    * A prime 3 mod 4 strikes its multiples from A and does nothing else.
     * A prime 1 mod 4 multiplies smooth by p and phi by p - 1 at its
       multiples and adds one to omega; each p^k, k >= 2, multiplies smooth
       and phi by p.  n // smooth(n) is then, on A, 1 or the single prime
-      factor above sqrt(hi - 1): one division per block.
+      factor above sqrt(hi - 1): one division per block, taken in place.
+      Where no prime 3 mod 4 struck n, that cofactor is 1 mod 4 like n
+      and smooth(n), so those n are exactly A.
 
+    Every temporary is lattice-sized, and only the values on A are kept.
     Headroom: smooth and phi never exceed n <= MAX_SIEVE_LIMIT < 2^31, so
     both are int32.  omega is at most 9 < 2^7.
     """
-    width = hi - lo
     top = hi - 1
     n0 = lo + (1 - lo) % 4
     n = np.arange(n0, hi, 4, dtype=np.int32)
@@ -368,27 +372,20 @@ def _multiplicative_arrays(
             smooth[sl] *= p
             ph[sl] *= p
         pk = pk * base
-    # On A what survives is 1 or a single prime above sqrt(hi - 1), 1 mod 4;
-    # off A, omega and phi are reset to their fixed values.
-    val = n // smooth
-    ina &= (val & 3) == 1
-    om += val > 1
-    ph *= np.maximum(val - 1, 1)
-    om *= ina
-    ph = np.where(ina, ph, 1)
-    full_om = np.zeros(width, dtype=np.int8)
-    full_ph = np.ones(width, dtype=np.int32)
-    full_ina = np.zeros(width, dtype=bool)
-    lattice = slice(n0 - lo, width, 4)
-    full_om[lattice] = om
-    full_ph[lattice] = ph
-    full_ina[lattice] = ina
-    return full_om, full_ph, full_ina
+    n //= smooth  # n becomes its cofactor
+    om += n > 1
+    n -= 1
+    ph *= np.maximum(n, 1, out=n)
+    at = np.flatnonzero(ina)
+    om, ph = om[at], ph[at]
+    at *= 4
+    at += n0 - lo
+    return at, om, ph
 
 
 def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> RepresentationBlock:
-    """Tally r0_pair, r1, r2 for [lo, hi); the block runs its walk for omega,
-    phi and in_a when one of them is first read.
+    """Tally r0_pair, r1, r2 for [lo, hi); the block runs its walk for on_a,
+    omega_a and phi_a when one of them is first read.
 
     Parameters
     ----------

@@ -224,6 +224,24 @@ def lemma_terms_dense(
     return weight / n, weight / phi.astype(np.float64)
 
 
+def spread_walk(block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """omega, phi and in_a of `block` at every n = lo, ..., hi - 1: its
+    compact arrays on A spread to full width, omega 0 and phi 1 off A.
+
+    The offsets must ascend strictly and lie in the block."""
+    width = block.hi - block.lo
+    at = block.on_a
+    assert at.size == block.omega_a.size == block.phi_a.size
+    assert (np.diff(at) > 0).all() and (at.size == 0 or 0 <= at[0] <= at[-1] < width)
+    omega = np.zeros(width, dtype=np.int8)
+    phi = np.ones(width, dtype=np.int32)
+    in_a = np.zeros(width, dtype=bool)
+    omega[at] = block.omega_a
+    phi[at] = block.phi_a
+    in_a[at] = True
+    return omega, phi, in_a
+
+
 def pair_tallies_loop(lo: int, hi: int, is_prime: np.ndarray) -> tuple[np.ndarray, ...]:
     """r0_pair, r1, r2 on [lo, hi) as int32, one numpy call per a.
 

@@ -303,13 +303,30 @@ def test_unwritable_out_dir_exits_cleanly(tmp_path, monkeypatch, capsys):
             assert run_cli("mean", "--limit", "1000", "--out-dir", str(out)) == 2, out
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and str(out) in err, err
-    # An output, then the manifest, that cannot be written: exit 3 after the run.
-    for name in ("mean.csv", "mean_manifest.json"):
-        out = tmp_path / name.split(".")[0]
-        (out / name).mkdir(parents=True)
-        assert run_cli("mean", "--limit", "1000", "--out-dir", str(out)) == 3, name
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and name in err, err
+
+    def refuse_census(*args, **kwargs):
+        raise AssertionError("no census may run")
+
+    # An output, or the manifest, whose path is a directory: refused before
+    # any work, and no file is added.
+    with monkeypatch.context() as patched:
+        patched.setattr(paucity.meanvalue, "sieve_primes", refuse)
+        patched.setattr(paucity.cli, "enumerate_offdiag", refuse_census)
+        patched.setattr(paucity.cli, "enumerate_n1_params", refuse_census)
+        for argv, name in (
+            (["mean", "--limit", "1000"], "mean.csv"),
+            (["mean", "--limit", "1000"], "mean_manifest.json"),
+            (["offdiag", "--limit", "1000"], "offdiag.csv"),
+            (["offdiag", "--limit", "1000"], "offdiag_manifest.json"),
+            (["offdiag", "--limit", "1000", "--mode", "direct", "--emit-quadruples"],
+             "quadruples.csv"),
+        ):
+            out = tmp_path / "taken" / name
+            (out / name).mkdir(parents=True)
+            assert run_cli(*argv, "--out-dir", str(out)) == 2, name
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and name in err, err
+            assert [p.name for p in out.iterdir()] == [name], name
 
 
 def test_capacity_exit_code(tmp_path):

@@ -1,10 +1,12 @@
 """Predicted-constant toolbox: series values, Euler products, normalizations."""
 
 import math
+import tracemalloc
 
 import mpmath
 import pytest
 
+from paucity import constants
 from paucity.constants import (
     STATISTICS,
     ConstantValue,
@@ -23,6 +25,9 @@ MP_CATALAN = float(mpmath.catalan)
 # Landau constant to 20 places, from the 1 mod 4 Euler product evaluated
 # with mpmath at very high precision (frozen once; see test below).
 LANDAU_REF = 0.76422365358922066299
+# float.hex of landau_ramanujan(10**7) in each form, frozen from the product
+# that passed all its log terms to math.fsum as one list.
+LANDAU_BITS = {"1mod4": "0x1.874852a79b634p-1", "3mod4": "0x1.874852945f578p-1"}
 
 
 def test_catalan_matches_mpmath():
@@ -70,6 +75,28 @@ def test_landau_reference_value():
     # that 1e6 primes already give 7 correct digits.
     k = landau_ramanujan(10**6)
     assert abs(k.value - LANDAU_REF) < 5e-7
+
+
+@pytest.mark.parametrize("chunk", [1000, 1 << 16, 664580])
+def test_landau_bits_frozen_across_chunks(monkeypatch, chunk):
+    # fsum rounds exactly once, so K keeps its bits whatever the chunk size,
+    # including one chunk above pi(1e7) = 664579 that holds every prime.
+    monkeypatch.setattr(constants, "_CHUNK", chunk)
+    for form, bits in LANDAU_BITS.items():
+        assert landau_ramanujan.__wrapped__(10**7, form).value.hex() == bits, form
+
+
+def test_landau_memory():
+    # The log terms are streamed, so the peak is the prime sieve's (the odd
+    # mask and the primes, about 10 MiB), not a list of 332k floats and
+    # four arrays of the selected primes (20.3 MiB before).
+    tracemalloc.start()
+    try:
+        landau_ramanujan.__wrapped__(10**7, "1mod4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, peak / 2**20
 
 
 def test_landau_validation():

@@ -113,14 +113,15 @@ def test_multiplicative_arrays_match_factorize():
     # n = 1, blocks with lo > 1, and a block ending at the limit.
     for lo, hi in ((1, 600), (500, 1200), (9999, 10500), (19000, limit + 1)):
         block = sieve_block(cfg, lo, hi, primes)
+        om, ph, in_a = oracles.spread_walk(block)
         for n in range(lo, hi):
             f = factorize(n, table)
             i = n - lo
-            assert bool(block.in_a[i]) == in_A(f), n
-            # omega and phi are defined on A only.
+            assert bool(in_a[i]) == in_A(f), n
+            # omega and phi are listed on A only.
             if in_A(f):
-                assert block.omega[i] == omega(f), n
-                assert block.phi[i] == phi(f), n
+                assert om[i] == omega(f), n
+                assert ph[i] == phi(f), n
             assert bool(block.r0_div[i] > 0) == is_sum_two_squares(f), n
 
 
@@ -142,12 +143,13 @@ def test_multiplicative_arrays_near_cap():
     before = {f: np.concatenate([getattr(b, f) for b in blocks]) for f in pairs}
     assert not any("_walk" in vars(b) for b in blocks)
     assert np.array_equal(before["r0_div"], want[0])
-    fields = ("r0_div", "omega", "phi", "in_a")
-    got = {f: np.concatenate([getattr(b, f) for b in blocks]) for f in fields}
+    walks = [oracles.spread_walk(b) for b in blocks]
+    got = {f: np.concatenate([w[i] for w in walks]) for i, f in enumerate(("omega", "phi", "in_a"))}
+    got["r0_div"] = np.concatenate([b.r0_div for b in blocks])
     r0_div, om, ph, in_a = want
     assert np.array_equal(got["r0_div"], r0_div)
     assert np.array_equal(got["in_a"], in_a)
-    # omega and phi are defined on A only; the windows hold 464 n in A.
+    # omega and phi are listed on A only; the windows hold 464 n in A.
     assert np.count_nonzero(in_a) > 400
     assert np.array_equal(got["omega"][in_a], om[in_a])
     assert np.array_equal(got["phi"][in_a], ph[in_a])
@@ -198,10 +200,10 @@ def test_multiplicative_arrays_lattice_edges():
         RepresentationBlock(lo, hi, *[np.zeros(hi - lo, dtype=np.uint16)] * 3, CAP_PRIMES)
         for lo, hi in windows
     ]
-    got_om, got_ph, got_a = (
-        np.concatenate([getattr(b, f) for b in blocks]) for f in ("omega", "phi", "in_a")
-    )
-    assert (got_om.dtype, got_ph.dtype, got_a.dtype) == (np.int8, np.int32, np.bool_)
+    for b in blocks:
+        assert (b.on_a.dtype, b.omega_a.dtype, b.phi_a.dtype) == (np.int64, np.int8, np.int32)
+    walks = [oracles.spread_walk(b) for b in blocks]
+    got_om, got_ph, got_a = (np.concatenate([w[i] for w in walks]) for i in range(3))
     assert np.array_equal(got_a, in_a)
     assert np.array_equal(got_om[in_a], om[in_a])
     assert np.array_equal(got_ph[in_a], ph[in_a])
@@ -339,10 +341,12 @@ def test_read_blocks_walk_like_sieved_blocks():
     loaded = list(read_blocks(buf))
     assert len({id(b.primes) for b in loaded}) == 1
     for a, b in zip(blocks, loaded):
-        for field in ("omega", "phi", "in_a"):
+        for field, want, got in zip(("omega", "phi", "in_a"), oracles.spread_walk(a),
+                                    oracles.spread_walk(b)):
+            assert np.array_equal(got, want), (field, a.lo)
+        for field in ("on_a", "omega_a", "phi_a"):
             got = getattr(b, field)
             assert got.dtype == getattr(a, field).dtype, field
-            assert np.array_equal(got, getattr(a, field)), (field, a.lo)
             assert not got.flags.writeable, field
 
 
@@ -386,7 +390,7 @@ def test_block_type_validation():
     with pytest.raises(ValidationError):
         RepresentationBlock(lo=1, hi=5, r0_pair=ok, r1=ok.astype(np.int16), r2=ok, primes=primes)
     block = RepresentationBlock(lo=1, hi=5, r0_pair=ok, r1=ok, r2=ok, primes=primes)
-    assert block.in_a.tolist() == [True, False, False, False]
+    assert oracles.spread_walk(block)[2].tolist() == [True, False, False, False]
     # The walk needs every prime up to sqrt(hi - 1): 9 covers hi = 100, not 101.
     RepresentationBlock(lo=96, hi=100, r0_pair=ok, r1=ok, r2=ok, primes=primes)
     with pytest.raises(ValidationError, match=r"below sqrt\(100\)"):
