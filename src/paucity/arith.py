@@ -1,22 +1,16 @@
 """Elementary multiplicative machinery shared by every other module.
 
 Everything here is exact integer arithmetic on single integers: the
-non-principal character mod 4, trial-division primality, smallest-prime-factor
-tables and factorizations.  The congruence closed forms factor through these,
+non-principal character mod 4, and factorization and primality by trial
+division, with no table.  The congruence closed forms factor through these,
 and the tests factor with them to check the sieve's multiplicative arrays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import CapacityError, ValidationError
-
-# Hard cap for table builds; a table of this size costs ~4 GB of int32.
-MAX_TABLE_LIMIT = 1 << 30
+from .errors import ValidationError
 
 
 def chi4(n: int) -> int:
@@ -32,19 +26,8 @@ def chi4(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division over odd factors up to sqrt(n)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Primality by trial division: n >= 2 is its own only prime factor."""
+    return n >= 2 and factorize(n).factors == ((n, 1),)
 
 
 @dataclass(frozen=True)
@@ -70,61 +53,23 @@ class Factorization:
             raise ValidationError(f"factors multiply to {prod}, not {self.value}")
 
 
-@dataclass(frozen=True)
-class SpfTable:
-    """Smallest-prime-factor table for 2..limit; spf[p] = p exactly when p is prime.
-
-    Entries 0 and 1 are sentinels (0) and must not be consulted.
-    """
-
-    limit: int
-    spf: np.ndarray
-
-
-def build_spf_table(limit: int) -> SpfTable:
-    """Sieve smallest prime factors up to `limit` (inclusive).
-
-    Parameters
-    ----------
-    limit : int
-        Largest value the table can factor, >= 2.
-
-    Returns
-    -------
-    SpfTable
-    """
-    if limit < 2:
-        raise ValidationError(f"spf table needs limit >= 2, got {limit}")
-    if limit > MAX_TABLE_LIMIT:
-        raise CapacityError(f"spf table limit {limit} exceeds cap {MAX_TABLE_LIMIT}")
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    spf[2::2] = 2
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if spf[p] == 0:
-            sl = spf[p * p :: 2 * p]
-            sl[sl == 0] = p
-    # Whatever is still unset is an odd prime above sqrt(limit) (or 1).
-    rest = np.flatnonzero(spf == 0)
-    rest = rest[rest >= 2]
-    spf[rest] = rest
-    return SpfTable(limit=limit, spf=spf)
-
-
-def factorize(n: int, table: SpfTable) -> Factorization:
-    """Factor n by walking the smallest-prime-factor table.
-
-    Accepts 1 <= n <= table.limit; n = 1 yields the empty factorization.
-    """
-    if n < 1 or n > table.limit:
-        raise ValidationError(f"factorize needs 1 <= n <= {table.limit}, got {n}")
-    spf = table.spf
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 by trial division: 2, then each odd f with f^2 <= m,
+    the part still unfactored; an m > 1 left over is prime.  n = 1 yields
+    the empty factorization."""
+    if n < 1:
+        raise ValidationError(f"factorize needs n >= 1, got {n}")
     factors: list[tuple[int, int]] = []
     m = n
-    while m > 1:
-        p = int(spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors.append((p, e))
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            e = 0
+            while m % f == 0:
+                m //= f
+                e += 1
+            factors.append((f, e))
+        f += 1 if f == 2 else 2
+    if m > 1:
+        factors.append((m, 1))
     return Factorization(value=n, factors=tuple(factors))

@@ -2,8 +2,9 @@
 
 Subcommands: sieve, mean, constants, congruence, offdiag, report.  Exit code
 0 on success, 2 on validation errors (including argparse failures, an
---out-dir that cannot be made and an output of fixed name or a manifest
-whose path is a directory, all refused before any work), 3 on
+--out-dir that cannot be made and an output or a manifest whose path is a
+directory, all refused before any work; report also refuses two statistics
+that plot to one file, and checks its whole input before it writes), 3 on
 capacity/overflow errors and on a file that cannot be written, such as an
 output or the manifest.  mean makes one meanvalue.accumulate call, with
 --threads (PAUCITY_THREADS overrides it, and both are at most MAX_THREADS)
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .arith import build_spf_table, factorize
+from .arith import factorize
 from .congruence import (
     NU_ORACLE_CAP,
     RHO_ORACLE_CAP,
@@ -209,14 +210,13 @@ def _cmd_congruence(args: argparse.Namespace, out_dir: Path) -> list[str]:
             raise ValidationError(f"{flag} must be >= 0, got {value}")
         if value > cap:
             raise CapacityError(f"{flag} {value} exceeds the oracle cap {cap}")
-    spf = build_spf_table(max(args.rho_max, args.nu_max, 2))
     rows = []
     for d in range(1, args.rho_max + 1):
-        closed = rho_closed(factorize(d, spf)).count
+        closed = rho_closed(factorize(d)).count
         oracle = rho_oracle(d).count
         rows.append(("rho", d, "", "", closed, oracle, int(closed == oracle)))
     for delta in range(1, args.nu_max + 1):
-        f = factorize(delta, spf)
+        f = factorize(delta)
         if any(e > 1 for _, e in f.factors):
             continue
         closed = nu_closed(f, params).count
@@ -309,24 +309,27 @@ def _cmd_report(args: argparse.Namespace, out_dir: Path) -> list[str]:
     by_stat: dict[str, list[dict]] = {}
     for row in rows:
         by_stat.setdefault(row["statistic"], []).append(row)
-    outputs = []
-    report_path = out_dir / "report.csv"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("statistic,x,raw_value,normalized_value,predicted_constant,deviation\n")
-        for stat in sorted(by_stat):
-            for row in sorted(by_stat[stat], key=lambda r: r["x"]):
-                fields = _report_fields(stat, row)
-                fh.write(f"{stat},{row['x']},{','.join(fields)}\n")
-    outputs.append(report_path.name)
+    # Every row and every plot path is built before any output opens, so bad
+    # input adds no file.
+    report = ["statistic,x,raw_value,normalized_value,predicted_constant,deviation\n"]
+    files = {"report.csv": report}
+    plotted: dict[str, str] = {}
     for stat in sorted(by_stat):
-        plot_path = out_dir / _plot_name(stat)
-        with open(plot_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,ratio\n")
-            for row in sorted(by_stat[stat], key=lambda r: r["x"]):
-                fh.write(f"{row['x']},{_report_fields(stat, row)[1]}\n")
-        outputs.append(plot_path.name)
-    print(f"report over {len(by_stat)} statistics -> {report_path}")
-    return outputs
+        series = sorted(by_stat[stat], key=lambda r: r["x"])
+        fields = [_report_fields(stat, row) for row in series]
+        report += [f"{stat},{row['x']},{','.join(f)}\n" for row, f in zip(series, fields)]
+        name = _plot_name(stat)
+        if name in plotted:
+            raise ValidationError(f"statistics {plotted[name]} and {stat} both plot to {name}")
+        if (out_dir / name).is_dir():
+            raise ValidationError(f"output {out_dir / name} is a directory")
+        plotted[name] = stat
+        files[name] = ["x,ratio\n", *(f"{row['x']},{f[1]}\n" for row, f in zip(series, fields))]
+    for name, lines in files.items():
+        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+    print(f"report over {len(by_stat)} statistics -> {out_dir / 'report.csv'}")
+    return list(files)
 
 
 def _build_parser() -> argparse.ArgumentParser:

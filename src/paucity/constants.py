@@ -136,7 +136,7 @@ def sieve_density_product(z: float) -> ConstantValue:
 # Each reported statistic is defined once, in STATISTICS: its terms over a
 # slice of a sieve block, whose dtype sets its summation (int and bool terms
 # exactly, float64 terms compensated), its normalization and its limit
-# constant.  A block runs the walk behind its list of A only when a term
+# constant.  A block's walk behind its list of A runs only when a term
 # reads it: LEMMA31, LEMMA32 and COUNT_A.  Constants are thunks evaluated on
 # first use, so only LANDAU_B and COUNT_A pay for landau_ramanujan's prime
 # sieve.
@@ -149,19 +149,21 @@ def _block_slice(name: str) -> property:
     return property(lambda v: getattr(v.block, name)[v.lo - v.block.lo : v.hi - v.block.lo])
 
 
-def _a_slice(name: str) -> property:
-    """A Tallies attribute: the block's compact array `name` on the n of A
-    in the slice, as a view."""
-    return property(lambda v: getattr(v.block, name)[v.a_range])
+def _a_slice(index: int) -> property:
+    """A Tallies attribute: the walk's compact array at `index` on the n of
+    A in the slice, as a view."""
+    return property(lambda v: v.walk()[index][v.a_range])
 
 
 @dataclass(frozen=True)
 class Tallies:
     """The slice [lo, hi) of one sieve block.
 
+    `walk` returns the block's sieve.multiplicative_arrays; the caller runs
+    it at most once per block and shares it between the block's slices.
     r0_pair, r1 and r2 are views of the block's arrays, and omega_a and
-    phi_a views of its compact arrays on the n of A in the slice, found by
-    a_range; so a slice runs the block's walk only when a term reads A.
+    phi_a views of the walk's compact arrays on the n of A in the slice,
+    found by a_range; so a slice calls walk only when a term reads A.
     Every other array is built on first read, so it costs nothing where no
     term reads it:
 
@@ -174,6 +176,7 @@ class Tallies:
     """
 
     block: RepresentationBlock
+    walk: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
     lo: int
     hi: int
     c: float  # the dispersion parameter
@@ -182,8 +185,8 @@ class Tallies:
     r0_pair = _block_slice("r0_pair")
     r1 = _block_slice("r1")
     r2 = _block_slice("r2")
-    omega_a = _a_slice("omega_a")
-    phi_a = _a_slice("phi_a")
+    omega_a = _a_slice(1)
+    phi_a = _a_slice(2)
 
     @cached_property
     def r0_div(self) -> np.ndarray:
@@ -211,14 +214,14 @@ class Tallies:
 
     @cached_property
     def a_range(self) -> slice:
-        """The part of the block's compact arrays on A that lies in the slice."""
+        """The part of the walk's compact arrays on A that lies in the slice."""
         start = self.lo - self.block.lo
-        return slice(*np.searchsorted(self.block.on_a, (start, start + self.hi - self.lo)).tolist())
+        return slice(*np.searchsorted(self.walk()[0], (start, start + self.hi - self.lo)).tolist())
 
     @cached_property
     def on_a(self) -> np.ndarray:
         """The offsets n - lo of the n in A, ascending."""
-        return self.block.on_a[self.a_range] - (self.lo - self.block.lo)
+        return self.walk()[0][self.a_range] - (self.lo - self.block.lo)
 
     @cached_property
     def lemma_weight(self) -> np.ndarray:

@@ -5,8 +5,9 @@ checks the whole request, then sieves and reduces each block, a slice at a
 time, to the sums of one run of n, and merges the runs in ascending block
 order; one type of sums does both for every statistic.  The blocks are
 sieved and reduced in this process or by worker processes
-(workers.ordered_map), and a block runs the multiplicative walk behind its
-list of A only when a requested term reads it.
+(workers.ordered_map).  The reduction runs the multiplicative walk behind
+a block's list of A (sieve.multiplicative_arrays) once, the first time a
+term reads it, and drops it when the block is reduced.
 
 Every sum is cut on one fixed absolute grid: the multiples of _ATOM (2^16)
 and the checkpoint edges p + 1.  A block is reduced in slices cut on that
@@ -38,13 +39,22 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .constants import STATISTICS, Tallies, normalized_value, predicted_constant
 from .errors import ValidationError
-from .sieve import MAX_SIEVE_LIMIT, RepresentationBlock, SieveConfig, sieve_block, sieve_primes
+from .sieve import (
+    MAX_SIEVE_LIMIT,
+    PrimeTable,
+    RepresentationBlock,
+    SieveConfig,
+    multiplicative_arrays,
+    sieve_block,
+    sieve_primes,
+)
 from .workers import ordered_map
 
 _ATOM = 1 << 16
@@ -231,18 +241,21 @@ class _Plan:
         self.r0_convention = r0_convention
         self.dispersion_c = dispersion_c + 0.0  # -0.0 becomes 0.0, so both label c=0
 
-    def reduce(self, block: RepresentationBlock) -> _BlockSums:
+    def reduce(self, block: RepresentationBlock, primes: PrimeTable) -> _BlockSums:
         """Every statistic's partial sums over one block, a slice at a time.
 
         The slices are cut on the sums' grid, the multiples of _ATOM and the
         checkpoint edges, so each lies inside one interval, and each slice's
         support and int64 tallies are built once and shared by every
-        statistic.
+        statistic.  The block's walk over `primes`, which must cover
+        sqrt(block.hi - 1), runs the first time a slice reads A and is
+        shared by the slices after it.
         """
         parts = self._sums()
+        walk = cache(lambda: multiplicative_arrays(block.lo, block.hi, primes))
         bounds = [block.lo, *_cuts(self.points, block.lo, block.hi - 1), block.hi]
         for lo, hi in zip(bounds, bounds[1:]):
-            tallies = Tallies(block, lo, hi, self.dispersion_c, self.r0_convention)
+            tallies = Tallies(block, walk, lo, hi, self.dispersion_c, self.r0_convention)
             for stat, part in zip(self.stats, parts):
                 part.add(lo, hi, stat.term(tallies))
         return _BlockSums(block.lo, block.hi, parts)
@@ -286,19 +299,18 @@ def accumulate(
     """
     plan = _Plan(cfg, grid, statistics, r0_convention, dispersion_c)
     primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
-    # A process's last block, with its list of A if a term read it, stays
-    # allocated while the next block's pair tallies are sieved, so the
-    # allocator reuses its pages instead of handing them back to the system
-    # and faulting them in again: freeing each block first cost 5x the minor
-    # page faults (99k against 19k for mean --limit 30000000 in one process).
-    # Assigning the new block frees the last one before reduce runs the new
-    # block's walk, so the walk's temporaries never meet a second block's.
+    # A process's last block of pair tallies stays allocated while the next
+    # one is sieved, so the allocator reuses its pages instead of handing
+    # them back to the system and faulting them in again: freeing each block
+    # first cost 5x the minor page faults (99k against 19k for
+    # mean --limit 30000000 in one process).  The walk's arrays are not
+    # kept: they die when reduce returns, before the next block is sieved.
     last = None
 
     def sieve_and_reduce(bounds: tuple[int, int]) -> _BlockSums:
         nonlocal last
         last = sieve_block(cfg, *bounds, primes)
-        return plan.reduce(last)
+        return plan.reduce(last, primes)
 
     return ordered_map(sieve_and_reduce, cfg.block_ranges(), workers, plan.merge)
 

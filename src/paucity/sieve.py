@@ -39,10 +39,11 @@ kernel on 2 cores) and held about 40-50 MB more.  meanvalue.accumulate
 calls sieve_block itself, one block per task, in this process or in worker
 processes.
 
-Each block also lists the set A of n whose prime factors are all 1 mod 4
-(n = 1 included), about a twelfth of n at 1e7, which only the set-A
-statistics read.  A block keeps the PrimeTable it was sieved with and runs
-the walk behind three compact arrays the first time any of them is read:
+multiplicative_arrays lists the set A of n whose prime factors are all
+1 mod 4 (n = 1 included), about a twelfth of n at 1e7, for one block.
+meanvalue's reduction runs this walk once per block, the first time a term
+reads A, so only LEMMA31, LEMMA32 and COUNT_A pay for it.  It returns three
+compact arrays:
 
 * on_a:    int64, the ascending offsets n - lo of the n in A
 * omega_a: int8, the number of distinct prime factors at those n
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import BinaryIO, Iterable, Iterator
 
@@ -74,7 +75,7 @@ from .errors import CapacityError, TallyOverflowError, ValidationError
 # A full boolean sieve at this cap costs ~1 GB; beyond it, refuse.
 MAX_SIEVE_LIMIT = 10**9
 # A block's tracemalloc peak is 8.5 MiB per 2^20 integers at the cap for the
-# pair tallies and 10.5 MiB once its list of A is read, and 42 MiB for one
+# pair tallies and 10.5 MiB with the walk's list of A, and 42 MiB for one
 # block of this width at the cap; a wider block is refused before any
 # sieving starts.
 MAX_BLOCK_SIZE = 1 << 22
@@ -142,14 +143,8 @@ def _check_cover(primes: PrimeTable, hi: int) -> None:
 
 @dataclass(frozen=True)
 class RepresentationBlock:
-    """Tallies for the half-open range [lo, hi), arrays indexed by n - lo.
-
-    `primes` is the table the block was sieved with, which must cover
-    sqrt(hi - 1).  r0_div is derived from r0_pair on first read.  on_a,
-    omega_a and phi_a list the set A compactly: the ascending offsets n - lo
-    of the n in A, and omega and phi at those n.  All three come from one
-    walk over `primes`, run the first time any of them is read, and are
-    read-only.
+    """Tallies for the half-open range [lo, hi), arrays indexed by n - lo:
+    the record a dump holds.  r0_div is derived from r0_pair on first read.
     """
 
     lo: int
@@ -157,12 +152,10 @@ class RepresentationBlock:
     r0_pair: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
-    primes: PrimeTable = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lo < 1 or self.hi <= self.lo:
             raise ValidationError(f"bad block range [{self.lo}, {self.hi})")
-        _check_cover(self.primes, self.hi)
         width = self.hi - self.lo
         for name in ("r0_pair", "r1", "r2"):
             arr = getattr(self, name)
@@ -175,17 +168,6 @@ class RepresentationBlock:
     def r0_div(self) -> np.ndarray:
         """sum_{d | n} chi4(d) as uint16, checked like the sieved tallies."""
         return _check_tally("r0_div", chi4_divisor_sums(self.lo, self.r0_pair), self.lo)
-
-    @cached_property
-    def _walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        arrays = _multiplicative_arrays(self.lo, self.hi, self.primes)
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
-
-    on_a = property(lambda self: self._walk[0])
-    omega_a = property(lambda self: self._walk[1])
-    phi_a = property(lambda self: self._walk[2])
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -322,11 +304,12 @@ def _live_strides(
     return zip(p[live].tolist(), m[live].tolist(), j[live].tolist())
 
 
-def _multiplicative_arrays(
+def multiplicative_arrays(
     lo: int, hi: int, primes: PrimeTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """on_a, omega_a, phi_a for [lo, hi): the ascending offsets n - lo of
     the n in A (int64), and omega (int8) and phi (int32) at those n.
+    `primes` must cover sqrt(hi - 1).
 
     Every n in A is 1 mod 4, so the walk runs only on the lattice
     n = n0 + 4j of the block, with strided slice updates and no per-prime
@@ -345,6 +328,7 @@ def _multiplicative_arrays(
     Headroom: smooth and phi never exceed n <= MAX_SIEVE_LIMIT < 2^31, so
     both are int32.  omega is at most 9 < 2^7.
     """
+    _check_cover(primes, hi)
     top = hi - 1
     n0 = lo + (1 - lo) % 4
     n = np.arange(n0, hi, 4, dtype=np.int32)
@@ -384,8 +368,7 @@ def _multiplicative_arrays(
 
 
 def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> RepresentationBlock:
-    """Tally r0_pair, r1, r2 for [lo, hi); the block runs its walk for on_a,
-    omega_a and phi_a when one of them is first read.
+    """Tally r0_pair, r1, r2 for [lo, hi).
 
     Parameters
     ----------
@@ -408,7 +391,7 @@ def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> Repre
     if lo < 1 or hi <= lo or hi > cfg.limit + 1:
         raise ValidationError(f"block [{lo}, {hi}) out of range for limit {cfg.limit}")
     _check_cover(primes, hi)
-    return RepresentationBlock(lo, hi, *_pair_tallies(lo, hi, primes), primes)
+    return RepresentationBlock(lo, hi, *_pair_tallies(lo, hi, primes))
 
 
 def sieve_all(cfg: SieveConfig) -> Iterator[RepresentationBlock]:
@@ -440,9 +423,7 @@ def write_blocks(handle: BinaryIO, blocks: Iterable[RepresentationBlock]) -> int
 
 def read_blocks(handle: BinaryIO) -> Iterator[RepresentationBlock]:
     """Read back a block dump produced by write_blocks; a record of any other
-    version is refused.  Every block read shares one prime table up to
-    sqrt(MAX_SIEVE_LIMIT), for its walk."""
-    primes = sieve_primes(math.isqrt(MAX_SIEVE_LIMIT))
+    version is refused."""
     while True:
         head = handle.read(_HEADER.size)
         if not head:
@@ -463,4 +444,4 @@ def read_blocks(handle: BinaryIO) -> Iterator[RepresentationBlock]:
             if len(raw) != 2 * width:
                 raise ValidationError("truncated block payload")
             arrays.append(np.frombuffer(raw, dtype="<u2").copy())
-        yield RepresentationBlock(lo, hi, *arrays, primes)
+        yield RepresentationBlock(lo, hi, *arrays)

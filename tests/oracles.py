@@ -88,7 +88,7 @@ def two_squares_slow(n: int) -> bool:
     return all(e % 2 == 0 for p, e in factorize_slow(n) if p % 4 == 3)
 
 
-# Multiplicative functions of a factorization from the SPF table, which
+# Multiplicative functions of a factorization from arith.factorize, which
 # neither the sieve nor the census calls: the references for the sieve's
 # multiplicative arrays and the LEMMA sums.
 
@@ -224,20 +224,21 @@ def lemma_terms_dense(
     return weight / n, weight / phi.astype(np.float64)
 
 
-def spread_walk(block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """omega, phi and in_a of `block` at every n = lo, ..., hi - 1: its
-    compact arrays on A spread to full width, omega 0 and phi 1 off A.
+def spread_walk(lo: int, hi: int, walk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """omega, phi and in_a at every n = lo, ..., hi - 1 from `walk`, the
+    compact arrays (on_a, omega_a, phi_a) of sieve.multiplicative_arrays on
+    [lo, hi), spread to full width with omega 0 and phi 1 off A.
 
-    The offsets must ascend strictly and lie in the block."""
-    width = block.hi - block.lo
-    at = block.on_a
-    assert at.size == block.omega_a.size == block.phi_a.size
+    The offsets must ascend strictly and lie in [0, hi - lo)."""
+    width = hi - lo
+    at, omega_a, phi_a = walk
+    assert at.size == omega_a.size == phi_a.size
     assert (np.diff(at) > 0).all() and (at.size == 0 or 0 <= at[0] <= at[-1] < width)
     omega = np.zeros(width, dtype=np.int8)
     phi = np.ones(width, dtype=np.int32)
     in_a = np.zeros(width, dtype=bool)
-    omega[at] = block.omega_a
-    phi[at] = block.phi_a
+    omega[at] = omega_a
+    phi[at] = phi_a
     in_a[at] = True
     return omega, phi, in_a
 

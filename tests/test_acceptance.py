@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from paucity.arith import build_spf_table, factorize
+from paucity.arith import factorize
 from paucity.congruence import FormParams, nu_closed, nu_oracle, nu_prime_closed, rho_closed, rho_oracle
 from paucity.constants import catalan, landau_ramanujan, predicted_constant
 from paucity.meanvalue import CheckpointGrid, accumulate
@@ -60,9 +60,8 @@ def test_criterion_02_congruence_closed_forms():
     p = 2 both parities; nu at every squarefree delta <= 1000 on 20 random
     coprime (t, d).  All exact; < 60 s."""
     start = time.monotonic()
-    spf = build_spf_table(5000)
     for d in range(1, 5001):
-        assert rho_closed(factorize(d, spf)).count == rho_oracle(d).count, f"rho({d})"
+        assert rho_closed(factorize(d)).count == rho_oracle(d).count, f"rho({d})"
 
     def class_rep(alpha: int, beta: int, p: int) -> FormParams:
         t = alpha if alpha else p
@@ -90,9 +89,8 @@ def test_criterion_02_congruence_closed_forms():
         t, d = int(rng.integers(1, 51)), int(rng.integers(1, 51))
         if math.gcd(t, d) == 1:
             pairs.append((t, d))
-    spf1k = build_spf_table(1000)
     for delta in range(1, 1001):
-        f = factorize(delta, spf1k)
+        f = factorize(delta)
         if any(e > 1 for _, e in f.factors):
             continue
         for t, d in pairs:

@@ -1,28 +1,35 @@
 """End-to-end command-line runs: files, manifests, exit codes, determinism."""
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paucity
 import paucity.cli
 import paucity.constants
 import paucity.meanvalue
 from paucity.cli import MAX_THREADS, main
+from paucity.congruence import NU_ORACLE_CAP, RHO_ORACLE_CAP
 from paucity.constants import STATISTICS, catalan
 from paucity.errors import ValidationError
 from paucity.meanvalue import MAX_DISPERSION_C, read_csv
-from paucity.sieve import MAX_BLOCK_SIZE, read_blocks
+from paucity.sieve import MAX_BLOCK_SIZE, MAX_SIEVE_LIMIT, read_blocks
 
 import oracles
 
@@ -579,3 +586,174 @@ def test_report_rejects_malformed(tmp_path, capsys):
         assert run_cli("report", "--inputs", str(bad), "--out-dir", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(bad) in err, err
+
+
+_REPORT_HEADER = "x,statistic,raw_value,normalized_value,predicted_constant,deviation\n"
+
+
+def test_report_checks_whole_input_before_writing(tmp_path, capsys):
+    # An unknown statistic or an x below 3 in the last row, or a plot path
+    # that is a directory: exit 2 with one line, and no file is added.
+    good = "1000,S01,5,1,1,0\n10000,S22,7,1,1,0\n"
+    out = tmp_path / "out"
+    (out / "plot_S22.csv").mkdir(parents=True)
+    for i, rows in enumerate((good + "1000,S99,1,1,1,0\n", good + "2,S22,1,1,1,0\n", good)):
+        data = tmp_path / f"in{i}.csv"
+        data.write_text(_REPORT_HEADER + rows)
+        assert run_cli("report", "--inputs", str(data), "--out-dir", str(out)) == 2, rows
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert [p.name for p in out.iterdir()] == ["plot_S22.csv"], rows
+    assert "plot_S22.csv is a directory" in err
+
+
+def test_report_refuses_two_labels_for_one_plot(tmp_path, capsys):
+    # Both labels become plot_DISPERSION_c_1e_10.csv: refused before any write.
+    data = tmp_path / "in.csv"
+    data.write_text(
+        _REPORT_HEADER + "1000,DISPERSION(c=1e+10),5,1,nan,nan\n1000,DISPERSION(c=1e-10),5,1,nan,nan\n"
+    )
+    out = tmp_path / "out"
+    assert run_cli("report", "--inputs", str(data), "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "plot_DISPERSION_c_1e_10.csv" in err, err
+    assert list(out.iterdir()) == []
+    # One of them alone keeps its plot name.
+    data.write_text(_REPORT_HEADER + "1000,DISPERSION(c=1e-10),5,1,nan,nan\n")
+    assert run_cli("report", "--inputs", str(data), "--out-dir", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "plot_DISPERSION_c_1e_10.csv", "report.csv", "report_manifest.json"
+    ]
+
+
+# The exit-code contract, over argv drawn from a grammar of the six
+# subcommands.  Each argv gives a command its required options and some of
+# the others, all with small valid values, and replaces at most one value
+# with a bad one: negative, zero, non-integer, nan, inf, above a cap, or a
+# file or a directory where a path goes.  Paths are drawn as tokens and made
+# in a fresh directory per example: @out an empty --out-dir, @fresh one that
+# does not exist yet, @blocked one holding a directory named like an output,
+# @file a regular file, @dir a directory, @missing a path to nothing; @csv a
+# good mean.csv, @stat99 one with an unknown statistic, @x2 one with x = 2,
+# @twin one with two labels for one plot file, and @text no CSV at all.
+_NUMBER = ["-1", "0", "1.5", "nan", "inf", "x", ""]
+_GRAMMAR = {
+    # command: (flag, good values, bad values) for each required option, then
+    # for each optional one.  A value is one token, or a tuple of tokens.
+    "sieve": (
+        [("--limit", ["1", "2", "100", "1000"], [str(MAX_SIEVE_LIMIT + 1), *_NUMBER])],
+        [("--block-size", ["2", "64", "4096"], [str(MAX_BLOCK_SIZE + 1), "1", *_NUMBER])],
+    ),
+    "mean": (
+        [("--limit", ["3", "1000", "2000"], [str(MAX_SIEVE_LIMIT + 1), "2", *_NUMBER])],
+        [
+            ("--stats", ["S01", "all", "S01,LEMMA32,COUNT_A", "DISPERSION"],
+             ["BOGUS", "S01,S01", ",", "nan"]),
+            ("--grid", ["geometric:10", "explicit:3,500"],
+             ["explicit:2", "explicit:3,99999", "geometric:1", "weird:1", "explicit:10,abc",
+              "explicit:", "geometric:inf"]),
+            ("--block-size", ["64", "4096"], [str(MAX_BLOCK_SIZE + 1), "1", *_NUMBER]),
+            ("--r0-convention", ["pair", "div"], ["both", ""]),
+            ("--dispersion-c", ["1", "2.5", "-0.0"], ["-1", "nan", "inf", "1e300", "x"]),
+            ("--threads", ["1"], [str(MAX_THREADS + 1), *_NUMBER]),
+        ],
+    ),
+    "constants": (
+        # --prime-limit is always given: its default sieves to 1e7.
+        [("--prime-limit", ["1000", "5000"], ["999", str(MAX_SIEVE_LIMIT + 1), *_NUMBER])],
+        [
+            ("--eps", ["1e-6", "0.5"], ["1", "0", "-1", "1e-20", "nan", "inf", "x"]),
+            ("--z", [(), ("10",), ("3", "500")],
+             [("2",), ("nan",), ("inf",), ("-1",), ("10", "1e10"), ("x",)]),
+        ],
+    ),
+    "congruence": (
+        [],
+        [
+            ("--rho-max", ["0", "1", "60"], [str(RHO_ORACLE_CAP + 1), "-1", "1.5", "nan", "x"]),
+            ("--nu-max", ["0", "10"], [str(NU_ORACLE_CAP + 1), "-1", "1.5", "inf"]),
+            ("--t", ["1", "3"], ["0", "-1", "2.5", "nan"]),
+            ("--d", ["2", "4"], ["0", "-1", "x", "inf"]),
+        ],
+    ),
+    "offdiag": (
+        [("--limit", ["1", "2", "100", "3000"], [str(10**8 + 1), *_NUMBER])],
+        [
+            ("--mode", ["direct", "param", "both"], ["bogus"]),
+            ("--emit-quadruples", [()], [("1",)]),
+        ],
+    ),
+    "report": (
+        [("--inputs", [("@csv",), ("@csv", "@csv")],
+          [(), ("@stat99",), ("@csv", "@x2"), ("@twin",), ("@text",), ("@file",), ("@dir",),
+           ("@missing",)])],
+        [],
+    ),
+}
+_REPORT_INPUTS = {
+    "@csv": _REPORT_HEADER + "1000,S01,5,1,1,0\n10000,S01,70,1,1,0\n"
+            "1000,DISPERSION(c=1),3.5,1,nan,nan\n",
+    "@stat99": _REPORT_HEADER + "1000,S01,5,1,1,0\n1000,S99,5,1,1,0\n",
+    "@x2": _REPORT_HEADER + "2,S01,5,1,1,0\n",
+    "@twin": _REPORT_HEADER + "1000,DISPERSION(c=1e+10),5,1,nan,nan\n"
+             "1000,DISPERSION(c=1e-10),5,1,nan,nan\n",
+    "@text": "not a csv\n",
+}
+_BLOCKERS = ["mean.csv", "report.csv", "plot_S01.csv", "congruence.csv", "offdiag.csv",
+             "blocks.pcty", "constants.csv", "quadruples.csv", "sieve_manifest.json"]
+
+
+@st.composite
+def _contract_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    required, optional = _GRAMMAR[command]
+    chosen = required + [opt for opt in optional if draw(st.booleans())]
+    fault = draw(st.sampled_from([None, *range(len(chosen))]))
+    argv = [command]
+    for i, (flag, good, bad) in enumerate(chosen):
+        value = draw(st.sampled_from(bad if i == fault else good))
+        argv += [flag, *(value if isinstance(value, tuple) else (value,))]
+    out = draw(st.sampled_from(["@out", "@out", "@fresh", "@blocked", "@file"]))
+    return [*argv, "--out-dir", out]
+
+
+def _tree(path: Path) -> set[str]:
+    return {str(p.relative_to(path)) for p in path.rglob("*")} if path.is_dir() else set()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_contract_argv(), st.sampled_from(_BLOCKERS))
+def test_exit_code_contract(argv, blocker):
+    # Every exit is 0, 2 or 3 (argparse's SystemExit counts as its code);
+    # stderr holds no traceback and ends with the error; exit 2 adds no file.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        paths = {"@out": root / "out", "@fresh": root / "new" / "out",
+                 "@blocked": root / "blocked", "@file": root / "file", "@dir": root / "dir",
+                 "@missing": root / "missing"}
+        paths["@out"].mkdir()
+        (paths["@blocked"] / blocker).mkdir(parents=True)
+        paths["@file"].write_text("a file\n")
+        paths["@dir"].mkdir()
+        for token, text in _REPORT_INPUTS.items():
+            paths[token] = root / f"{token[1:]}.csv"
+            paths[token].write_text(text)
+        out = paths[argv[-1]]
+        argv = [str(paths.get(tok, tok)) for tok in argv]
+        before = _tree(out)
+        err = io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            os.environ.pop("PAUCITY_THREADS", None)
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        err = err.getvalue()
+        assert rc in (0, 2, 3), (argv, rc, err)
+        assert "Traceback" not in err, (argv, err)
+        if rc:
+            lines = err.splitlines()
+            assert lines and "error: " in lines[-1], (argv, err)
+        if rc == 2:
+            assert _tree(out) == before, argv

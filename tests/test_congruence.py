@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paucity import congruence
-from paucity.arith import build_spf_table, factorize
+from paucity.arith import factorize
 from paucity.congruence import (
     NU_ORACLE_CAP,
     RHO_ORACLE_CAP,
@@ -23,19 +23,17 @@ from paucity.errors import CapacityError, ValidationError
 
 import oracles
 
-TABLE = build_spf_table(3000)
-
 
 def test_rho_known_values():
     want = {1: 1, 2: 1, 3: 0, 4: 0, 5: 8, 8: 0, 9: 0, 10: 8, 13: 24, 25: 40, 65: 192}
     for d, expect in want.items():
-        assert rho_closed(factorize(d, TABLE)).count == expect, d
+        assert rho_closed(factorize(d)).count == expect, d
         assert rho_oracle(d).count == expect, d
 
 
 def test_rho_closed_matches_oracle_small():
     for d in range(1, 601):
-        assert rho_closed(factorize(d, TABLE)).count == rho_oracle(d).count, d
+        assert rho_closed(factorize(d)).count == rho_oracle(d).count, d
 
 
 def test_rho_oracle_matches_pure_loop():
@@ -59,9 +57,8 @@ def test_rho_oracle_halving_edges_and_cap():
     # powers of 2 to strike, 2*49999 strikes the multiples of 49999 only
     # through the cofactor, and 4*24989 (24989 = 1 mod 4) pairs 4 with a
     # large prime.
-    spf = build_spf_table(RHO_ORACLE_CAP)
     for d in [1, 2, 3, 4, 6, 8, *range(99990, RHO_ORACLE_CAP + 1), 65536, 2 * 49999, 4 * 24989]:
-        assert rho_oracle(d).count == rho_closed(factorize(d, spf)).count, d
+        assert rho_oracle(d).count == rho_closed(factorize(d)).count, d
     for table in congruence._tables():
         with pytest.raises(ValueError):
             table[0] = 1
@@ -71,7 +68,7 @@ def test_rho_oracle_halving_edges_and_cap():
 
 def test_rho_multiplicative_bound():
     for d in range(1, 400):
-        f = factorize(d, TABLE)
+        f = factorize(d)
         rho = rho_closed(f).count
         phi_d = math.prod((p - 1) * p ** (e - 1) for p, e in f.factors)
         assert 0 <= rho <= 2 ** len(f.factors) * phi_d, d
@@ -123,7 +120,7 @@ def test_nu_oracle_matches_full_grid():
 def test_nu_closed_squarefree_composites():
     for delta in (6, 10, 15, 21, 30, 33, 35, 66, 105, 210):
         for t, d in ((1, 2), (3, 4), (5, 6)):
-            closed = nu_closed(factorize(delta, TABLE), FormParams(t, d)).count
+            closed = nu_closed(factorize(delta), FormParams(t, d)).count
             oracle = nu_oracle(delta, FormParams(t, d)).count
             assert closed == oracle, (delta, t, d)
 
@@ -137,15 +134,15 @@ def test_closed_forms_at_huge_parameters():
         for p in primes:
             assert nu_prime_closed(p, params).count == nu_oracle(p, params).count, (p, t)
         for delta in (6, 10, 15, 21, 30, 33, 35, 66, 105, 210):
-            closed = nu_closed(factorize(delta, TABLE), params).count
+            closed = nu_closed(factorize(delta), params).count
             assert closed == nu_oracle(delta, params).count, (delta, t)
 
 
 def test_nu_closed_rejects_square_factor():
     with pytest.raises(ValidationError):
-        nu_closed(factorize(12, TABLE), FormParams(t=1, d=2))
+        nu_closed(factorize(12), FormParams(t=1, d=2))
     with pytest.raises(ValidationError):
-        nu_closed(factorize(49, TABLE), FormParams(t=1, d=2))
+        nu_closed(factorize(49), FormParams(t=1, d=2))
 
 
 def test_params_validation():

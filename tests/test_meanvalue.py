@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paucity import meanvalue, sieve
-from paucity.arith import build_spf_table, factorize
+from paucity.arith import factorize
 from paucity.constants import STATISTICS, Tallies, find_statistic
 from paucity.errors import ValidationError
 from paucity.meanvalue import (
@@ -172,9 +173,15 @@ def test_slice_width_does_not_change_any_series(monkeypatch):
             assert got.values == expected.values, (got.statistic, width, block_size)
 
 
+def _block_walk(block):
+    """The walk of `block`, run once on first call, as _Plan.reduce runs it."""
+    primes = sieve_primes(max(2, math.isqrt(block.hi - 1)))
+    return cache(lambda: sieve.multiplicative_arrays(block.lo, block.hi, primes))
+
+
 def _sliced_tallies(block, lo, hi, c, convention):
     """Tallies of n in [lo, hi) of `block`, built as _Plan.reduce builds them."""
-    return Tallies(block, lo, hi, c, convention)
+    return Tallies(block, _block_walk(block), lo, hi, c, convention)
 
 
 def test_support_terms_match_dense_formulas():
@@ -182,7 +189,7 @@ def test_support_terms_match_dense_formulas():
     # must equal the dense formulas evaluated at every n, array for array;
     # the exact r terms, which list the support only, must have their sums.
     block = next(sieve_all(_cfg(block_size=LIMIT)))
-    omega_full, phi_full, in_a_full = oracles.spread_walk(block)
+    omega_full, phi_full, in_a_full = oracles.spread_walk(block.lo, block.hi, _block_walk(block)())
     in_a = np.flatnonzero(in_a_full) + 1
     k = int(np.argmax(np.diff(in_a) > 20))
     outside_a = (int(in_a[k]) + 1, int(in_a[k]) + 21)
@@ -214,10 +221,11 @@ def test_float_accumulator_keeps_no_view():
     # tail, at most 2 * _ATOM of them, each array owning its data.
     lo, hi = 40000, 40000 + (1 << 20)
     cfg = SieveConfig(limit=hi - 1, block_size=1 << 20)
-    block = sieve_block(cfg, lo, hi, sieve_primes(math.isqrt(hi)))
+    primes = sieve_primes(math.isqrt(hi))
+    block = sieve_block(cfg, lo, hi, primes)
     grid = CheckpointGrid(points=(100000, 500000))
     floats = sorted(FLOAT_STATISTICS)
-    reduction = meanvalue._Plan(cfg, grid, floats, "pair", 1.0).reduce(block)
+    reduction = meanvalue._Plan(cfg, grid, floats, "pair", 1.0).reduce(block, primes)
     atom = meanvalue._ATOM
     last = hi // atom * atom
     for name, part in zip(floats, reduction.parts):
@@ -274,16 +282,16 @@ def test_accumulate_validation(monkeypatch):
 
 
 def test_walk_runs_only_when_read(monkeypatch):
-    # A block runs the walk behind omega, phi and in_a the first time a term
-    # reads one of them, and never twice.
+    # The reduction runs a block's walk behind omega, phi and in_a the first
+    # time a term reads one of them, and never twice.
     calls = []
-    walk = sieve._multiplicative_arrays
+    walk = sieve.multiplicative_arrays
 
     def counted(lo, hi, primes):
         calls.append((lo, hi))
         return walk(lo, hi, primes)
 
-    monkeypatch.setattr(sieve, "_multiplicative_arrays", counted)
+    monkeypatch.setattr(meanvalue, "multiplicative_arrays", counted)
     cfg = _cfg()
     assert cfg.block_count == 5
     walked = {"LEMMA31", "LEMMA32", "COUNT_A"}
@@ -297,9 +305,11 @@ def test_walk_runs_only_when_read(monkeypatch):
 
 
 def test_accumulate_memory():
-    # The walk keeps only its list of A (offsets, omega and phi there) and
-    # its temporaries are lattice-sized: every statistic at 1e7 peaks at
-    # 15.0 MiB, against 19.9 MiB with omega, phi and in_a at every n.
+    # The walk keeps only its list of A (offsets, omega and phi there), its
+    # temporaries are lattice-sized, and it dies with its block's reduction:
+    # every statistic at 1e7 peaks at 13.9 MiB, against 15.0 MiB while the
+    # last block kept its walk and 19.9 MiB with omega, phi and in_a at
+    # every n.
     cfg = SieveConfig(limit=10**7)
     tracemalloc.start()
     try:
@@ -317,12 +327,11 @@ def test_support_counts():
 
 
 def test_lemma_sums_match_fsum():
-    spf = build_spf_table(LIMIT)
     l31, l32 = accumulate(_cfg(), GRID, ["LEMMA31", "LEMMA32"])
     w = np.zeros(LIMIT + 1)
     ph = np.zeros(LIMIT + 1)
     for n in range(1, LIMIT + 1):
-        f = factorize(n, spf)
+        f = factorize(n)
         if in_A(f):
             w[n] = 2.0 ** omega(f) / n
             ph[n] = 2.0 ** omega(f) / phi(f)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paucity import sieve
-from paucity.arith import build_spf_table, factorize
+from paucity.arith import factorize
 from paucity.constants import STATISTICS, Tallies
 from paucity.errors import CapacityError, TallyOverflowError, ValidationError
 from paucity.sieve import (
@@ -20,6 +20,7 @@ from paucity.sieve import (
     PrimeTable,
     RepresentationBlock,
     SieveConfig,
+    multiplicative_arrays,
     read_blocks,
     sieve_all,
     sieve_block,
@@ -109,13 +110,12 @@ def test_multiplicative_arrays_match_factorize():
     limit = 20000
     cfg = SieveConfig(limit=limit)
     primes = sieve_primes(141)
-    table = build_spf_table(limit)
     # n = 1, blocks with lo > 1, and a block ending at the limit.
     for lo, hi in ((1, 600), (500, 1200), (9999, 10500), (19000, limit + 1)):
         block = sieve_block(cfg, lo, hi, primes)
-        om, ph, in_a = oracles.spread_walk(block)
+        om, ph, in_a = oracles.spread_walk(lo, hi, multiplicative_arrays(lo, hi, primes))
         for n in range(lo, hi):
-            f = factorize(n, table)
+            f = factorize(n)
             i = n - lo
             assert bool(in_a[i]) == in_A(f), n
             # omega and phi are listed on A only.
@@ -141,9 +141,9 @@ def test_multiplicative_arrays_near_cap():
     # r0_div comes from r0_pair alone, before any walk has run.
     pairs = ("r0_pair", "r1", "r2", "r0_div")
     before = {f: np.concatenate([getattr(b, f) for b in blocks]) for f in pairs}
-    assert not any("_walk" in vars(b) for b in blocks)
     assert np.array_equal(before["r0_div"], want[0])
-    walks = [oracles.spread_walk(b) for b in blocks]
+    walks = [oracles.spread_walk(lo, hi, multiplicative_arrays(lo, hi, primes))
+             for lo, hi in windows]
     got = {f: np.concatenate([w[i] for w in walks]) for i, f in enumerate(("omega", "phi", "in_a"))}
     got["r0_div"] = np.concatenate([b.r0_div for b in blocks])
     r0_div, om, ph, in_a = want
@@ -195,26 +195,24 @@ def test_multiplicative_arrays_lattice_edges():
     windows += [(q - 300, q + 301) for q in (5**12, 13**8, 17**7)]
     ns = np.concatenate([np.arange(lo, hi) for lo, hi in windows])
     _, om, ph, in_a = oracles.multiplicative_slow(ns)
-    # Blocks with zero pair tallies: the LEMMA terms read only the walk.
-    blocks = [
-        RepresentationBlock(lo, hi, *[np.zeros(hi - lo, dtype=np.uint16)] * 3, CAP_PRIMES)
-        for lo, hi in windows
-    ]
-    for b in blocks:
-        assert (b.on_a.dtype, b.omega_a.dtype, b.phi_a.dtype) == (np.int64, np.int8, np.int32)
-    walks = [oracles.spread_walk(b) for b in blocks]
+    arrays = [multiplicative_arrays(lo, hi, CAP_PRIMES) for lo, hi in windows]
+    for walk in arrays:
+        assert tuple(a.dtype for a in walk) == (np.int64, np.int8, np.int32)
+    walks = [oracles.spread_walk(lo, hi, walk) for (lo, hi), walk in zip(windows, arrays)]
     got_om, got_ph, got_a = (np.concatenate([w[i] for w in walks]) for i in range(3))
     assert np.array_equal(got_a, in_a)
     assert np.array_equal(got_om[in_a], om[in_a])
     assert np.array_equal(got_ph[in_a], ph[in_a])
     assert (got_ph != 0).all()
     assert (got_om[~in_a] == 0).all() and (got_ph[~in_a] == 1).all()
-    # LEMMA31 and LEMMA32 terms stay finite, phi never divides by zero.
+    # LEMMA31 and LEMMA32 terms stay finite, phi never divides by zero.  The
+    # blocks have zero pair tallies: the LEMMA terms read only the walk.
     with np.errstate(all="raise"):
-        for b in blocks:
-            tallies = Tallies(b, b.lo, b.hi, 0.0)
+        for (lo, hi), walk in zip(windows, arrays):
+            block = RepresentationBlock(lo, hi, *[np.zeros(hi - lo, dtype=np.uint16)] * 3)
+            tallies = Tallies(block, lambda: walk, lo, hi, 0.0)
             for name in ("LEMMA31", "LEMMA32"):
-                assert np.isfinite(STATISTICS[name].term(tallies)).all(), (name, b.lo)
+                assert np.isfinite(STATISTICS[name].term(tallies)).all(), (name, lo)
 
 
 def _assert_pairs_match(lo: int, hi: int, want: tuple[np.ndarray, ...]) -> None:
@@ -329,25 +327,26 @@ def test_dump_round_trip():
         assert np.array_equal(a.r2, b.r2)
 
 
-def test_read_blocks_walk_like_sieved_blocks():
-    # A block read back runs its walk over the prime table its read shares;
-    # near the cap that table needs every prime up to sqrt(MAX_SIEVE_LIMIT).
+def test_read_blocks_sieves_no_primes(monkeypatch):
+    # A dump holds the pair tallies only, and reading it back sieves nothing,
+    # even for blocks near the cap.
     cfg = SieveConfig(limit=MAX_SIEVE_LIMIT, block_size=5000)
     ranges = [(1, 5001), (5001, 9001), (MAX_SIEVE_LIMIT - 3000, MAX_SIEVE_LIMIT + 1)]
     blocks = [sieve_block(cfg, lo, hi, CAP_PRIMES) for lo, hi in ranges]
     buf = io.BytesIO()
     write_blocks(buf, blocks)
     buf.seek(0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reading a dump sieves no primes")
+
+    monkeypatch.setattr(sieve, "sieve_primes", refuse)
     loaded = list(read_blocks(buf))
-    assert len({id(b.primes) for b in loaded}) == 1
+    assert len(loaded) == len(blocks)
     for a, b in zip(blocks, loaded):
-        for field, want, got in zip(("omega", "phi", "in_a"), oracles.spread_walk(a),
-                                    oracles.spread_walk(b)):
-            assert np.array_equal(got, want), (field, a.lo)
-        for field in ("on_a", "omega_a", "phi_a"):
-            got = getattr(b, field)
-            assert got.dtype == getattr(a, field).dtype, field
-            assert not got.flags.writeable, field
+        assert (a.lo, a.hi) == (b.lo, b.hi)
+        for field in ("r0_pair", "r1", "r2", "r0_div"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), (field, a.lo)
 
 
 def test_dump_refuses_other_versions():
@@ -384,17 +383,18 @@ def test_block_type_validation():
     ok = np.zeros(4, dtype=np.uint16)
     primes = sieve_primes(9)
     with pytest.raises(ValidationError):
-        RepresentationBlock(lo=5, hi=5, r0_pair=ok, r1=ok, r2=ok, primes=primes)
+        RepresentationBlock(lo=5, hi=5, r0_pair=ok, r1=ok, r2=ok)
     with pytest.raises(ValidationError):
-        RepresentationBlock(lo=1, hi=5, r0_pair=ok[:2], r1=ok, r2=ok, primes=primes)
+        RepresentationBlock(lo=1, hi=5, r0_pair=ok[:2], r1=ok, r2=ok)
     with pytest.raises(ValidationError):
-        RepresentationBlock(lo=1, hi=5, r0_pair=ok, r1=ok.astype(np.int16), r2=ok, primes=primes)
-    block = RepresentationBlock(lo=1, hi=5, r0_pair=ok, r1=ok, r2=ok, primes=primes)
-    assert oracles.spread_walk(block)[2].tolist() == [True, False, False, False]
+        RepresentationBlock(lo=1, hi=5, r0_pair=ok, r1=ok.astype(np.int16), r2=ok)
+    RepresentationBlock(lo=1, hi=5, r0_pair=ok, r1=ok, r2=ok)
+    walk = multiplicative_arrays(1, 5, primes)
+    assert oracles.spread_walk(1, 5, walk)[2].tolist() == [True, False, False, False]
     # The walk needs every prime up to sqrt(hi - 1): 9 covers hi = 100, not 101.
-    RepresentationBlock(lo=96, hi=100, r0_pair=ok, r1=ok, r2=ok, primes=primes)
+    multiplicative_arrays(96, 100, primes)
     with pytest.raises(ValidationError, match=r"below sqrt\(100\)"):
-        RepresentationBlock(lo=97, hi=101, r0_pair=ok, r1=ok, r2=ok, primes=primes)
+        multiplicative_arrays(97, 101, primes)
 
 
 def test_overflow_guard():
