@@ -3,18 +3,22 @@
 Subcommands: sieve, mean, constants, congruence, offdiag, report.  Exit code
 0 on success, 2 on validation errors (including argparse failures, an
 --out-dir that cannot be made and an output or a manifest whose path is a
-directory, all refused before any work; report also refuses two statistics
-that plot to one file, and checks its whole input before it writes), 3 on
-capacity/overflow errors and on a file that cannot be written, such as an
-output or the manifest.  mean makes one meanvalue.accumulate call, with
+directory, all refused before any work, since each command opens its
+outputs before its heavy work; report also refuses two statistics that plot
+to one file), 3 on capacity/overflow errors and on a file that cannot be
+written, such as an output or the manifest.  mean makes one
+meanvalue.accumulate call, with
 --threads (PAUCITY_THREADS overrides it, and both are at most MAX_THREADS)
 as its count of processes that sieve and reduce blocks; the other commands
 take no --threads and run in this one process, where thread pools over
 sieve blocks and over the offdiag census measured no faster than one
 thread.  sieve and mean record the processes that sieved the blocks in the
-manifest, as config.sieve.  Every output lands under --out-dir.  CSVs are
-deterministic (byte-identical across thread counts and block sizes);
-manifests carry timestamps and are not.
+manifest, as config.sieve.  Every output lands under --out-dir, written
+under a hidden temporary name, .<name>.<pid>.tmp, and renamed onto its own
+name, manifest last, only when the whole run has succeeded: a failed run
+adds no file, though one killed by a signal may leave a temporary behind.
+CSVs are deterministic (byte-identical across thread counts and block
+sizes); manifests carry timestamps and are not.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import IO
 
 from . import __version__
 from .arith import factorize
@@ -63,29 +68,27 @@ _CENSUS_NOTE = (
 MAX_THREADS = 64
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What ran, with what configuration, and what it produced."""
-
-    command: str
-    argv: list[str]
-    config: dict
-    started: str
-    finished: str
-    version: str
-    outputs: list[str]
-
-
 def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
 
-def _write_manifest(out_dir: Path, name: str, manifest: RunManifest) -> Path:
-    path = out_dir / f"{name}_manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+@dataclass
+class _Outputs:
+    """The files one run writes, each staged as (handle, temporary path, final path)."""
+
+    dir: Path
+    staged: list[tuple[IO, Path, Path]] = dataclasses.field(default_factory=list)
+
+    def open(self, name: str, mode: str = "w") -> IO:
+        """A handle on output `name`: UTF-8 text with '\\n' line ends, or bytes for mode 'wb'."""
+        path = self.dir / name
+        if path.is_dir():
+            raise ValidationError(f"output {path} is a directory")
+        temp = self.dir / f".{name}.{os.getpid()}.tmp"
+        text = "b" not in mode
+        fh = open(temp, mode, encoding="utf-8" if text else None, newline="\n" if text else None)
+        self.staged.append((fh, temp, path))
+        return fh
 
 
 def _check_threads(source: str, value: int) -> int:
@@ -136,19 +139,14 @@ def _parse_stats(spec: str) -> list[str]:
     return [tok.strip() for tok in spec.split(",") if tok.strip()]
 
 
-def _cmd_sieve(args: argparse.Namespace, out_dir: Path) -> list[str]:
+def _cmd_sieve(args: argparse.Namespace, out: _Outputs) -> None:
     cfg = SieveConfig(limit=args.limit, block_size=args.block_size)
     args.sieve = {"processes": 1}
-    outputs = []
-    dump_path = out_dir / "blocks.pcty"
-    with open(dump_path, "wb") as fh:
-        count = write_blocks(fh, sieve_all(cfg))
-    outputs.append(dump_path.name)
-    print(f"sieved [1, {args.limit}] into {count} blocks -> {dump_path}")
-    return outputs
+    count = write_blocks(out.open("blocks.pcty", "wb"), sieve_all(cfg))
+    print(f"sieved [1, {args.limit}] into {count} blocks -> {out.dir / 'blocks.pcty'}")
 
 
-def _cmd_mean(args: argparse.Namespace, out_dir: Path) -> list[str]:
+def _cmd_mean(args: argparse.Namespace, out: _Outputs) -> None:
     # The manifest then records the count in effect, PAUCITY_THREADS included.
     args.threads = _thread_count(args)
     if args.limit < 2:
@@ -158,19 +156,19 @@ def _cmd_mean(args: argparse.Namespace, out_dir: Path) -> list[str]:
     cfg = SieveConfig(limit=args.limit, block_size=args.block_size)
     workers = min(args.threads, cfg.block_count)
     args.sieve = {"processes": workers}
+    # The workers fork with this handle open: nothing may be buffered in it yet.
+    fh = out.open("mean.csv")
     series = accumulate(cfg, grid, stats, args.r0_convention, args.dispersion_c, workers)
-    csv_path = out_dir / "mean.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        write_csv(fh, series, grid)
-    print(f"wrote {len(series)} series at {len(grid.points)} checkpoints -> {csv_path}")
-    return [csv_path.name]
+    write_csv(fh, series, grid)
+    print(f"wrote {len(series)} series at {len(grid.points)} checkpoints -> {out.dir / 'mean.csv'}")
 
 
-def _cmd_constants(args: argparse.Namespace, out_dir: Path) -> list[str]:
+def _cmd_constants(args: argparse.Namespace, out: _Outputs) -> None:
     # Every --z and --prime-limit is checked before the first sieve runs.
     for z in args.z:
         check_density_z(z)
     check_prime_limit(args.prime_limit)
+    fh = out.open("constants.csv")
     densities = [sieve_density_product(z) for z in args.z]
     rows = []
     g = catalan(args.eps)
@@ -192,16 +190,13 @@ def _cmd_constants(args: argparse.Namespace, out_dir: Path) -> list[str]:
     for z, v in zip(args.z, densities):
         rows.append((v.name, v.value, v.error_bound, v.method))
         rows.append((f"V({z:g})*log(z)^3", v.value * math.log(z) ** 3, v.error_bound, "derived"))
-    csv_path = out_dir / "constants.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("name,value,error_bound,method\n")
-        for name, val, err, method in rows:
-            fh.write(f"{name},{val:.15g},{err:.15g},{method}\n")
-    print(f"wrote {len(rows)} constants -> {csv_path}")
-    return [csv_path.name]
+    fh.write("name,value,error_bound,method\n")
+    for name, val, err, method in rows:
+        fh.write(f"{name},{val:.15g},{err:.15g},{method}\n")
+    print(f"wrote {len(rows)} constants -> {out.dir / 'constants.csv'}")
 
 
-def _cmd_congruence(args: argparse.Namespace, out_dir: Path) -> list[str]:
+def _cmd_congruence(args: argparse.Namespace, out: _Outputs) -> None:
     params = FormParams(t=args.t, d=args.d)
     for flag, value, cap in (
         ("--rho-max", args.rho_max, RHO_ORACLE_CAP), ("--nu-max", args.nu_max, NU_ORACLE_CAP)
@@ -210,6 +205,7 @@ def _cmd_congruence(args: argparse.Namespace, out_dir: Path) -> list[str]:
             raise ValidationError(f"{flag} must be >= 0, got {value}")
         if value > cap:
             raise CapacityError(f"{flag} {value} exceeds the oracle cap {cap}")
+    fh = out.open("congruence.csv")
     rows = []
     for d in range(1, args.rho_max + 1):
         closed = rho_closed(factorize(d)).count
@@ -222,19 +218,18 @@ def _cmd_congruence(args: argparse.Namespace, out_dir: Path) -> list[str]:
         closed = nu_closed(f, params).count
         oracle = nu_oracle(delta, params).count
         rows.append(("nu", delta, args.t, args.d, closed, oracle, int(closed == oracle)))
-    csv_path = out_dir / "congruence.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("kind,modulus,t,d,closed,oracle,match\n")
-        fh.writelines(f"{k},{m},{t},{d},{c},{o},{ok}\n" for k, m, t, d, c, o, ok in rows)
+    fh.write("kind,modulus,t,d,closed,oracle,match\n")
+    fh.writelines(f"{k},{m},{t},{d},{c},{o},{ok}\n" for k, m, t, d, c, o, ok in rows)
     mismatches = sum(1 for row in rows if not row[-1])
-    print(f"wrote {len(rows)} congruence rows ({mismatches} mismatches) -> {csv_path}")
-    return [csv_path.name]
+    print(f"wrote {len(rows)} congruence rows ({mismatches} mismatches) -> "
+          f"{out.dir / 'congruence.csv'}")
 
 
-def _cmd_offdiag(args: argparse.Namespace, out_dir: Path) -> list[str]:
+def _cmd_offdiag(args: argparse.Namespace, out: _Outputs) -> None:
     if args.emit_quadruples and args.mode == "param":
         raise ValidationError("--emit-quadruples lists the census; use --mode direct or both")
-    outputs = []
+    fh = out.open("offdiag.csv")
+    quad_fh = out.open("quadruples.csv") if args.emit_quadruples else None
     rows: list[tuple[str, object]] = [("limit", args.limit), ("note", f"\"{_CENSUS_NOTE}\"")]
     census = None
     if args.mode in ("direct", "both"):
@@ -261,23 +256,16 @@ def _cmd_offdiag(args: argparse.Namespace, out_dir: Path) -> list[str]:
         rows.append(("N1_param", pc.n1))
         if census is not None:
             rows.append(("param_consistent", int(pc.n1 == census.n1)))
-    csv_path = out_dir / "offdiag.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("field,value\n")
-        for key, value in rows:
-            fh.write(f"{key},{value}\n")
-    outputs.append(csv_path.name)
+    fh.write("field,value\n")
+    for key, value in rows:
+        fh.write(f"{key},{value}\n")
     print(f"note: {_CENSUS_NOTE}")
     for key, value in rows[2:]:
         print(f"  {key} = {value}")
-    if args.emit_quadruples:
-        quad_path = out_dir / "quadruples.csv"
-        with open(quad_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("a,p,q,r,n\n")
-            for quad in census.quadruples:
-                fh.write(f"{quad.a},{quad.p},{quad.q},{quad.r},{quad.n}\n")
-        outputs.append(quad_path.name)
-    return outputs
+    if quad_fh is not None:
+        quad_fh.write("a,p,q,r,n\n")
+        for quad in census.quadruples:
+            quad_fh.write(f"{quad.a},{quad.p},{quad.q},{quad.r},{quad.n}\n")
 
 
 def _plot_name(statistic: str) -> str:
@@ -285,13 +273,7 @@ def _plot_name(statistic: str) -> str:
     return f"plot_{safe}.csv"
 
 
-def _report_fields(stat: str, row: dict) -> tuple[str, str, str, str]:
-    # Values read back as floats; integral ones print as the integers they were.
-    raw = row["raw_value"]
-    return csv_fields(stat, row["x"], int(raw) if raw.is_integer() else raw)
-
-
-def _cmd_report(args: argparse.Namespace, out_dir: Path) -> list[str]:
+def _cmd_report(args: argparse.Namespace, out: _Outputs) -> None:
     if not args.inputs:
         raise ValidationError("report needs at least one input CSV")
     missing = [path for path in args.inputs if not os.path.isfile(path)]
@@ -309,27 +291,21 @@ def _cmd_report(args: argparse.Namespace, out_dir: Path) -> list[str]:
     by_stat: dict[str, list[dict]] = {}
     for row in rows:
         by_stat.setdefault(row["statistic"], []).append(row)
-    # Every row and every plot path is built before any output opens, so bad
-    # input adds no file.
-    report = ["statistic,x,raw_value,normalized_value,predicted_constant,deviation\n"]
-    files = {"report.csv": report}
+    report = out.open("report.csv")
+    report.write("statistic,x,raw_value,normalized_value,predicted_constant,deviation\n")
     plotted: dict[str, str] = {}
     for stat in sorted(by_stat):
-        series = sorted(by_stat[stat], key=lambda r: r["x"])
-        fields = [_report_fields(stat, row) for row in series]
-        report += [f"{stat},{row['x']},{','.join(f)}\n" for row, f in zip(series, fields)]
         name = _plot_name(stat)
         if name in plotted:
             raise ValidationError(f"statistics {plotted[name]} and {stat} both plot to {name}")
-        if (out_dir / name).is_dir():
-            raise ValidationError(f"output {out_dir / name} is a directory")
         plotted[name] = stat
-        files[name] = ["x,ratio\n", *(f"{row['x']},{f[1]}\n" for row, f in zip(series, fields))]
-    for name, lines in files.items():
-        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
-    print(f"report over {len(by_stat)} statistics -> {out_dir / 'report.csv'}")
-    return list(files)
+        plot = out.open(name)
+        plot.write("x,ratio\n")
+        for row in sorted(by_stat[stat], key=lambda r: r["x"]):
+            fields = csv_fields(stat, row["x"], row["raw_value"])
+            report.write(f"{stat},{row['x']},{','.join(fields)}\n")
+            plot.write(f"{row['x']},{fields[1]}\n")
+    print(f"report over {len(by_stat)} statistics -> {out.dir / 'report.csv'}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -386,16 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The outputs each command writes under fixed names, whatever its data.
-_FIXED_OUTPUTS = {
-    "sieve": ("blocks.pcty",),
-    "mean": ("mean.csv",),
-    "constants": ("constants.csv",),
-    "congruence": ("congruence.csv",),
-    "offdiag": ("offdiag.csv",),
-    "report": ("report.csv",),
-}
-
 _DISPATCH = {
     "sieve": _cmd_sieve,
     "mean": _cmd_mean,
@@ -407,7 +373,7 @@ _DISPATCH = {
 
 
 def run(argv: list[str]) -> int:
-    """Parse argv, dispatch, write outputs plus a JSON manifest; return exit code."""
+    """Parse argv, dispatch, commit outputs plus a JSON manifest; return exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     out_dir = Path(args.out_dir)
@@ -415,25 +381,34 @@ def run(argv: list[str]) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create --out-dir {out_dir}: {exc.strerror}") from None
-    names = [*_FIXED_OUTPUTS[args.command], f"{args.command}_manifest.json"]
-    if getattr(args, "emit_quadruples", False):
-        names.append("quadruples.csv")
-    for name in names:
-        if (out_dir / name).is_dir():
-            raise ValidationError(f"output {out_dir / name} is a directory")
     started = _timestamp()
-    outputs = _DISPATCH[args.command](args, out_dir)
-    config = {k: v for k, v in vars(args).items() if k not in ("command",)}
-    manifest = RunManifest(
-        command=args.command,
-        argv=list(argv),
-        config=config,
-        started=started,
-        finished=_timestamp(),
-        version=__version__,
-        outputs=outputs,
-    )
-    _write_manifest(out_dir, args.command, manifest)
+    out = _Outputs(out_dir)
+    try:
+        # Opened first, so a directory in its place is refused before any work.
+        manifest = out.open(f"{args.command}_manifest.json")
+        _DISPATCH[args.command](args, out)
+        config = {k: v for k, v in vars(args).items() if k not in ("command",)}
+        outputs = [path.name for _, _, path in out.staged[1:]]
+        json.dump({
+            "command": args.command, "argv": list(argv), "config": config, "started": started,
+            "finished": _timestamp(), "version": __version__, "outputs": outputs,
+        }, manifest, indent=2, sort_keys=True)
+        manifest.write("\n")
+        # Every output is renamed onto its own name in the order opened, the
+        # manifest last, once the whole run has succeeded.
+        out.staged.append(out.staged.pop(0))
+        for fh, _, _ in out.staged:
+            fh.close()
+        for _, temp, path in out.staged:
+            os.replace(temp, path)
+    except BaseException:
+        for fh, temp, _ in out.staged:
+            try:
+                fh.close()
+            except OSError:
+                pass  # the error being raised already says what failed
+            temp.unlink(missing_ok=True)
+        raise
     return 0
 
 

@@ -347,7 +347,12 @@ def write_csv(handle: IO[str], series_list: Sequence[MeanValueSeries], grid: Che
 
 
 def read_csv(handle: IO[str]) -> list[dict]:
-    """Parse a CSV produced by write_csv back into row dicts."""
+    """Parse a CSV produced by write_csv back into row dicts.
+
+    raw_value is an int where its text is an integer literal and a float
+    otherwise, so csv_fields prints it back as it was read.  A row whose x
+    or raw_value lies beyond the float range cannot be normalized: refused.
+    """
     header = handle.readline().strip()
     expected = "x,statistic,raw_value,normalized_value,predicted_constant,deviation"
     if header != expected:
@@ -361,11 +366,14 @@ def read_csv(handle: IO[str]) -> list[dict]:
         if len(parts) != 6:
             raise ValidationError(f"malformed CSV row: {line!r}")
         try:
+            x, raw = int(parts[0]), parts[2]
+            raw = int(raw) if raw.lstrip("-").isdigit() else float(raw)
+            float(x), float(raw)  # an int beyond the float range raises OverflowError
             rows.append(
                 {
-                    "x": int(parts[0]),
+                    "x": x,
                     "statistic": parts[1],
-                    "raw_value": float(parts[2]),
+                    "raw_value": raw,
                     "normalized_value": float(parts[3]),
                     "predicted_constant": float(parts[4]),
                     "deviation": float(parts[5]),
@@ -373,4 +381,6 @@ def read_csv(handle: IO[str]) -> list[dict]:
             )
         except ValueError:
             raise ValidationError(f"malformed CSV row: {line!r}") from None
+        except OverflowError:
+            raise ValidationError(f"CSV row beyond the float range: {line!r}") from None
     return rows

@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paucity
@@ -626,6 +627,60 @@ def test_report_refuses_two_labels_for_one_plot(tmp_path, capsys):
     ]
 
 
+def test_report_prints_raw_values_as_read(tmp_path):
+    # DISPERSION at c = 1e100 has integral float raw values such as
+    # 4.61130739278059e+200; report prints every row as mean wrote it.
+    mean_dir, rep_dir = tmp_path / "m", tmp_path / "r"
+    assert run_cli(
+        "mean", "--limit", "1000", "--stats", "DISPERSION,S01", "--dispersion-c", "1e100",
+        "--grid", "explicit:10,1000", "--out-dir", str(mean_dir),
+    ) == 0
+    assert run_cli("report", "--inputs", str(mean_dir / "mean.csv"), "--out-dir", str(rep_dir)) == 0
+    mean = [line.split(",") for line in (mean_dir / "mean.csv").read_text().splitlines()[1:]]
+    report = [line.split(",") for line in (rep_dir / "report.csv").read_text().splitlines()[1:]]
+    assert "4.61130739278059e+200" in {row[2] for row in mean}
+    assert sorted(report) == sorted([stat, x, *rest] for x, stat, *rest in mean)
+
+
+def test_report_refuses_numbers_beyond_float_range(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    data, out = tmp_path / "in.csv", tmp_path / "out"
+    for row in (f"{huge},S01,5,1,1,0\n", f"1000,S01,{huge},1,1,0\n"):
+        data.write_text(_REPORT_HEADER + "1000,S22,7,1,1,0\n" + row)
+        assert run_cli("report", "--inputs", str(data), "--out-dir", str(out)) == 2, row
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "beyond the float range" in err, err
+        assert list(out.iterdir()) == []
+
+
+def test_failed_write_adds_no_file(tmp_path, monkeypatch, capsys):
+    # The second file opened for writing fails as on a full disk: exit 3 with
+    # one line, and the first one is not left behind.
+    data = tmp_path / "in.csv"
+    data.write_text(_REPORT_HEADER + "1000,S01,5,1,1,0\n1000,S22,7,1,1,0\n")
+    for argv in (
+        ["offdiag", "--limit", "1000", "--mode", "direct", "--emit-quadruples"],
+        ["report", "--inputs", str(data)],
+    ):
+        writes = []
+
+        def full_disk(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                writes.append(file)
+                if len(writes) == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+            return open(file, mode, *args, **kwargs)
+
+        out = tmp_path / argv[0]
+        out.mkdir()
+        (out / "kept.txt").write_text("kept\n")
+        monkeypatch.setattr(paucity.cli, "open", full_disk, raising=False)
+        assert run_cli(*argv, "--out-dir", str(out)) == 3, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "No space left" in err, err
+        assert [p.name for p in out.iterdir()] == ["kept.txt"], argv
+
+
 # The exit-code contract, over argv drawn from a grammar of the six
 # subcommands.  Each argv gives a command its required options and some of
 # the others, all with small valid values, and replaces at most one value
@@ -635,7 +690,8 @@ def test_report_refuses_two_labels_for_one_plot(tmp_path, capsys):
 # does not exist yet, @blocked one holding a directory named like an output,
 # @file a regular file, @dir a directory, @missing a path to nothing; @csv a
 # good mean.csv, @stat99 one with an unknown statistic, @x2 one with x = 2,
-# @twin one with two labels for one plot file, and @text no CSV at all.
+# @twin one with two labels for one plot file, @xhuge one with x beyond the
+# float range, and @text no CSV at all.
 _NUMBER = ["-1", "0", "1.5", "nan", "inf", "x", ""]
 _GRAMMAR = {
     # command: (flag, good values, bad values) for each required option, then
@@ -686,7 +742,7 @@ _GRAMMAR = {
     "report": (
         [("--inputs", [("@csv",), ("@csv", "@csv")],
           [(), ("@stat99",), ("@csv", "@x2"), ("@twin",), ("@text",), ("@file",), ("@dir",),
-           ("@missing",)])],
+           ("@missing",), ("@csv", "@xhuge")])],
         [],
     ),
 }
@@ -697,6 +753,7 @@ _REPORT_INPUTS = {
     "@x2": _REPORT_HEADER + "2,S01,5,1,1,0\n",
     "@twin": _REPORT_HEADER + "1000,DISPERSION(c=1e+10),5,1,nan,nan\n"
              "1000,DISPERSION(c=1e-10),5,1,nan,nan\n",
+    "@xhuge": _REPORT_HEADER + "1000,S01,5,1,1,0\n1" + "0" * 400 + ",S01,70,1,1,0\n",
     "@text": "not a csv\n",
 }
 _BLOCKERS = ["mean.csv", "report.csv", "plot_S01.csv", "congruence.csv", "offdiag.csv",
@@ -723,9 +780,10 @@ def _tree(path: Path) -> set[str]:
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(_contract_argv(), st.sampled_from(_BLOCKERS))
+@example(["report", "--inputs", "@csv", "@xhuge", "--out-dir", "@out"], "report.csv")
 def test_exit_code_contract(argv, blocker):
     # Every exit is 0, 2 or 3 (argparse's SystemExit counts as its code);
-    # stderr holds no traceback and ends with the error; exit 2 adds no file.
+    # stderr holds no traceback and ends with the error; a failed run adds no file.
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         paths = {"@out": root / "out", "@fresh": root / "new" / "out",
@@ -755,5 +813,4 @@ def test_exit_code_contract(argv, blocker):
         if rc:
             lines = err.splitlines()
             assert lines and "error: " in lines[-1], (argv, err)
-        if rc == 2:
             assert _tree(out) == before, argv
