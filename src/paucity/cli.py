@@ -50,13 +50,14 @@ from .constants import (
     STATISTICS,
     catalan,
     check_density_z,
+    check_eps,
     check_prime_limit,
     landau_ramanujan,
     sieve_density_product,
 )
 from .errors import CapacityError, PaucityError, ValidationError
 from .meanvalue import CheckpointGrid, accumulate, csv_fields, read_csv, write_csv
-from .quadruples import enumerate_n1_params, enumerate_offdiag
+from .quadruples import check_limit, enumerate_n1_params, enumerate_offdiag
 from .sieve import SieveConfig, sieve_all, write_blocks
 
 _CENSUS_NOTE = (
@@ -164,9 +165,10 @@ def _cmd_mean(args: argparse.Namespace, out: _Outputs) -> None:
 
 
 def _cmd_constants(args: argparse.Namespace, out: _Outputs) -> None:
-    # Every --z and --prime-limit is checked before the first sieve runs.
+    # Every --z, --eps and --prime-limit is checked before the first sieve runs.
     for z in args.z:
         check_density_z(z)
+    check_eps(args.eps)
     check_prime_limit(args.prime_limit)
     fh = out.open("constants.csv")
     densities = [sieve_density_product(z) for z in args.z]
@@ -226,6 +228,7 @@ def _cmd_congruence(args: argparse.Namespace, out: _Outputs) -> None:
 
 
 def _cmd_offdiag(args: argparse.Namespace, out: _Outputs) -> None:
+    check_limit(args.limit)
     if args.emit_quadruples and args.mode == "param":
         raise ValidationError("--emit-quadruples lists the census; use --mode direct or both")
     fh = out.open("offdiag.csv")

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .sieve import MAX_SIEVE_LIMIT, RepresentationBlock, chi4_divisor_sums, sieve_primes
+from .sieve import MAX_SIEVE_LIMIT, chi4_divisor_sums, sieve_primes
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ def catalan(eps: float = 1e-10) -> ConstantValue:
     _CHUNK at a time; every (4j+3)^2 is below 2^53, so each is
     exact and every term has the bits of its integer-arithmetic form.
     """
-    if not (1e-15 <= eps < 1.0):
-        raise ValidationError(f"catalan needs 1e-15 <= eps < 1, got {eps}")
+    check_eps(eps)
     pairs = int(math.ceil((1.0 / math.sqrt(eps) - 1.0) / 4.0)) + 1
 
     def terms():
@@ -96,6 +95,12 @@ def landau_ramanujan(prime_limit: int = 10**7, form: str = "1mod4") -> ConstantV
         value = math.exp(-0.5 * logsum) / math.sqrt(2.0)
     bound = 1.0 / (prime_limit - 1)
     return ConstantValue("K", value, bound, f"euler-product-{form}:{prime_limit}")
+
+
+def check_eps(eps: float) -> None:
+    """Refuse a catalan eps before any constant is computed."""
+    if not (1e-15 <= eps < 1.0):
+        raise ValidationError(f"catalan needs 1e-15 <= eps < 1, got {eps}")
 
 
 def check_prime_limit(prime_limit: int) -> None:
@@ -144,11 +149,6 @@ def sieve_density_product(z: float) -> ConstantValue:
 _PI = math.pi
 
 
-def _block_slice(name: str) -> property:
-    """A Tallies attribute: the block's array `name` over the slice, as a view."""
-    return property(lambda v: getattr(v.block, name)[v.lo - v.block.lo : v.hi - v.block.lo])
-
-
 def _a_slice(index: int) -> property:
     """A Tallies attribute: the walk's compact array at `index` on the n of
     A in the slice, as a view."""
@@ -159,13 +159,14 @@ def _a_slice(index: int) -> property:
 class Tallies:
     """The slice [lo, hi) of one sieve block.
 
-    `walk` returns the block's sieve.multiplicative_arrays; the caller runs
-    it at most once per block and shares it between the block's slices.
-    r0_pair, r1 and r2 are views of the block's arrays, and omega_a and
-    phi_a views of the walk's compact arrays on the n of A in the slice,
-    found by a_range; so a slice calls walk only when a term reads A.
-    Every other array is built on first read, so it costs nothing where no
-    term reads it:
+    r0_pair, r1 and r2 are the slice's pair tallies, indexed by n - lo:
+    views of one window of sieve.pair_windows.  `walk` returns the
+    sieve.multiplicative_arrays of the block that starts at `base`, whose
+    offsets count from base; the caller runs it at most once per block and
+    shares it between the block's slices.  omega_a and phi_a are views of
+    the walk's compact arrays on the n of A in the slice, found by a_range;
+    so a slice calls walk only when a term reads A.  Every other array is
+    built on first read, so it costs nothing where no term reads it:
 
     * r0_div, int64 over the slice;
     * support, the offsets n - lo with r0(n) != 0, where r0 is r0_pair or
@@ -175,16 +176,16 @@ class Tallies:
     * on_a, the offsets n - lo of the n in A.
     """
 
-    block: RepresentationBlock
+    r0_pair: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
     walk: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    base: int
     lo: int
     hi: int
     c: float  # the dispersion parameter
     r0_convention: str = "pair"
 
-    r0_pair = _block_slice("r0_pair")
-    r1 = _block_slice("r1")
-    r2 = _block_slice("r2")
     omega_a = _a_slice(1)
     phi_a = _a_slice(2)
 
@@ -215,13 +216,13 @@ class Tallies:
     @cached_property
     def a_range(self) -> slice:
         """The part of the walk's compact arrays on A that lies in the slice."""
-        start = self.lo - self.block.lo
+        start = self.lo - self.base
         return slice(*np.searchsorted(self.walk()[0], (start, start + self.hi - self.lo)).tolist())
 
     @cached_property
     def on_a(self) -> np.ndarray:
         """The offsets n - lo of the n in A, ascending."""
-        return self.walk()[0][self.a_range] - (self.lo - self.block.lo)
+        return self.walk()[0][self.a_range] - (self.lo - self.base)
 
     @cached_property
     def lemma_weight(self) -> np.ndarray:

@@ -1,23 +1,25 @@
 """Checkpointed accumulation of every reported sum.
 
 Every statistic is summed in one pass over the sieve blocks.  accumulate
-checks the whole request, then sieves and reduces each block, a slice at a
-time, to the sums of one run of n, and merges the runs in ascending block
-order; one type of sums does both for every statistic.  The blocks are
-sieved and reduced in this process or by worker processes
-(workers.ordered_map).  The reduction runs the multiplicative walk behind
-a block's list of A (sieve.multiplicative_arrays) once, the first time a
-term reads it, and drops it when the block is reduced.
+checks the whole request, then sieves and reduces each block to the sums of
+one run of n, and merges the runs in ascending block order; one type of
+sums does both for every statistic.  The blocks are sieved and reduced in
+this process or by worker processes (workers.ordered_map).  A block's pair
+tallies are reduced one window of sieve.pair_windows at a time, as each is
+counted, so a process holds one window of tallies, not a block of them.
+The reduction runs the multiplicative walk behind a block's list of A
+(sieve.multiplicative_arrays) once, the first time a term reads it, and
+drops it when the block is reduced.
 
 Every sum is cut on one fixed absolute grid: the multiples of _ATOM (2^16)
-and the checkpoint edges p + 1.  A block is reduced in slices cut on that
-grid, so a slice lies inside one interval between cuts and its temporaries
-stay in cache.  The terms are evaluated only where they can be nonzero (the
-r terms where r0 != 0, about a fifth of n at 1e7; the LEMMA sums on A, about
-a twelfth).  An int term only needs its total, so it lists just those n,
-and an indicator is a bool array, counted.  A float term is scattered into
-zeros, so every interval sum below sees the array an evaluation at every n
-would give, bit for bit.
+and the checkpoint edges p + 1.  Each window is reduced in slices cut on
+that grid, so a slice lies inside one interval between cuts and its
+temporaries stay in cache.  The terms are evaluated only where they can be
+nonzero (the r terms where r0 != 0, about a fifth of n at 1e7; the LEMMA
+sums on A, about a twelfth).  An int term only needs its total, so it lists
+just those n, and an indicator is a bool array, counted.  A float term is
+scattered into zeros, so every interval sum below sees the array an
+evaluation at every n would give, bit for bit.
 
 A run holds the pieces before its first cut, the sum of each whole interval
 between cuts, and the pieces after its last cut; a merge sums the interval
@@ -49,19 +51,21 @@ from .errors import ValidationError
 from .sieve import (
     MAX_SIEVE_LIMIT,
     PrimeTable,
-    RepresentationBlock,
     SieveConfig,
     multiplicative_arrays,
-    sieve_block,
+    pair_windows,
+    raise_malloc_thresholds,
     sieve_primes,
 )
 from .workers import ordered_map
 
 _ATOM = 1 << 16
-# Blocks are reduced in slices cut at the multiples of this width and at the
-# checkpoint edges.  At _ATOM each float interval is one slice, summed where
-# it lies, and a slice's 8-byte temporaries (512 KiB) stay in a 2 MiB L2
-# from one numpy pass to the next.  Reducing the blocks of
+# Windows are reduced in slices cut at the multiples of this width and at
+# the checkpoint edges.  It sets the order in which float terms are added,
+# so it fixes the mean.csv bytes; the window width, sieve._SUB, does not.
+# At _ATOM each float interval is one slice, summed where it lies, and a
+# slice's 8-byte temporaries (512 KiB) stay in a 2 MiB L2 from one numpy
+# pass to the next.  Reducing the blocks of
 # `mean --limit 10000000 --stats all`, sieved beforehand, took a median
 # 0.39 s at 2^14 (per-slice overhead), 0.29 s at 2^15, 0.22 s at 2^16 and
 # 2^17 and 0.25 s at 2^18 on a 2-core Xeon with 2 MiB of L2 per core; with
@@ -241,24 +245,27 @@ class _Plan:
         self.r0_convention = r0_convention
         self.dispersion_c = dispersion_c + 0.0  # -0.0 becomes 0.0, so both label c=0
 
-    def reduce(self, block: RepresentationBlock, primes: PrimeTable) -> _BlockSums:
-        """Every statistic's partial sums over one block, a slice at a time.
+    def reduce(self, lo: int, hi: int, primes: PrimeTable) -> _BlockSums:
+        """Every statistic's partial sums over the block [lo, hi), a slice at a time.
 
-        The slices are cut on the sums' grid, the multiples of _ATOM and the
-        checkpoint edges, so each lies inside one interval, and each slice's
-        support and int64 tallies are built once and shared by every
-        statistic.  The block's walk over `primes`, which must cover
-        sqrt(block.hi - 1), runs the first time a slice reads A and is
-        shared by the slices after it.
+        The block's pair tallies arrive one window of sieve.pair_windows at
+        a time, and each window is cut on the sums' grid, the multiples of
+        _ATOM and the checkpoint edges, so each slice lies inside one
+        interval, and each slice's support and int64 tallies are built once
+        and shared by every statistic.  The block's walk over `primes`,
+        which must cover sqrt(hi - 1), runs the first time a slice reads A
+        and is shared by the slices after it.
         """
         parts = self._sums()
-        walk = cache(lambda: multiplicative_arrays(block.lo, block.hi, primes))
-        bounds = [block.lo, *_cuts(self.points, block.lo, block.hi - 1), block.hi]
-        for lo, hi in zip(bounds, bounds[1:]):
-            tallies = Tallies(block, walk, lo, hi, self.dispersion_c, self.r0_convention)
-            for stat, part in zip(self.stats, parts):
-                part.add(lo, hi, stat.term(tallies))
-        return _BlockSums(block.lo, block.hi, parts)
+        walk = cache(lambda: multiplicative_arrays(lo, hi, primes))
+        for s, e, *window in pair_windows(lo, hi, primes):
+            bounds = [s, *_cuts(self.points, s, e - 1), e]
+            for a, b in zip(bounds, bounds[1:]):
+                pairs = (arr[a - s : b - s] for arr in window)
+                tallies = Tallies(*pairs, walk, lo, a, b, self.dispersion_c, self.r0_convention)
+                for stat, part in zip(self.stats, parts):
+                    part.add(a, b, stat.term(tallies))
+        return _BlockSums(lo, hi, parts)
 
     def merge(self, reductions: Iterable[_BlockSums]) -> list[MeanValueSeries]:
         """The series at every checkpoint from block reductions in ascending order."""
@@ -298,21 +305,17 @@ def accumulate(
     bit for bit, at every worker count.
     """
     plan = _Plan(cfg, grid, statistics, r0_convention, dispersion_c)
+    # The predicted constants are computed first, on the small heap of a
+    # fresh process.  Computed in write_csv, landau_ramanujan's prime sieve
+    # (about 10 MB) ran on top of the heap the blocks left: mean --limit
+    # 100000000 --stats all peaked at 50.3 MB that way, 43.7 MB this way.
+    for stat in plan.stats:
+        predicted_constant(stat.name)
     primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
-    # A process's last block of pair tallies stays allocated while the next
-    # one is sieved, so the allocator reuses its pages instead of handing
-    # them back to the system and faulting them in again: freeing each block
-    # first cost 5x the minor page faults (99k against 19k for
-    # mean --limit 30000000 in one process).  The walk's arrays are not
-    # kept: they die when reduce returns, before the next block is sieved.
-    last = None
-
-    def sieve_and_reduce(bounds: tuple[int, int]) -> _BlockSums:
-        nonlocal last
-        last = sieve_block(cfg, *bounds, primes)
-        return plan.reduce(last, primes)
-
-    return ordered_map(sieve_and_reduce, cfg.block_ranges(), workers, plan.merge)
+    raise_malloc_thresholds()
+    return ordered_map(
+        lambda bounds: plan.reduce(*bounds, primes), cfg.block_ranges(), workers, plan.merge
+    )
 
 
 def csv_fields(statistic: str, x: int, raw: int | float) -> tuple[str, str, str, str]:

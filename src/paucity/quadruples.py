@@ -125,6 +125,14 @@ def _runs(cnt: np.ndarray, size: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def check_limit(limit: int) -> None:
+    """Refuse a census or param-route limit before either starts."""
+    if limit < 1:
+        raise ValidationError(f"census limit must be >= 1, got {limit}")
+    if limit > _ENUM_CAP:
+        raise CapacityError(f"census limit {limit} exceeds budget {_ENUM_CAP}")
+
+
 def enumerate_offdiag(limit: int, collect: bool = True) -> OffdiagCensus:
     """Exhaustive census of off-diagonal solutions up to `limit`.
 
@@ -137,10 +145,7 @@ def enumerate_offdiag(limit: int, collect: bool = True) -> OffdiagCensus:
     solutions exist; its rows are dropped as soon as the running count passes
     that cap.
     """
-    if limit < 1:
-        raise ValidationError(f"enumerate_offdiag needs limit >= 1, got {limit}")
-    if limit > _ENUM_CAP:
-        raise CapacityError(f"enumerate_offdiag limit {limit} exceeds budget {_ENUM_CAP}")
+    check_limit(limit)
     primes = sieve_primes(max(math.isqrt(max(limit - 1, 1)), 2)).primes.astype(np.int64)
     pp = primes * primes
     # Squares 0, 1, ..., (isqrt(limit) + 1)^2 for the probes' a-ranges.
@@ -258,10 +263,7 @@ def enumerate_n1_params(limit: int, collect: bool = False) -> ParamCensus:
     there are.  It uses its own prime sieve and no census helper, since the
     census is what it checks.
     """
-    if limit < 1:
-        raise ValidationError(f"enumerate_n1_params needs limit >= 1, got {limit}")
-    if limit > _ENUM_CAP:
-        raise CapacityError(f"enumerate_n1_params limit {limit} exceeds budget {_ENUM_CAP}")
+    check_limit(limit)
     s = math.isqrt(max(limit - 9, 0))
     if s < 3:
         return ParamCensus(limit=limit, n1=0, tuples=() if collect else None)

@@ -17,16 +17,17 @@ r0 conventions differ exactly on perfect squares; both are carried so mean
 values can be reported under either.  b(n), the indicator of sums of two
 squares, is r0_div(n) > 0.
 
-r0_pair, r1 and r2 are counted without a loop over a: each block is cut into
-sub-windows of _SUB integers, and the cells (row, col) with row^2 + col^2 in
-a sub-window are listed at once from vectorised integer square roots (exact
-below 2^52).  Each tally lists only the cells it needs: r0_pair is symmetric,
-so it is twice the count of the half lattice col >= row, less one at each
-diagonal n = 2a^2; r1 is the count of the prime rows, and r2 that of their
-cells with a prime column.  Each sub-window's counts pass the 16-bit check and go
-straight into the block's uint16 arrays.  That keeps memory at
-O(_SUB + sqrt(hi)) beyond the block's own arrays and leaves no per-a Python
-loop.
+r0_pair, r1 and r2 are counted without a loop over a, one window at a time:
+pair_windows cuts [lo, hi) at the multiples of _SUB, and the cells (row,
+col) with row^2 + col^2 in a window are listed at once from vectorised
+integer square roots (exact below 2^52).  Each tally lists only the cells it
+needs: r0_pair is symmetric, so it is twice the count of the half lattice
+col >= row, less one at each diagonal n = 2a^2; r1 is the count of the prime
+rows, and r2 that of their cells with a prime column.  Each window's counts
+pass the 16-bit check and are yielded as uint16 arrays, so the generator
+holds O(_SUB + sqrt(hi)) memory and runs no per-a Python loop.
+meanvalue reduces each window as it comes; sieve_block copies the windows
+into the block's arrays, the record a dump holds.
 
 sieve_primes sieves the odd numbers only, and a PrimeTable builds its
 full-width is_prime bitmap on first read, so callers that read only the
@@ -36,7 +37,7 @@ sieve_all sieves blocks one after another in the calling process.  numpy's
 bincount and repeat and the walk's short strided updates hold the GIL, so a
 thread pool over blocks measured slower than one thread (0.67-1.05x per
 kernel on 2 cores) and held about 40-50 MB more.  meanvalue.accumulate
-calls sieve_block itself, one block per task, in this process or in worker
+reads pair_windows itself, one block per task, in this process or in worker
 processes.
 
 multiplicative_arrays lists the set A of n whose prime factors are all
@@ -74,14 +75,18 @@ from .errors import CapacityError, TallyOverflowError, ValidationError
 
 # A full boolean sieve at this cap costs ~1 GB; beyond it, refuse.
 MAX_SIEVE_LIMIT = 10**9
-# A block's tracemalloc peak is 8.5 MiB per 2^20 integers at the cap for the
-# pair tallies and 10.5 MiB with the walk's list of A, and 42 MiB for one
-# block of this width at the cap; a wider block is refused before any
-# sieving starts.
+# In mean, block width costs only the walk: the pair tallies arrive a window
+# at a time (a tracemalloc peak of 4.3 MiB at the cap, at any width), and
+# the walk peaks at 4.5 MiB for a 2^20 block at the cap and at 17.7 MiB for
+# one of this width.  sieve_block, for the dump, holds a block's tallies:
+# 10.3 and 28.3 MiB.  A wider block is refused before any sieving starts.
 MAX_BLOCK_SIZE = 1 << 22
 
-# Pair tallies are counted in sub-windows of this many integers.
-_SUB = 1 << 16
+# Pair tallies are counted in windows that end at the multiples of this
+# width.  meanvalue reduces each window as it is counted, so a process
+# holds one window of tallies, 768 KiB of uint16 and a 1 MiB int64 count
+# at 2^17, whatever the block width.
+_SUB = 1 << 17
 
 _MAGIC = b"PCTY"
 _VERSION = 2
@@ -189,17 +194,13 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes)
 
 
-def _check_peak(name: str, arr: np.ndarray, lo: int) -> np.ndarray:
-    """`arr`, the tally at n = lo, lo + 1, ..., once its peak fits in 16 bits."""
+def _check_tally(name: str, arr: np.ndarray, lo: int) -> np.ndarray:
+    """`arr`, the tally at n = lo, lo + 1, ..., as uint16 once its peak fits in 16 bits."""
     peak = int(arr.max(initial=0))
     if peak >= 1 << 16:
         n = lo + int(arr.argmax())
         raise TallyOverflowError(f"{name}({n}) = {peak} exceeds 16-bit tally range")
-    return arr
-
-
-def _check_tally(name: str, arr: np.ndarray, lo: int) -> np.ndarray:
-    return _check_peak(name, arr, lo).astype(np.uint16)
+    return arr.astype(np.uint16)
 
 
 def chi4_divisor_sums(lo: int, r0_pair: np.ndarray) -> np.ndarray:
@@ -245,12 +246,16 @@ def _cells(
     return col, np.repeat(r2 - s, cnt) + col * col
 
 
-def _pair_tallies(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ...]:
-    """r0_pair, r1, r2 for [lo, hi) as uint16 arrays, one sub-window at a time.
+def pair_windows(
+    lo: int, hi: int, primes: PrimeTable
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(s, e, r0_pair, r1, r2) for each window [s, e) of [lo, hi), in order:
+    each e is the next multiple of _SUB after s, or hi, and the three
+    tallies are uint16 arrays indexed by n - s.  `primes` must cover
+    sqrt(hi - 1).
 
-    The sub-windows [s, e) of _SUB integers partition the block, so each one's
-    counts are complete and are assigned, not added.  Each tally lists only
-    the cells it needs:
+    Each window's counts are complete, so they do not depend on where the
+    windows are cut.  Each tally lists only the cells it needs:
 
     * r0_pair from the half lattice, rows a <= sqrt((e - 1) / 2) and columns
       b >= a: twice their count, less one at n = 2a^2, where the diagonal
@@ -259,32 +264,40 @@ def _pair_tallies(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ...
       ordered pairs (a, p) read with p first;
     * r2 from those same cells whose column is prime.
 
-    Each window's counts pass the 16-bit check before they are cast into the
-    block's uint16 arrays, so none can wrap.  Memory is O(_SUB + sqrt(hi))
-    beyond the three output arrays, and the work O(width + cells +
-    (width / _SUB) * sqrt(hi)), where cells is about half the lattice for
-    r0_pair plus an eighth of it for the prime rows.
+    Each window's counts pass the 16-bit check before they are cast to
+    uint16, so none can wrap.  Memory is O(_SUB + sqrt(hi)), and the work
+    O(width + cells + (width / _SUB + 1) * sqrt(hi)), where cells is about
+    half the lattice for r0_pair plus an eighth of it for the prime rows.
     """
-    width = hi - lo
-    r0 = np.empty(width, dtype=np.uint16)
-    r1 = np.empty(width, dtype=np.uint16)
-    r2 = np.empty(width, dtype=np.uint16)
+    _check_cover(primes, hi)
     is_p = primes.is_prime
-    for s in range(lo, hi, _SUB):
-        e = min(s + _SUB, hi)
-        out = slice(s - lo, e - lo)
+    s = lo
+    while s < hi:
+        e = min((s // _SUB + 1) * _SUB, hi)
         rows = np.arange(1, math.isqrt((e - 1) // 2) + 1, dtype=np.int64)
         _, idx = _cells(rows, s, e, upper=True)
         counts = np.bincount(idx, minlength=e - s)
         counts *= 2
         diag = np.arange(math.isqrt((s - 1) // 2) + 1, rows.size + 1, dtype=np.int64)
         counts[2 * diag * diag - s] -= 1
-        r0[out] = _check_peak("r0_pair", counts, s)
+        r0 = _check_tally("r0_pair", counts, s)
+        del counts
         rows = primes.primes[: np.searchsorted(primes.primes, math.isqrt(e - 1), side="right")]
         col, idx = _cells(rows, s, e)
-        r1[out] = _check_peak("r1", np.bincount(idx, minlength=e - s), s)
-        r2[out] = _check_peak("r2", np.bincount(idx[is_p[col]], minlength=e - s), s)
-    return r0, r1, r2
+        r1 = _check_tally("r1", np.bincount(idx, minlength=e - s), s)
+        r2 = _check_tally("r2", np.bincount(idx[is_p[col]], minlength=e - s), s)
+        del col, idx  # the consumer holds only the window's tallies
+        yield s, e, r0, r1, r2
+        s = e
+
+
+def _pair_tallies(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ...]:
+    """r0_pair, r1, r2 for [lo, hi) as uint16 arrays, filled from pair_windows."""
+    block = tuple(np.empty(hi - lo, dtype=np.uint16) for _ in range(3))
+    for s, e, *window in pair_windows(lo, hi, primes):
+        for arr, part in zip(block, window):
+            arr[s - lo : e - lo] = part
+    return block
 
 
 def _inverse_of_4(m: np.ndarray) -> np.ndarray:
@@ -390,7 +403,6 @@ def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> Repre
     """
     if lo < 1 or hi <= lo or hi > cfg.limit + 1:
         raise ValidationError(f"block [{lo}, {hi}) out of range for limit {cfg.limit}")
-    _check_cover(primes, hi)
     return RepresentationBlock(lo, hi, *_pair_tallies(lo, hi, primes))
 
 
@@ -401,8 +413,29 @@ def sieve_all(cfg: SieveConfig) -> Iterator[RepresentationBlock]:
     one, so blocks arrive in order whatever their size.
     """
     primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
+    raise_malloc_thresholds()
     for lo, hi in cfg.block_ranges():
         yield sieve_block(cfg, lo, hi, primes)
+
+
+def raise_malloc_thresholds() -> None:
+    """Let the C heap keep the pages that each window, walk and block frees.
+
+    glibc maps each request above its mmap threshold afresh, and trims its
+    heap whenever more than twice that threshold lies free at the top;
+    freeing a mapped chunk raises the threshold to that chunk's size
+    (mallopt(3), M_MMAP_THRESHOLD).  At the start-up thresholds the arrays
+    of every window and every walk, freed before the next are made, are
+    handed back to the system and faulted in again.  Freeing one 8 MiB
+    array, never touched and so never resident, raises the thresholds to
+    8 and 16 MiB, and worker processes forked later inherit them.
+    `mean --limit 100000000 --stats S01,S02,S22,M2` took 92k minor faults
+    and 1.36 s without this step, 21k after a 2 MiB array, and 6.4k and
+    1.18-1.22 s after 4, 8 or 16 MiB, at the same peak RSS.  8 MiB is
+    twice the walk's largest arrays at MAX_BLOCK_SIZE.  Calling mallopt
+    would switch the dynamic thresholds off.
+    """
+    np.empty(8 << 20, dtype=np.uint8)
 
 
 def write_blocks(handle: BinaryIO, blocks: Iterable[RepresentationBlock]) -> int:
@@ -418,6 +451,7 @@ def write_blocks(handle: BinaryIO, blocks: Iterable[RepresentationBlock]) -> int
         for arr in (blk.r0_pair, blk.r1, blk.r2):
             handle.write(np.ascontiguousarray(arr, dtype="<u2").tobytes())
         count += 1
+        del blk  # before the next block is sieved
     return count
 
 

@@ -778,6 +778,34 @@ def _tree(path: Path) -> set[str]:
     return {str(p.relative_to(path)) for p in path.rglob("*")} if path.is_dir() else set()
 
 
+def _contract_paths(root: Path, argv: list[str], blocker: str) -> tuple[list[str], Path]:
+    """argv with its path tokens made under `root`, and its --out-dir."""
+    paths = {"@out": root / "out", "@fresh": root / "new" / "out",
+             "@blocked": root / "blocked", "@file": root / "file", "@dir": root / "dir",
+             "@missing": root / "missing"}
+    paths["@out"].mkdir()
+    (paths["@blocked"] / blocker).mkdir(parents=True)
+    paths["@file"].write_text("a file\n")
+    paths["@dir"].mkdir()
+    for token, text in _REPORT_INPUTS.items():
+        paths[token] = root / f"{token[1:]}.csv"
+        paths[token].write_text(text)
+    return [str(paths.get(tok, tok)) for tok in argv], paths[argv[-1]]
+
+
+def _run_contract(argv: list[str]) -> tuple[int, str]:
+    """main(argv)'s exit code, argparse's SystemExit counted as its code, and its stderr."""
+    err = io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        os.environ.pop("PAUCITY_THREADS", None)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(_contract_argv(), st.sampled_from(_BLOCKERS))
 @example(["report", "--inputs", "@csv", "@xhuge", "--out-dir", "@out"], "report.csv")
@@ -785,32 +813,57 @@ def test_exit_code_contract(argv, blocker):
     # Every exit is 0, 2 or 3 (argparse's SystemExit counts as its code);
     # stderr holds no traceback and ends with the error; a failed run adds no file.
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        paths = {"@out": root / "out", "@fresh": root / "new" / "out",
-                 "@blocked": root / "blocked", "@file": root / "file", "@dir": root / "dir",
-                 "@missing": root / "missing"}
-        paths["@out"].mkdir()
-        (paths["@blocked"] / blocker).mkdir(parents=True)
-        paths["@file"].write_text("a file\n")
-        paths["@dir"].mkdir()
-        for token, text in _REPORT_INPUTS.items():
-            paths[token] = root / f"{token[1:]}.csv"
-            paths[token].write_text(text)
-        out = paths[argv[-1]]
-        argv = [str(paths.get(tok, tok)) for tok in argv]
+        argv, out = _contract_paths(Path(tmp), argv, blocker)
         before = _tree(out)
-        err = io.StringIO()
-        with mock.patch.dict(os.environ), contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            os.environ.pop("PAUCITY_THREADS", None)
-            try:
-                rc = main(argv)
-            except SystemExit as exc:
-                rc = exc.code
-        err = err.getvalue()
+        rc, err = _run_contract(argv)
         assert rc in (0, 2, 3), (argv, rc, err)
         assert "Traceback" not in err, (argv, err)
         if rc:
             lines = err.splitlines()
             assert lines and "error: " in lines[-1], (argv, err)
             assert _tree(out) == before, argv
+
+
+def _bad_argv(command: str, flag: str, bad) -> list[str]:
+    """`command` with each required option at its first good value, `flag`
+    at the value `bad`, and --out-dir @out."""
+    required, _ = _GRAMMAR[command]
+    argv = [command]
+    for name, good, _ in required:
+        if name != flag:
+            argv += [name, *(good[0] if isinstance(good[0], tuple) else (good[0],))]
+    return [*argv, flag, *(bad if isinstance(bad, tuple) else (bad,)), "--out-dir", "@out"]
+
+
+# The work each command may start only once its input is checked.
+_HEAVY = [
+    (paucity.cli, "sieve_all"), (paucity.meanvalue, "sieve_primes"),
+    (paucity.cli, "catalan"), (paucity.cli, "landau_ramanujan"),
+    (paucity.cli, "sieve_density_product"), (paucity.cli, "rho_oracle"),
+    (paucity.cli, "nu_oracle"), (paucity.cli, "rho_closed"), (paucity.cli, "nu_closed"),
+    (paucity.cli, "enumerate_offdiag"), (paucity.cli, "enumerate_n1_params"),
+]
+
+
+@pytest.mark.parametrize("command, flag, bad", [
+    (command, flag, bad)
+    for command, (required, optional) in sorted(_GRAMMAR.items())
+    for flag, _, bads in required + optional
+    for bad in bads
+])
+def test_every_bad_value_exits_before_work(command, flag, bad, tmp_path, monkeypatch):
+    # The contract test draws its bad values at random; here each one runs
+    # once, alone: exit 2 or 3 with one line of error, before any heavy work
+    # starts, and no file added.
+    def refuse(*args, **kwargs):
+        raise AssertionError("no work may start")
+
+    for module, name in _HEAVY:
+        monkeypatch.setattr(module, name, refuse)
+    argv, out = _contract_paths(tmp_path, _bad_argv(command, flag, bad), "mean.csv")
+    rc, err = _run_contract(argv)
+    assert rc in (2, 3), (argv, rc, err)
+    lines = err.splitlines()
+    assert lines and [line for line in lines if "error: " in line] == lines[-1:], (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    assert _tree(out) == set(), argv

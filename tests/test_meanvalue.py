@@ -4,6 +4,7 @@ import io
 import math
 import tracemalloc
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from paucity.meanvalue import (
     write_csv,
 )
 from paucity.quadruples import enumerate_offdiag
-from paucity.sieve import SieveConfig, sieve_all, sieve_block, sieve_primes
+from paucity.sieve import SieveConfig, sieve_all, sieve_primes
 
 import oracles
 from oracles import in_A, omega, phi
@@ -180,8 +181,10 @@ def _block_walk(block):
 
 
 def _sliced_tallies(block, lo, hi, c, convention):
-    """Tallies of n in [lo, hi) of `block`, built as _Plan.reduce builds them."""
-    return Tallies(block, _block_walk(block), lo, hi, c, convention)
+    """Tallies of n in [lo, hi) of `block`, built as _Plan.reduce builds them
+    from a window's arrays."""
+    pairs = (arr[lo - block.lo : hi - block.lo] for arr in (block.r0_pair, block.r1, block.r2))
+    return Tallies(*pairs, _block_walk(block), block.lo, lo, hi, c, convention)
 
 
 def test_support_terms_match_dense_formulas():
@@ -222,10 +225,9 @@ def test_float_accumulator_keeps_no_view():
     lo, hi = 40000, 40000 + (1 << 20)
     cfg = SieveConfig(limit=hi - 1, block_size=1 << 20)
     primes = sieve_primes(math.isqrt(hi))
-    block = sieve_block(cfg, lo, hi, primes)
     grid = CheckpointGrid(points=(100000, 500000))
     floats = sorted(FLOAT_STATISTICS)
-    reduction = meanvalue._Plan(cfg, grid, floats, "pair", 1.0).reduce(block, primes)
+    reduction = meanvalue._Plan(cfg, grid, floats, "pair", 1.0).reduce(lo, hi, primes)
     atom = meanvalue._ATOM
     last = hi // atom * atom
     for name, part in zip(floats, reduction.parts):
@@ -263,7 +265,7 @@ def test_accumulate_validation(monkeypatch):
 
     # Every refusal comes before the first sieve.
     monkeypatch.setattr(meanvalue, "sieve_primes", refuse)
-    monkeypatch.setattr(meanvalue, "sieve_block", refuse)
+    monkeypatch.setattr(meanvalue, "pair_windows", refuse)
     too_large = math.nextafter(meanvalue.MAX_DISPERSION_C, math.inf)
     for cfg, stats, options in (
         (_cfg(), [], {}),
@@ -306,10 +308,13 @@ def test_walk_runs_only_when_read(monkeypatch):
 
 def test_accumulate_memory():
     # The walk keeps only its list of A (offsets, omega and phi there), its
-    # temporaries are lattice-sized, and it dies with its block's reduction:
-    # every statistic at 1e7 peaks at 13.9 MiB, against 15.0 MiB while the
-    # last block kept its walk and 19.9 MiB with omega, phi and in_a at
-    # every n.
+    # temporaries are lattice-sized, and it dies with its block's reduction;
+    # the pair tallies are reduced a window at a time.  Every statistic at
+    # 1e7 peaks at 9.8 MiB with landau_ramanujan's sieve for the constants
+    # and at 8.0 MiB once it is cached, the size of the allocator step's
+    # array, never touched.  It peaked at 13.9 MiB while two blocks of pair
+    # tallies were alive, 15.0 MiB while the last block kept its walk and
+    # 19.9 MiB with omega, phi and in_a at every n.
     cfg = SieveConfig(limit=10**7)
     tracemalloc.start()
     try:
@@ -318,6 +323,60 @@ def test_accumulate_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 17 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("block_size", [1 << 20, 1 << 22])
+def test_block_width_costs_no_tally_memory(block_size):
+    # The pair tallies are reduced a window at a time, so a wider block
+    # costs S01 no memory: 8.0 MiB at both widths, the allocator step's
+    # untouched array (3.5 MiB without it), against 13.7 and 49.7 MiB while
+    # a block's tallies and the last block's were alive.
+    cfg = SieveConfig(limit=10**7, block_size=block_size)
+    tracemalloc.start()
+    try:
+        accumulate(cfg, CheckpointGrid.geometric(cfg.limit), ["S01"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, peak / 2**20
+
+
+@st.composite
+def _window_geometry(draw):
+    """(limit, checkpoints, block size, _SUB, workers) with at most 256
+    blocks and 300 windows, and checkpoint edges p + 1 on or next to the
+    multiples of 2^16."""
+    atom = meanvalue._ATOM
+    edges = [k * atom + d for k in range(1, 5) for d in (-1, 0, 1)]
+    block_size = draw(st.sampled_from([2, 333, atom - 1, atom, atom + 1, 1 << 22])
+                      | st.integers(2, 1 << 22))
+    top = min(3 * 10**5, 256 * block_size)
+    limit = draw(st.sampled_from([top, *(e for e in edges if e <= top)]) | st.integers(3, top))
+    points = draw(st.sets(st.sampled_from(edges) | st.integers(3, limit), max_size=6))
+    points = sorted(p for p in {e - 1 for e in points} | {limit} if 3 <= p <= limit)
+    sub = draw(st.sampled_from([1 << 17, 1 << 16, 65537, 99991, 3 << 15])
+               | st.integers(1000, 1 << 20))
+    return limit, tuple(points), block_size, max(sub, -(-limit // 300)), draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_window_geometry())
+def test_mean_bytes_do_not_depend_on_windows(geometry):
+    # mean.csv at any block size, window width and worker count equals the
+    # one from a single block at the default window width.
+    limit, points, block_size, sub, workers = geometry
+    grid = CheckpointGrid(points=points)
+    stats = list(STATISTICS)
+
+    def mean_csv(cfg, workers=1):
+        buf = io.StringIO()
+        write_csv(buf, accumulate(cfg, grid, stats, workers=workers), grid)
+        return buf.getvalue()
+
+    want = mean_csv(SieveConfig(limit=limit, block_size=limit))
+    with mock.patch.object(sieve, "_SUB", sub):
+        got = mean_csv(SieveConfig(limit=limit, block_size=block_size), workers)
+    assert got == want, geometry
 
 
 def test_support_counts():
