@@ -7,13 +7,14 @@ directory, all refused before any work, since each command opens its
 outputs before its heavy work; report also refuses two statistics that plot
 to one file), 3 on capacity/overflow errors and on a file that cannot be
 written, such as an output or the manifest.  mean makes one
-meanvalue.accumulate call, with
---threads (PAUCITY_THREADS overrides it, and both are at most MAX_THREADS)
-as its count of processes that sieve and reduce blocks; the other commands
-take no --threads and run in this one process, where thread pools over
-sieve blocks and over the offdiag census measured no faster than one
-thread.  sieve and mean record the processes that sieved the blocks in the
-manifest, as config.sieve.  Every output lands under --out-dir, written
+meanvalue.accumulate call over meanvalue.task_ranges, with --block-size
+rounded up to a multiple of 2^16, and with --threads (PAUCITY_THREADS
+overrides it, and both are at most MAX_THREADS) as its count of processes
+that sieve and reduce tasks; the other commands take no --threads and run
+in this one process, where thread pools over sieve blocks and over the
+offdiag census measured no faster than one thread.  sieve and mean record
+the processes that sieved in the manifest, as config.sieve, and mean its
+task width too.  Every output lands under --out-dir, written
 under a hidden temporary name, .<name>.<pid>.tmp, and renamed onto its own
 name, manifest last, only when the whole run has succeeded: a failed run
 adds no file, though one killed by a signal may leave a temporary behind.
@@ -56,7 +57,9 @@ from .constants import (
     sieve_density_product,
 )
 from .errors import CapacityError, PaucityError, ValidationError
-from .meanvalue import CheckpointGrid, accumulate, csv_fields, read_csv, write_csv
+from .meanvalue import (
+    CheckpointGrid, accumulate, csv_fields, read_csv, task_ranges, task_width, write_csv,
+)
 from .quadruples import check_limit, enumerate_n1_params, enumerate_offdiag
 from .sieve import SieveConfig, sieve_all, write_blocks
 
@@ -155,8 +158,8 @@ def _cmd_mean(args: argparse.Namespace, out: _Outputs) -> None:
     stats = _parse_stats(args.stats)
     grid = _parse_grid(args.grid, args.limit)
     cfg = SieveConfig(limit=args.limit, block_size=args.block_size)
-    workers = min(args.threads, cfg.block_count)
-    args.sieve = {"processes": workers}
+    workers = min(args.threads, len(task_ranges(cfg)))
+    args.sieve = {"processes": workers, "task_width": task_width(cfg)}
     # The workers fork with this handle open: nothing may be buffered in it yet.
     fh = out.open("mean.csv")
     series = accumulate(cfg, grid, stats, args.r0_convention, args.dispersion_c, workers)
@@ -331,7 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--stats", default=",".join(DEFAULT_STATISTICS), help="comma list or 'all'")
     p.add_argument("--grid", default="geometric:10")
-    p.add_argument("--block-size", type=int, default=1 << 20)
+    p.add_argument("--block-size", type=int, default=1 << 20,
+                   help="task width, rounded up to a multiple of 65536 (default: 2^20)")
     p.add_argument("--r0-convention", choices=("pair", "div"), default="pair")
     p.add_argument("--dispersion-c", type=float, default=1.0)
     p.add_argument("--threads", type=int, default=1,

@@ -1,15 +1,13 @@
 """Checkpointed accumulation of every reported sum.
 
-Every statistic is summed in one pass over the sieve blocks.  accumulate
-checks the whole request, then sieves and reduces each block to the sums of
-one run of n, and merges the runs in ascending block order; one type of
-sums does both for every statistic.  The blocks are sieved and reduced in
-this process or by worker processes (workers.ordered_map).  A block's pair
+Every statistic is summed in one pass over mean's tasks (task_ranges), in
+this process or in worker processes (workers.ordered_map).  accumulate
+checks the whole request, then reduces each task to the sums of the
+intervals it closes and concatenates them in task order.  A task's pair
 tallies are reduced one window of sieve.pair_windows at a time, as each is
-counted, so a process holds one window of tallies, not a block of them.
-The reduction runs the multiplicative walk behind a block's list of A
-(sieve.multiplicative_arrays) once, the first time a term reads it, and
-drops it when the block is reduced.
+counted, so a process holds one window of tallies.  The multiplicative walk
+behind a task's list of A (sieve.multiplicative_arrays) runs once, the
+first time a term reads it, and dies with the task's reduction.
 
 Every sum is cut on one fixed absolute grid: the multiples of _ATOM (2^16)
 and the checkpoint edges p + 1.  Each window is reduced in slices cut on
@@ -21,18 +19,16 @@ just those n, and an indicator is a bool array, counted.  A float term is
 scattered into zeros, so every interval sum below sees the array an
 evaluation at every n would give, bit for bit.
 
-A run holds the pieces before its first cut, the sum of each whole interval
-between cuts, and the pieces after its last cut; a merge sums the interval
-that spans two runs once, from their pieces.  A piece is a slice's int
-total, and the int sums (the S_{i,j}, first moments, support and Landau
-counts) are exact.  A float piece is the slice's raw terms (harmonic-weighted
-and squared-residual sums), and an interval's float pieces are concatenated
-and passed once to np.sum.  Every interval's sum thus has
-partition-independent content, and the interval sums are added in ascending
-order with Neumaier compensation (the ordered merge of Demmel and Nguyen,
-"Parallel reproducible summation", IEEE Trans. Comput. 64(7), 2015), so the
-result is bit-identical for every block size and worker count, and whether
-or not the walk ran.
+Tasks meet on multiples of _ATOM, so each closes every interval it opens
+and sends back one Python number per interval.  An int interval's sum (the
+S_{i,j}, first moments, support and Landau counts) adds its slices' totals,
+exactly; a float interval's raw terms (harmonic-weighted and
+squared-residual sums) are concatenated and passed once to np.sum.  So every
+interval sum has partition-independent content, and the interval sums are
+added in ascending order with Neumaier compensation (the ordered merge of
+Demmel and Nguyen, "Parallel reproducible summation", IEEE Trans. Comput.
+64(7), 2015): the result is bit-identical for every block size and worker
+count, and whether or not the walk ran.
 """
 
 from __future__ import annotations
@@ -123,24 +119,20 @@ class MeanValueSeries:
 
 
 class _Sums:
-    """The sums of one statistic over a run of n, on a fixed absolute grid of
+    """The sums of one statistic over one task, on a fixed absolute grid of
     cut points: the multiples of _ATOM and the checkpoint edges.
 
-    Each slice added becomes one piece: the int total of an int or bool term
-    (a bool term is counted) or the raw terms of a float64 term.  `head`
-    holds the pieces before the run's first cut, `first`; `sums` holds
-    (cut, sum) for each whole interval after it; `tail` holds the pieces
-    after the last cut.  A run without a cut point has first None and is all
-    head.  Each interval is summed once, from all of its pieces, and
-    values() adds the interval sums in ascending order.
+    `sums` holds (cut, sum) for each interval the task closes, and `open`
+    the pieces of the interval being summed: the int total of each slice of
+    an int or bool term (a bool term is counted), or the raw terms of each
+    slice of a float64 term.  Only the last task leaves pieces open, past
+    the last checkpoint.  values() adds the interval sums in ascending order.
     """
 
     def __init__(self, points: Sequence[int]):
         self.edges = {p + 1 for p in points}
-        self.head: list = []
-        self.first: int | None = None
+        self.open: list = []
         self.sums: list[tuple[int, int | float]] = []
-        self.tail: list = []
 
     def add(self, lo: int, hi: int, terms: np.ndarray) -> None:
         """Append the n in [lo, hi), which holds no cut point after lo.
@@ -151,34 +143,22 @@ class _Sums:
             piece = terms
         else:
             piece = int(np.count_nonzero(terms) if terms.dtype == np.bool_ else terms.sum())
-        (self.head if self.first is None else self.tail).append(piece)
+        self.open.append(piece)
         if hi % _ATOM == 0 or hi in self.edges:
-            if self.first is None:
-                self.first = hi
+            if isinstance(piece, int):
+                total = sum(self.open)
             else:
-                self.sums.append((hi, _total(self.tail)))
-                self.tail = []
-
-    def merge(self, later: "_Sums") -> None:
-        """Append the run that follows this one, summing the interval they share."""
-        if self.first is None:
-            self.head += later.head
-            self.first = later.first
-        elif later.first is None:
-            self.tail += later.head
-            return
-        else:
-            self.sums.append((later.first, _total(self.tail + later.head)))
-        self.sums += later.sums
-        self.tail = later.tail
+                total = float(np.sum(np.concatenate(self.open) if len(self.open) > 1 else piece))
+            self.sums.append((hi, total))
+            self.open = []
 
     def values(self) -> list[int | float]:
-        """The running total at every checkpoint edge the run closed, with
-        the interval sums added in ascending order under Neumaier
-        compensation, which stays exact on the ints of an int term."""
+        """The running total at every checkpoint edge closed, with the
+        interval sums added in ascending order under Neumaier compensation,
+        which stays exact on the ints of an int term."""
         total = comp = 0
         out = []
-        for cut, x in [(self.first, _total(self.head)), *self.sums]:
+        for cut, x in self.sums:
             s = total + x
             if abs(total) >= abs(x):
                 comp += (total - s) + x
@@ -190,31 +170,41 @@ class _Sums:
         return out
 
 
-def _total(pieces: list) -> int | float:
-    """One interval's sum: int pieces added, float pieces passed once to np.sum."""
-    if isinstance(pieces[0], int):
-        return sum(pieces)
-    return float(np.sum(pieces[0] if len(pieces) == 1 else np.concatenate(pieces)))
-
-
 def _cuts(points: Sequence[int], lo: int, hi: int) -> list[int]:
     """The multiples of _ATOM and the checkpoint edges p + 1 in (lo, hi]."""
     edges = (p + 1 for p in points[bisect_left(points, lo) : bisect_left(points, hi)])
     return sorted({*range((lo // _ATOM + 1) * _ATOM, hi + 1, _ATOM), *edges})
 
 
+def task_width(cfg: SieveConfig) -> int:
+    """The width of mean's tasks: cfg.block_size rounded up to a multiple of _ATOM."""
+    return -(-cfg.block_size // _ATOM) * _ATOM
+
+
+def task_ranges(cfg: SieveConfig) -> list[tuple[int, int]]:
+    """(lo, hi) of each of mean's tasks, in ascending order, covering [1, cfg.limit].
+
+    The tasks are [1, W), [W, 2W), ..., with W = task_width(cfg) and the
+    last one ending at cfg.limit + 1, so every inner edge is a cut of the
+    sums' grid and each task closes every interval it opens.
+    """
+    width = task_width(cfg)
+    return [(max(lo, 1), min(lo + width, cfg.limit + 1)) for lo in range(0, cfg.limit + 1, width)]
+
+
 @dataclass(frozen=True)
-class _BlockSums:
-    """One block's reduction: a part per statistic, in request order."""
+class _TaskSums:
+    """One task's reduction: per statistic, in request order, the (cut, sum)
+    of each interval the task closes, all Python numbers."""
 
     lo: int
     hi: int
-    parts: list
+    sums: list[list[tuple[int, int | float]]]
 
 
 class _Plan:
     """A request checked against its sieve run: the statistics, the
-    checkpoints, the r0 convention and the dispersion c, with the per-block
+    checkpoints, the r0 convention and the dispersion c, with the per-task
     reduction and the in-order merge of the reductions."""
 
     def __init__(
@@ -245,16 +235,17 @@ class _Plan:
         self.r0_convention = r0_convention
         self.dispersion_c = dispersion_c + 0.0  # -0.0 becomes 0.0, so both label c=0
 
-    def reduce(self, lo: int, hi: int, primes: PrimeTable) -> _BlockSums:
-        """Every statistic's partial sums over the block [lo, hi), a slice at a time.
+    def reduce(self, lo: int, hi: int, primes: PrimeTable) -> _TaskSums:
+        """Every statistic's interval sums over the task [lo, hi), a slice at a time.
 
-        The block's pair tallies arrive one window of sieve.pair_windows at
+        The task's pair tallies arrive one window of sieve.pair_windows at
         a time, and each window is cut on the sums' grid, the multiples of
         _ATOM and the checkpoint edges, so each slice lies inside one
         interval, and each slice's support and int64 tallies are built once
-        and shared by every statistic.  The block's walk over `primes`,
+        and shared by every statistic.  The task's walk over `primes`,
         which must cover sqrt(hi - 1), runs the first time a slice reads A
-        and is shared by the slices after it.
+        and is shared by the slices after it.  The pieces the last task
+        leaves open lie past the last checkpoint and are dropped.
         """
         parts = self._sums()
         walk = cache(lambda: multiplicative_arrays(lo, hi, primes))
@@ -265,26 +256,25 @@ class _Plan:
                 tallies = Tallies(*pairs, walk, lo, a, b, self.dispersion_c, self.r0_convention)
                 for stat, part in zip(self.stats, parts):
                     part.add(a, b, stat.term(tallies))
-        return _BlockSums(lo, hi, parts)
+        return _TaskSums(lo, hi, [part.sums for part in parts])
 
-    def merge(self, reductions: Iterable[_BlockSums]) -> list[MeanValueSeries]:
-        """The series at every checkpoint from block reductions in ascending order."""
+    def merge(self, reductions: Iterable[_TaskSums]) -> list[MeanValueSeries]:
+        """The series at every checkpoint from task reductions in ascending order."""
         runs = self._sums()
         covered = 0
         for red in reductions:
             if red.lo != covered + 1:
-                raise ValidationError(f"blocks out of order: expected lo={covered + 1}, got {red.lo}")
+                raise ValidationError(f"tasks out of order: expected lo={covered + 1}, got {red.lo}")
             covered = red.hi - 1
-            for run, part in zip(runs, red.parts):
-                run.merge(part)
-            del red, part  # free the raw heads before the next block is sieved
+            for run, sums in zip(runs, red.sums):
+                run.sums += sums
         return [
             MeanValueSeries(stat.label(self.dispersion_c), tuple(run.values()), covered)
             for stat, run in zip(self.stats, runs)
         ]
 
     def _sums(self) -> list:
-        """An empty run of sums per statistic, in request order."""
+        """Empty sums per statistic, in request order."""
         return [_Sums(self.points) for _ in self.stats]
 
 
@@ -299,10 +289,10 @@ def accumulate(
     """Partial sums of the requested statistics at every checkpoint <= cfg.limit.
 
     The whole request is checked before any sieve runs.  r0 follows the
-    given convention ("pair" or "div").  Each block of cfg is sieved and
-    reduced by one of `workers` processes, this one when workers is 1, and
-    the reductions are merged in block order, so the series are the same,
-    bit for bit, at every worker count.
+    given convention ("pair" or "div").  Each of task_ranges(cfg) is sieved
+    and reduced by one of `workers` processes, this one when workers is 1,
+    and the reductions are merged in task order, so the series are the
+    same, bit for bit, at every worker count.
     """
     plan = _Plan(cfg, grid, statistics, r0_convention, dispersion_c)
     # The predicted constants are computed first, on the small heap of a
@@ -314,7 +304,7 @@ def accumulate(
     primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
     raise_malloc_thresholds()
     return ordered_map(
-        lambda bounds: plan.reduce(*bounds, primes), cfg.block_ranges(), workers, plan.merge
+        lambda bounds: plan.reduce(*bounds, primes), task_ranges(cfg), workers, plan.merge
     )
 
 

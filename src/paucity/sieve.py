@@ -37,8 +37,8 @@ sieve_all sieves blocks one after another in the calling process.  numpy's
 bincount and repeat and the walk's short strided updates hold the GIL, so a
 thread pool over blocks measured slower than one thread (0.67-1.05x per
 kernel on 2 cores) and held about 40-50 MB more.  meanvalue.accumulate
-reads pair_windows itself, one block per task, in this process or in worker
-processes.
+reads pair_windows itself, over its own tasks (meanvalue.task_ranges), in
+this process or in worker processes.
 
 multiplicative_arrays lists the set A of n whose prime factors are all
 1 mod 4 (n = 1 included), about a twelfth of n at 1e7, for one block.
@@ -129,10 +129,6 @@ class SieveConfig:
             raise ValidationError(f"block_size must be >= 2, got {self.block_size}")
         if self.block_size > MAX_BLOCK_SIZE:
             raise CapacityError(f"block_size {self.block_size} exceeds cap {MAX_BLOCK_SIZE}")
-
-    @property
-    def block_count(self) -> int:
-        return len(range(1, self.limit + 1, self.block_size))
 
     def block_ranges(self) -> Iterator[tuple[int, int]]:
         """(lo, hi) of every block, in ascending order, covering [1, limit]."""

@@ -116,7 +116,7 @@ def test_factorization_validation():
         Factorization(value=12, factors=((2, 1), (3, 1)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(2, 140), st.integers(2, 140))
 def test_divisor_chi4_sum_multiplicative(m, n):
     import math
@@ -127,7 +127,7 @@ def test_divisor_chi4_sum_multiplicative(m, n):
     assert divisor_chi4_sum(fmn) == divisor_chi4_sum(fm) * divisor_chi4_sum(fn)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.integers(1, 20000))
 def test_spf_is_smallest_factor(n):
     f = factorize(n)

@@ -58,7 +58,9 @@ def test_mean_end_to_end(tmp_path):
     assert manifest["config"]["limit"] == 20000
 
 
-def test_mean_deterministic_across_geometry(tmp_path):
+def test_mean_deterministic_across_geometry(tmp_path, monkeypatch):
+    # At 4096-wide cuts the three runs below have 1, 4 and 8 tasks.
+    monkeypatch.setattr(paucity.meanvalue, "_ATOM", 4096)
     texts = []
     for i, (threads, block) in enumerate((("1", "1048576"), ("4", "7777"), ("2", "333"))):
         out = tmp_path / f"d{i}"
@@ -89,8 +91,8 @@ def test_mean_rows_do_not_depend_on_walk(tmp_path):
     assert rows[0] == rows[1]
 
 
-def test_manifest_records_sieve_kernels(tmp_path):
-    # One block is sieved in this process, whatever --threads says.
+def test_manifest_records_sieve_kernels(tmp_path, monkeypatch):
+    # One task is sieved in this process, whatever --threads says.
     for i, extra in enumerate((
         ["--stats", "S01,S22,M2,DISPERSION"],
         ["--stats", "S01,LANDAU_B"],
@@ -101,24 +103,28 @@ def test_manifest_records_sieve_kernels(tmp_path):
         rc = run_cli("mean", "--limit", "5000", "--threads", "2", *extra, "--out-dir", str(out))
         assert rc == 0
         manifest = json.loads((out / "mean_manifest.json").read_text())
-        assert manifest["config"]["sieve"] == {"processes": 1}, extra
+        assert manifest["config"]["sieve"] == {"processes": 1, "task_width": 1 << 20}, extra
         assert manifest["config"]["threads"] == 2
-    # Over several blocks, mean uses min(--threads, blocks) worker processes.
-    for i, (threads, processes) in enumerate((("1", 1), ("2", 2), ("8", 5))):
+    # Over several tasks, mean uses min(--threads, tasks) worker processes.
+    # With 1000-wide cuts the tasks are [1, 1000), [1000, 2000), ...,
+    # [5000, 5001): six of them.
+    monkeypatch.setattr(paucity.meanvalue, "_ATOM", 1000)
+    for i, (threads, processes) in enumerate((("1", 1), ("2", 2), ("8", 6))):
         out = tmp_path / f"p{i}"
         rc = run_cli("mean", "--limit", "5000", "--block-size", "1000", "--threads", threads,
                      "--out-dir", str(out))
         assert rc == 0
         manifest = json.loads((out / "mean_manifest.json").read_text())
-        assert manifest["config"]["sieve"] == {"processes": processes}
+        assert manifest["config"]["sieve"] == {"processes": processes, "task_width": 1000}
         assert multiprocessing.active_children() == []
 
 
 def test_mean_bytes_across_workers(tmp_path):
-    # Block sizes that split the 2^16 cut intervals, a first 65535 block that
-    # ends on the cut 2^16, explicit checkpoints on block edges (16650 ends a
-    # 333 block, 1048577 starts a 2^20 block), and a 2^20 block count below
-    # --threads.
+    # mean rounds each --block-size up to a multiple of 2^16: at 30000, 333
+    # and 7777 both give one task.  At 1248576, 65535, 100003 and 1048576
+    # give 20, 10 and 2 tasks, the last fewer than --threads 3, and the
+    # checkpoint edges 65537, 1048577 and 1048578 fall one or two past a
+    # task edge.
     for limit, grid, blocks in (
         ("30000", "explicit:1000,16650,16651,30000", ("333", "7777")),
         ("1248576", "explicit:1000,65536,200006,1048576,1048577,1248576",
@@ -153,6 +159,8 @@ def test_worker_error_exits_like_one_process(tmp_path, monkeypatch, capsys):
             raise ValidationError(f"term refused n = {lo}")
 
     _failing_term(monkeypatch, term)
+    # Six tasks, cut at the multiples of 1000: no slice starts from 3001 to 3999.
+    monkeypatch.setattr(paucity.meanvalue, "_ATOM", 1000)
     messages = []
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -162,7 +170,7 @@ def test_worker_error_exits_like_one_process(tmp_path, monkeypatch, capsys):
         assert not (out / "mean.csv").exists()
         messages.append(capsys.readouterr().err)
         assert multiprocessing.active_children() == []
-    assert messages[0] == messages[1] == "error: term refused n = 3001\n"
+    assert messages[0] == messages[1] == "error: term refused n = 4000\n"
 
 
 def test_worker_death_exits_three(tmp_path, monkeypatch, capsys):
@@ -173,6 +181,7 @@ def test_worker_death_exits_three(tmp_path, monkeypatch, capsys):
             os._exit(1)
 
     _failing_term(monkeypatch, term)
+    monkeypatch.setattr(paucity.meanvalue, "_ATOM", 1000)
     rc = run_cli("mean", "--limit", "5000", "--stats", "S01", "--block-size", "1000",
                  "--threads", "2", "--out-dir", str(tmp_path))
     assert rc == 3
@@ -478,7 +487,8 @@ def test_congruence_csv_bytes(tmp_path, argv, digest):
      "00232a4056868174773bd2d22e2456d341f25f43695ac8c560cdacf774f1d958"),
     (("mean", "--limit", "1000000", "--stats", "all", "--r0-convention", "div"),
      "becd4755223af3862a8b7e141189fe037ca49e444a13a08c2dea01e7997b5475"),
-    # The first digest again, from two worker processes over ten blocks.
+    # The first digest again, from two worker processes over eight tasks
+    # (--block-size 100003 rounds up to 2^17).
     (("mean", "--limit", "1000000", "--stats", "all", "--threads", "2",
       "--block-size", "100003"),
      "00232a4056868174773bd2d22e2456d341f25f43695ac8c560cdacf774f1d958"),
@@ -486,8 +496,8 @@ def test_congruence_csv_bytes(tmp_path, argv, digest):
     (("mean", "--limit", "1000000", "--stats", "DISPERSION,LEMMA31,LEMMA32",
       "--r0-convention", "div", "--dispersion-c", "2.5"),
      "6d4c92ba34402b0daabb99658cb834f5572ccacec429872c4af69447f7472e4e"),
-    # Checkpoint edges one before, on and one after a 2^16 float cut, and
-    # 333-wide blocks putting about 200 pieces into one float interval.
+    # Checkpoint edges one before, on and one after a 2^16 float cut, and a
+    # --block-size of 333, which mean rounds up to 2^16-wide tasks.
     (("mean", "--limit", "300000", "--stats", "all", "--block-size", "333",
       "--grid", "explicit:3,65535,65536,65537,131072,200000,299999"),
      "d69e51b2028d20ad517bbc1147183956069e532875dea6fe8948e6144dd35944"),
@@ -806,7 +816,7 @@ def _run_contract(argv: list[str]) -> tuple[int, str]:
     return rc, err.getvalue()
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(max_examples=150)
 @given(_contract_argv(), st.sampled_from(_BLOCKERS))
 @example(["report", "--inputs", "@csv", "@xhuge", "--out-dir", "@out"], "report.csv")
 def test_exit_code_contract(argv, blocker):

@@ -173,7 +173,7 @@ def test_count_type_validation():
         CongruenceCount(modulus=5, count=-1)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.integers(2, 97), st.integers(1, 30), st.integers(1, 30))
 def test_nu_prime_upper_bound(p, t, d):
     if math.gcd(t, d) != 1:

@@ -21,6 +21,7 @@ from paucity.meanvalue import (
     accumulate,
     csv_fields,
     read_csv,
+    task_ranges,
     write_csv,
 )
 from paucity.quadruples import enumerate_offdiag
@@ -132,7 +133,10 @@ def test_dispersion_matches_fsum():
         _dispersion(-1.0, _cfg())
 
 
-def test_float_determinism_across_geometry():
+def test_float_determinism_across_geometry(monkeypatch):
+    # mean rounds the block size up to a multiple of _ATOM; at 256 the sizes
+    # below give 1, 2, 20, 3 and 40 tasks.
+    monkeypatch.setattr(meanvalue, "_ATOM", 256)
     stats = ["DISPERSION", "LEMMA31", "LEMMA32", "LANDAU_B", "COUNT_A"]
 
     def values(block_size):
@@ -219,25 +223,28 @@ def test_support_terms_match_dense_formulas():
 
 
 def test_float_accumulator_keeps_no_view():
-    # What a worker sends back for a block: for a float statistic, the float
-    # sum of each closed interval, and raw terms only for the open head and
-    # tail, at most 2 * _ATOM of them, each array owning its data.
-    lo, hi = 40000, 40000 + (1 << 20)
-    cfg = SieveConfig(limit=hi - 1, block_size=1 << 20)
-    primes = sieve_primes(math.isqrt(hi))
-    grid = CheckpointGrid(points=(100000, 500000))
-    floats = sorted(FLOAT_STATISTICS)
-    reduction = meanvalue._Plan(cfg, grid, floats, "pair", 1.0).reduce(lo, hi, primes)
+    # What a worker sends back for a task: per statistic, one Python int or
+    # float per interval the task closes, and no array, not even for the
+    # pieces the last task leaves open past the last checkpoint.
     atom = meanvalue._ATOM
-    last = hi // atom * atom
-    for name, part in zip(floats, reduction.parts):
+    cfg = SieveConfig(limit=(1 << 21) + 4999, block_size=1 << 20)
+    primes = sieve_primes(math.isqrt(cfg.limit))
+    grid = CheckpointGrid(points=(100000, 500000, (1 << 21) + 2999))
+    stats = [*sorted(FLOAT_STATISTICS), "S01", "SUPP1", "COUNT_A"]
+    plan = meanvalue._Plan(cfg, grid, stats, "pair", 1.0)
+    assert task_ranges(cfg)[1:] == [(1 << 20, 1 << 21), (1 << 21, cfg.limit + 1)]
+    for lo, hi, cuts in (
         # 16 multiples of _ATOM and 2 checkpoint edges fall in (lo, hi].
-        assert part.first == atom and part.sums[-1][0] == last, name
-        assert len(part.sums) == 17 and all(type(x) is float for _, x in part.sums), name
-        head, tail = (sum(a.size for a in pieces) for pieces in (part.head, part.tail))
-        assert (head, tail) == (atom - lo, hi - last) and head + tail <= 2 * atom, name
-        for a in part.head + part.tail:
-            assert a.dtype == np.float64 and a.base is None, name
+        (1 << 20, 1 << 21, range((1 << 20) + atom, (1 << 21) + 1, atom)),
+        (1 << 21, cfg.limit + 1, [(1 << 21) + 3000]),
+    ):
+        reduction = plan.reduce(lo, hi, primes)
+        assert (reduction.lo, reduction.hi) == (lo, hi)
+        assert vars(reduction).keys() == {"lo", "hi", "sums"}
+        for name, sums in zip(stats, reduction.sums):
+            kind = float if name in FLOAT_STATISTICS else int
+            assert [cut for cut, _ in sums] == list(cuts), name
+            assert all(type(cut) is int and type(x) is kind for cut, x in sums), name
 
 
 def test_registry_term_dtypes():
@@ -294,8 +301,9 @@ def test_walk_runs_only_when_read(monkeypatch):
         return walk(lo, hi, primes)
 
     monkeypatch.setattr(meanvalue, "multiplicative_arrays", counted)
+    monkeypatch.setattr(meanvalue, "_ATOM", 2048)
     cfg = _cfg()
-    assert cfg.block_count == 5
+    assert len(task_ranges(cfg)) == 5
     walked = {"LEMMA31", "LEMMA32", "COUNT_A"}
     pairs_only = [name for name in STATISTICS if name not in walked]
     assert len(pairs_only) == 13
@@ -303,7 +311,52 @@ def test_walk_runs_only_when_read(monkeypatch):
         accumulate(cfg, GRID, pairs_only, r0_convention=convention)
         assert calls == [], convention
     accumulate(cfg, GRID, ["LEMMA31", "LEMMA32", "COUNT_A", "S01"])
-    assert calls == list(cfg.block_ranges())
+    assert calls == task_ranges(cfg)
+
+
+@pytest.mark.parametrize("block_size", [2, 65535, 65536, 65537, 3 << 18, 1 << 22])
+def test_task_ranges_close_on_the_cut_grid(block_size):
+    # Tasks cover [1, limit] in order, every inner edge on a multiple of
+    # _ATOM, each as wide as the rounded block size but the first, which
+    # starts at 1, and the last, which ends at limit + 1.
+    atom = meanvalue._ATOM
+    width = -(-block_size // atom) * atom
+    assert width in (atom, 2 * atom, 3 << 18, 1 << 22)
+    limits = {1, 2, 3 << 20, 10**7, *(k * m + d for m in (atom, width)
+                                     for k in (1, 2, 5) for d in (-2, -1, 0, 1))}
+    for limit in sorted(limits):
+        ranges = task_ranges(SieveConfig(limit=limit, block_size=block_size))
+        assert ranges[0][0] == 1 and ranges[-1][1] == limit + 1, limit
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])), limit
+        assert all(hi % atom == 0 for _, hi in ranges[:-1]), limit
+        widths = [hi - lo for lo, hi in ranges]
+        assert widths[0] == min(width - 1, limit), limit
+        assert all(w == width for w in widths[1:-1]), limit
+        assert 1 <= widths[-1] <= width, limit
+    # A limit on the task grid leaves a one-integer last task.
+    assert task_ranges(SieveConfig(limit=width, block_size=block_size)) == [
+        (1, width), (width, width + 1)
+    ]
+
+
+def test_block_size_sets_no_finer_task(monkeypatch):
+    # A block size below _ATOM sieves no more windows than one of _ATOM.
+    calls = []
+    windows = sieve.pair_windows
+
+    def counted(lo, hi, primes):
+        calls.append((lo, hi))
+        return windows(lo, hi, primes)
+
+    monkeypatch.setattr(meanvalue, "pair_windows", counted)
+    grid = CheckpointGrid.geometric(300000)
+    runs = {}
+    for block_size in (64, 1 << 16):
+        calls.clear()
+        series = accumulate(SieveConfig(300000, block_size), grid, ["S01", "DISPERSION"])
+        runs[block_size] = series, list(calls)
+    assert runs[64] == runs[1 << 16]
+    assert len(runs[64][1]) == 5
 
 
 def test_accumulate_memory():
@@ -359,7 +412,7 @@ def _window_geometry(draw):
     return limit, tuple(points), block_size, max(sub, -(-limit // 300)), draw(st.sampled_from([1, 2]))
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@settings(max_examples=40)
 @given(_window_geometry())
 def test_mean_bytes_do_not_depend_on_windows(geometry):
     # mean.csv at any block size, window width and worker count equals the
@@ -457,14 +510,16 @@ def test_series_validation():
         write_csv(buf, [MeanValueSeries("S01", (1, 2), 100)], GRID)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.integers(2, 900))
 def test_accumulate_geometry_free(block_size):
     grid = CheckpointGrid(points=(7, 50, 444, 2000))
     stats = ["S11", "M2", "DISPERSION"]
-    series = accumulate(_cfg(block_size=block_size, limit=2000), grid, stats)
+    # At an _ATOM of 64 the block sizes give 3 to 32 tasks.
+    with mock.patch.object(meanvalue, "_ATOM", 64):
+        series = accumulate(_cfg(block_size=block_size, limit=2000), grid, stats)
+        whole = accumulate(_cfg(block_size=2000, limit=2000), grid, ["DISPERSION"])
     assert list(series[0].values) == [int((R1[1 : x + 1] ** 2).sum()) for x in grid.points]
     assert list(series[1].values) == [int(R2[1 : x + 1].sum()) for x in grid.points]
-    # Float merges across runs of blocks that hold no cut point, bit for bit.
-    whole = accumulate(_cfg(block_size=2000, limit=2000), grid, ["DISPERSION"])
+    # The float sums of many tasks equal those of one, bit for bit.
     assert series[2].values == whole[0].values

@@ -264,7 +264,7 @@ def _n1_param_tuples(draw) -> ParamTuple:
     return ParamTuple(d=d, t=t, n1=n1, n2=n2)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(_n1_param_tuples())
 def test_param_round_trip_property(pt):
     r, q, p, a = param_apply(pt)

@@ -416,7 +416,7 @@ def test_overflow_guard():
     assert checked.dtype == np.uint16 and np.array_equal(checked, small)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(2, 1500))
 def test_arbitrary_geometry_matches_oracle(block_size):
     got = _collect(SieveConfig(limit=2500, block_size=block_size))
