@@ -61,7 +61,7 @@ from .meanvalue import (
     CheckpointGrid, accumulate, csv_fields, read_csv, task_ranges, task_width, write_csv,
 )
 from .quadruples import check_limit, enumerate_n1_params, enumerate_offdiag
-from .sieve import SieveConfig, sieve_all, write_blocks
+from .sieve import SieveConfig, write_blocks
 
 _CENSUS_NOTE = (
     "classification over normalized quadruples (q <= r); N1'' interval (p,a) "
@@ -146,7 +146,7 @@ def _parse_stats(spec: str) -> list[str]:
 def _cmd_sieve(args: argparse.Namespace, out: _Outputs) -> None:
     cfg = SieveConfig(limit=args.limit, block_size=args.block_size)
     args.sieve = {"processes": 1}
-    count = write_blocks(out.open("blocks.pcty", "wb"), sieve_all(cfg))
+    count = write_blocks(out.open("blocks.pcty", "wb"), cfg)
     print(f"sieved [1, {args.limit}] into {count} blocks -> {out.dir / 'blocks.pcty'}")
 
 

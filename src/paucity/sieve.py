@@ -1,21 +1,22 @@
 """Segmented sieves for primes and the representation tallies.
 
-Per block [lo, hi) this produces three 16-bit arrays indexed by n - lo:
+pair_windows yields, for each window [s, e) of a range, three 16-bit arrays
+indexed by n - s:
 
 * r0_pair: ordered pairs (a, b), a, b >= 1, with a^2 + b^2 = n
 * r1:      ordered pairs (a, p), a >= 1, p prime
 * r2:      ordered pairs (p, q), both prime
 
-and derives a fourth from r0_pair on first read:
+and chi4_divisor_sums derives a fourth from r0_pair:
 
 * r0_div:  sum_{d | n} chi4(d), the divisor-sum variant of r0
 
 By Jacobi's two-square theorem the 4 sum_{d | n} chi4(d) lattice points on
 x^2 + y^2 = n are the 4 r0_pair(n) off the axes plus 4 on them when n is a
-square, so r0_div = r0_pair + [n is a square] (chi4_divisor_sums).  The two
-r0 conventions differ exactly on perfect squares; both are carried so mean
-values can be reported under either.  b(n), the indicator of sums of two
-squares, is r0_div(n) > 0.
+square, so r0_div = r0_pair + [n is a square].  The two r0 conventions
+differ exactly on perfect squares; both are carried so mean values can be
+reported under either.  b(n), the indicator of sums of two squares, is
+r0_div(n) > 0.
 
 r0_pair, r1 and r2 are counted without a loop over a, one window at a time:
 pair_windows cuts [lo, hi) at the multiples of _SUB, and the cells (row,
@@ -26,19 +27,19 @@ col >= row, less one at each diagonal n = 2a^2; r1 is the count of the prime
 rows, and r2 that of their cells with a prime column.  Each window's counts
 pass the 16-bit check and are yielded as uint16 arrays, so the generator
 holds O(_SUB + sqrt(hi)) memory and runs no per-a Python loop.
-meanvalue reduces each window as it comes; sieve_block copies the windows
-into the block's arrays, the record a dump holds.
+meanvalue reduces each window as it comes, and write_blocks copies the
+windows into one block's three arrays, the record of a sieve dump.
 
 sieve_primes sieves the odd numbers only, and a PrimeTable builds its
 full-width is_prime bitmap on first read, so callers that read only the
 primes never allocate it.
 
-sieve_all sieves blocks one after another in the calling process.  numpy's
-bincount and repeat and the walk's short strided updates hold the GIL, so a
-thread pool over blocks measured slower than one thread (0.67-1.05x per
-kernel on 2 cores) and held about 40-50 MB more.  meanvalue.accumulate
-reads pair_windows itself, over its own tasks (meanvalue.task_ranges), in
-this process or in worker processes.
+write_blocks sieves the dump's blocks one after another in the calling
+process.  numpy's bincount and repeat and the walk's short strided updates
+hold the GIL, so a thread pool over blocks measured slower than one thread
+(0.67-1.05x per kernel on 2 cores) and held about 40-50 MB more.
+meanvalue.accumulate reads pair_windows itself, over its own tasks
+(meanvalue.task_ranges), in this process or in worker processes.
 
 multiplicative_arrays lists the set A of n whose prime factors are all
 1 mod 4 (n = 1 included), about a twelfth of n at 1e7, for one block.
@@ -67,7 +68,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -78,8 +79,9 @@ MAX_SIEVE_LIMIT = 10**9
 # In mean, block width costs only the walk: the pair tallies arrive a window
 # at a time (a tracemalloc peak of 4.3 MiB at the cap, at any width), and
 # the walk peaks at 4.5 MiB for a 2^20 block at the cap and at 17.7 MiB for
-# one of this width.  sieve_block, for the dump, holds a block's tallies:
-# 10.3 and 28.3 MiB.  A wider block is refused before any sieving starts.
+# one of this width.  write_blocks, for the dump, holds one block's three
+# arrays and a window: 9.2 and 27.2 MiB.  A wider block is refused before
+# any sieving starts.
 MAX_BLOCK_SIZE = 1 << 22
 
 # Pair tallies are counted in windows that end at the multiples of this
@@ -140,35 +142,6 @@ def _check_cover(primes: PrimeTable, hi: int) -> None:
     """Refuse a prime table that misses a prime up to sqrt(hi - 1)."""
     if primes.limit < math.isqrt(hi - 1):
         raise ValidationError(f"prime table limit {primes.limit} below sqrt({hi - 1})")
-
-
-@dataclass(frozen=True)
-class RepresentationBlock:
-    """Tallies for the half-open range [lo, hi), arrays indexed by n - lo:
-    the record a dump holds.  r0_div is derived from r0_pair on first read.
-    """
-
-    lo: int
-    hi: int
-    r0_pair: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.lo < 1 or self.hi <= self.lo:
-            raise ValidationError(f"bad block range [{self.lo}, {self.hi})")
-        width = self.hi - self.lo
-        for name in ("r0_pair", "r1", "r2"):
-            arr = getattr(self, name)
-            if arr.shape != (width,):
-                raise ValidationError(f"{name} has shape {arr.shape}, expected ({width},)")
-            if arr.dtype != np.uint16:
-                raise ValidationError(f"{name} dtype {arr.dtype}, expected uint16")
-
-    @cached_property
-    def r0_div(self) -> np.ndarray:
-        """sum_{d | n} chi4(d) as uint16, checked like the sieved tallies."""
-        return _check_tally("r0_div", chi4_divisor_sums(self.lo, self.r0_pair), self.lo)
 
 
 def sieve_primes(limit: int) -> PrimeTable:
@@ -287,15 +260,6 @@ def pair_windows(
         s = e
 
 
-def _pair_tallies(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ...]:
-    """r0_pair, r1, r2 for [lo, hi) as uint16 arrays, filled from pair_windows."""
-    block = tuple(np.empty(hi - lo, dtype=np.uint16) for _ in range(3))
-    for s, e, *window in pair_windows(lo, hi, primes):
-        for arr, part in zip(block, window):
-            arr[s - lo : e - lo] = part
-    return block
-
-
 def _inverse_of_4(m: np.ndarray) -> np.ndarray:
     """4^-1 mod m for odd int64 m, elementwise, in closed form: 3m + 1 and
     m + 1 are both 1 mod m, and the one that is a multiple of 4 is taken
@@ -376,46 +340,8 @@ def multiplicative_arrays(
     return at, om, ph
 
 
-def sieve_block(cfg: SieveConfig, lo: int, hi: int, primes: PrimeTable) -> RepresentationBlock:
-    """Tally r0_pair, r1, r2 for [lo, hi).
-
-    Parameters
-    ----------
-    cfg : SieveConfig
-        Supplies the overall limit bound, 1 <= lo < hi <= cfg.limit + 1.
-    lo, hi : int
-        Half-open block bounds.
-    primes : PrimeTable
-        Must cover floor(sqrt(hi - 1)).
-
-    Returns
-    -------
-    RepresentationBlock
-
-    Raises
-    ------
-    TallyOverflowError
-        If any tally would exceed 16 bits (never silently saturates).
-    """
-    if lo < 1 or hi <= lo or hi > cfg.limit + 1:
-        raise ValidationError(f"block [{lo}, {hi}) out of range for limit {cfg.limit}")
-    return RepresentationBlock(lo, hi, *_pair_tallies(lo, hi, primes))
-
-
-def sieve_all(cfg: SieveConfig) -> Iterator[RepresentationBlock]:
-    """Stream RepresentationBlocks covering [1, limit] in ascending order.
-
-    Each block is sieved in this process when the consumer asks for the next
-    one, so blocks arrive in order whatever their size.
-    """
-    primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
-    raise_malloc_thresholds()
-    for lo, hi in cfg.block_ranges():
-        yield sieve_block(cfg, lo, hi, primes)
-
-
 def raise_malloc_thresholds() -> None:
-    """Let the C heap keep the pages that each window, walk and block frees.
+    """Let the C heap keep the pages that each window and walk frees.
 
     glibc maps each request above its mmap threshold afresh, and trims its
     heap whenever more than twice that threshold lies free at the top;
@@ -434,44 +360,25 @@ def raise_malloc_thresholds() -> None:
     np.empty(8 << 20, dtype=np.uint8)
 
 
-def write_blocks(handle: BinaryIO, blocks: Iterable[RepresentationBlock]) -> int:
-    """Dump blocks to an open binary file; returns the number written.
+def write_blocks(handle: BinaryIO, cfg: SieveConfig) -> int:
+    """Sieve [1, cfg.limit] one block of cfg.block_ranges() at a time into
+    an open binary file; returns the number of blocks written.
 
     Record layout (version 2): magic "PCTY", version u32, lo u64, hi u64,
-    then the three u16 little-endian arrays r0_pair, r1, r2.  r0_div is not
-    stored: it is r0_pair + [n is a square].
+    then the three u16 little-endian arrays r0_pair, r1, r2 of [lo, hi),
+    copied from pair_windows.  r0_div is not stored: it is r0_pair +
+    [n is a square].
     """
+    primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
+    raise_malloc_thresholds()
+    tallies = np.empty((3, min(cfg.block_size, cfg.limit)), dtype="<u2")
     count = 0
-    for blk in blocks:
-        handle.write(_HEADER.pack(_MAGIC, _VERSION, blk.lo, blk.hi))
-        for arr in (blk.r0_pair, blk.r1, blk.r2):
-            handle.write(np.ascontiguousarray(arr, dtype="<u2").tobytes())
+    for lo, hi in cfg.block_ranges():
+        for s, e, *window in pair_windows(lo, hi, primes):
+            for row, part in zip(tallies, window):
+                row[s - lo : e - lo] = part
+        handle.write(_HEADER.pack(_MAGIC, _VERSION, lo, hi))
+        for row in tallies:
+            handle.write(row[: hi - lo])
         count += 1
-        del blk  # before the next block is sieved
     return count
-
-
-def read_blocks(handle: BinaryIO) -> Iterator[RepresentationBlock]:
-    """Read back a block dump produced by write_blocks; a record of any other
-    version is refused."""
-    while True:
-        head = handle.read(_HEADER.size)
-        if not head:
-            return
-        if len(head) != _HEADER.size:
-            raise ValidationError("truncated block header")
-        magic, version, lo, hi = _HEADER.unpack(head)
-        if magic != _MAGIC or version != _VERSION:
-            raise ValidationError(f"bad block header: magic={magic!r} version={version}")
-        # Before any read: no sieve writes past the cap, and read(2 * width)
-        # allocates its buffer up front.
-        if not 1 <= lo < hi <= MAX_SIEVE_LIMIT + 1:
-            raise ValidationError(f"bad block range [{lo}, {hi}) in header")
-        width = hi - lo
-        arrays = []
-        for _ in range(3):
-            raw = handle.read(2 * width)
-            if len(raw) != 2 * width:
-                raise ValidationError("truncated block payload")
-            arrays.append(np.frombuffer(raw, dtype="<u2").copy())
-        yield RepresentationBlock(lo, hi, *arrays)

@@ -10,12 +10,15 @@ frozen dictionaries below record values computed once with this module
 from __future__ import annotations
 
 import math
+import struct
+from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
 from paucity.arith import Factorization
 from paucity.errors import ValidationError
 from paucity.quadruples import ParamTuple, Quadruple
+from paucity.sieve import PrimeTable, SieveConfig, chi4_divisor_sums, pair_windows, sieve_primes
 
 
 def chi4_slow(n: int) -> int:
@@ -268,6 +271,53 @@ def pair_tallies_loop(lo: int, hi: int, is_prime: np.ndarray) -> tuple[np.ndarra
         if is_prime[a]:
             r2[prime_b] += 1
     return r0, r1, r2
+
+
+class Block(NamedTuple):
+    """The tallies of [lo, hi), arrays indexed by n - lo."""
+
+    lo: int
+    hi: int
+    r0_pair: np.ndarray
+    r0_div: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+
+
+def joined_windows(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ...]:
+    """r0_pair, r1, r2 on [lo, hi) as uint16: the windows of
+    sieve.pair_windows, checked to tile [lo, hi) in order, joined."""
+    edge, parts = lo, []
+    for s, e, *tallies in pair_windows(lo, hi, primes):
+        assert s == edge < e and all(t.shape == (e - s,) for t in tallies), (lo, hi, s, e)
+        edge = e
+        parts.append(tallies)
+    assert edge == hi, (lo, hi, edge)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def blocks(cfg: SieveConfig) -> Iterator[Block]:
+    """The Block of each (lo, hi) of cfg.block_ranges(), in order: the pair
+    tallies from sieve.pair_windows, r0_div from sieve.chi4_divisor_sums."""
+    primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
+    for lo, hi in cfg.block_ranges():
+        r0, r1, r2 = joined_windows(lo, hi, primes)
+        yield Block(lo, hi, r0, chi4_divisor_sums(lo, r0), r1, r2)
+
+
+_DUMP_HEADER = struct.Struct("<4sIQQ")
+
+
+def read_blocks(handle: BinaryIO) -> Iterator[Block]:
+    """The Blocks of a `sieve` dump, record by record.  Version 2: magic
+    "PCTY", version u32, lo u64, hi u64, then r0_pair, r1 and r2 as u16
+    little-endian arrays of hi - lo entries; r0_div is derived as in blocks."""
+    while head := handle.read(_DUMP_HEADER.size):
+        magic, version, lo, hi = _DUMP_HEADER.unpack(head)
+        assert (magic, version) == (b"PCTY", 2) and 1 <= lo < hi, (magic, version, lo, hi)
+        r0, r1, r2 = (np.frombuffer(handle.read(2 * (hi - lo)), dtype="<u2") for _ in range(3))
+        assert r0.size == r1.size == r2.size == hi - lo, "truncated block payload"
+        yield Block(lo, hi, r0, chi4_divisor_sums(lo, r0), r1, r2)
 
 
 def rho_slow(d: int) -> int:

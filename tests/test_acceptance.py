@@ -16,7 +16,7 @@ from paucity.congruence import FormParams, nu_closed, nu_oracle, nu_prime_closed
 from paucity.constants import catalan, landau_ramanujan, predicted_constant
 from paucity.meanvalue import CheckpointGrid, accumulate
 from paucity.quadruples import enumerate_n1_params, enumerate_offdiag
-from paucity.sieve import SieveConfig, sieve_all
+from paucity.sieve import SieveConfig
 from paucity.cli import main as cli_main
 
 import oracles
@@ -41,7 +41,7 @@ def test_criterion_01_oracle_equivalence():
     limit = 10**5
     ref0, ref0d, ref1, ref2 = oracles.r_arrays_slow(limit)
     mine = [np.zeros(limit + 1, dtype=np.int64) for _ in range(4)]
-    for block in sieve_all(SieveConfig(limit=limit)):
+    for block in oracles.blocks(SieveConfig(limit=limit)):
         for arr, field in zip(mine, ("r0_pair", "r0_div", "r1", "r2")):
             arr[block.lo : block.hi] = getattr(block, field)
     assert np.array_equal(mine[0][1:], ref0[1:]), "r0_pair mismatch"

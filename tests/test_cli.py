@@ -30,7 +30,7 @@ from paucity.congruence import NU_ORACLE_CAP, RHO_ORACLE_CAP
 from paucity.constants import STATISTICS, catalan
 from paucity.errors import ValidationError
 from paucity.meanvalue import MAX_DISPERSION_C, read_csv
-from paucity.sieve import MAX_BLOCK_SIZE, MAX_SIEVE_LIMIT, read_blocks
+from paucity.sieve import MAX_BLOCK_SIZE, MAX_SIEVE_LIMIT
 
 import oracles
 
@@ -119,17 +119,19 @@ def test_manifest_records_sieve_kernels(tmp_path, monkeypatch):
         assert multiprocessing.active_children() == []
 
 
-def test_mean_bytes_across_workers(tmp_path):
-    # mean rounds each --block-size up to a multiple of 2^16: at 30000, 333
-    # and 7777 both give one task.  At 1248576, 65535, 100003 and 1048576
-    # give 20, 10 and 2 tasks, the last fewer than --threads 3, and the
-    # checkpoint edges 65537, 1048577 and 1048578 fall one or two past a
+def test_mean_bytes_across_workers(tmp_path, monkeypatch):
+    # mean rounds each --block-size up to a multiple of _ATOM.  At 30000,
+    # with _ATOM patched to 1000, 333 and 7777 give 31 and 4 tasks, the 31st
+    # [30000, 30001).  At 1248576 and the real 2^16, 65535, 100003 and
+    # 1048576 give 20, 10 and 2 tasks, the last fewer than --threads 3, and
+    # the checkpoint edges 65537, 1048577 and 1048578 fall one or two past a
     # task edge.
-    for limit, grid, blocks in (
-        ("30000", "explicit:1000,16650,16651,30000", ("333", "7777")),
+    for limit, grid, blocks, atom in (
+        ("30000", "explicit:1000,16650,16651,30000", ("333", "7777"), 1000),
         ("1248576", "explicit:1000,65536,200006,1048576,1048577,1248576",
-         ("65535", "100003", "1048576")),
+         ("65535", "100003", "1048576"), 1 << 16),
     ):
+        monkeypatch.setattr(paucity.meanvalue, "_ATOM", atom)
         texts = set()
         for block in blocks:
             for threads in ("1", "2", "3"):
@@ -416,7 +418,7 @@ def test_sieve_dump_round_trip(tmp_path):
     out = tmp_path / "s"
     assert run_cli("sieve", "--limit", "4000", "--block-size", "1024", "--out-dir", str(out)) == 0
     with open(out / "blocks.pcty", "rb") as fh:
-        blocks = list(read_blocks(fh))
+        blocks = list(oracles.read_blocks(fh))
     assert blocks[0].lo == 1 and blocks[-1].hi == 4001
     manifest = json.loads((out / "sieve_manifest.json").read_text())
     assert manifest["config"]["sieve"] == {"processes": 1}
@@ -503,9 +505,13 @@ def test_congruence_csv_bytes(tmp_path, argv, digest):
      "d69e51b2028d20ad517bbc1147183956069e532875dea6fe8948e6144dd35944"),
     (("sieve", "--limit", "2000000"),
      "2584b58646f4a5ccc35dca4dcb681c3abede084b67e3bbe883b27a505c659e54"),
+    # Blocks of 333333 cross the 2^17 tally windows at unaligned offsets, so
+    # each block's arrays are copied from parts of several windows.
+    (("sieve", "--limit", "3000000", "--block-size", "333333"),
+     "5b28fbd23a169a491015487a459fa2442d41fce5b75d3f77b186a7555ce241de"),
 ], ids=[
     "mean-all", "mean-all-div", "mean-all-workers", "mean-float-div-c2.5", "mean-edges-at-cuts",
-    "sieve",
+    "sieve", "sieve-unaligned",
 ])
 def test_mean_and_sieve_bytes(tmp_path, argv, digest):
     out = tmp_path / "b"
@@ -847,7 +853,7 @@ def _bad_argv(command: str, flag: str, bad) -> list[str]:
 
 # The work each command may start only once its input is checked.
 _HEAVY = [
-    (paucity.cli, "sieve_all"), (paucity.meanvalue, "sieve_primes"),
+    (paucity.cli, "write_blocks"), (paucity.meanvalue, "sieve_primes"),
     (paucity.cli, "catalan"), (paucity.cli, "landau_ramanujan"),
     (paucity.cli, "sieve_density_product"), (paucity.cli, "rho_oracle"),
     (paucity.cli, "nu_oracle"), (paucity.cli, "rho_closed"), (paucity.cli, "nu_closed"),

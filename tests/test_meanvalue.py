@@ -25,7 +25,7 @@ from paucity.meanvalue import (
     write_csv,
 )
 from paucity.quadruples import enumerate_offdiag
-from paucity.sieve import SieveConfig, sieve_all, sieve_primes
+from paucity.sieve import SieveConfig, sieve_primes
 
 import oracles
 from oracles import in_A, omega, phi
@@ -195,7 +195,7 @@ def test_support_terms_match_dense_formulas():
     # Terms are evaluated only where they can be nonzero.  The float terms
     # must equal the dense formulas evaluated at every n, array for array;
     # the exact r terms, which list the support only, must have their sums.
-    block = next(sieve_all(_cfg(block_size=LIMIT)))
+    block = next(oracles.blocks(_cfg(block_size=LIMIT)))
     omega_full, phi_full, in_a_full = oracles.spread_walk(block.lo, block.hi, _block_walk(block)())
     in_a = np.flatnonzero(in_a_full) + 1
     k = int(np.argmax(np.diff(in_a) > 20))
@@ -250,7 +250,7 @@ def test_float_accumulator_keeps_no_view():
 def test_registry_term_dtypes():
     # A term's dtype sets its summation: int64 and bool terms exactly (the
     # series print ints), float64 terms compensated (they print floats).
-    block = next(sieve_all(_cfg(block_size=LIMIT)))
+    block = next(oracles.blocks(_cfg(block_size=LIMIT)))
     for lo, hi in ((1, 3000), (4097, 10001)):
         for convention in ("pair", "div"):
             v = _sliced_tallies(block, lo, hi, 1.0, convention)

@@ -3,7 +3,6 @@
 import io
 import math
 import random
-import struct
 
 import numpy as np
 import pytest
@@ -18,12 +17,9 @@ from paucity.sieve import (
     MAX_BLOCK_SIZE,
     MAX_SIEVE_LIMIT,
     PrimeTable,
-    RepresentationBlock,
     SieveConfig,
+    chi4_divisor_sums,
     multiplicative_arrays,
-    read_blocks,
-    sieve_all,
-    sieve_block,
     sieve_primes,
     write_blocks,
 )
@@ -37,7 +33,7 @@ ORACLE = oracles.r_arrays_slow(ORACLE_LIMIT)
 
 def _collect(cfg: SieveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     out = [np.zeros(cfg.limit + 1, dtype=np.int64) for _ in range(4)]
-    for block in sieve_all(cfg):
+    for block in oracles.blocks(cfg):
         for arr, field in zip(out, ("r0_pair", "r0_div", "r1", "r2")):
             arr[block.lo : block.hi] = getattr(block, field)
     return tuple(out)
@@ -108,11 +104,10 @@ def test_divisor_form_counts_square_root_term():
 
 def test_multiplicative_arrays_match_factorize():
     limit = 20000
-    cfg = SieveConfig(limit=limit)
     primes = sieve_primes(141)
     # n = 1, blocks with lo > 1, and a block ending at the limit.
     for lo, hi in ((1, 600), (500, 1200), (9999, 10500), (19000, limit + 1)):
-        block = sieve_block(cfg, lo, hi, primes)
+        r0_div = chi4_divisor_sums(lo, oracles.joined_windows(lo, hi, primes)[0])
         om, ph, in_a = oracles.spread_walk(lo, hi, multiplicative_arrays(lo, hi, primes))
         for n in range(lo, hi):
             f = factorize(n)
@@ -122,7 +117,7 @@ def test_multiplicative_arrays_match_factorize():
             if in_A(f):
                 assert om[i] == omega(f), n
                 assert ph[i] == phi(f), n
-            assert bool(block.r0_div[i] > 0) == is_sum_two_squares(f), n
+            assert bool(r0_div[i] > 0) == is_sum_two_squares(f), n
 
 
 def test_multiplicative_arrays_near_cap():
@@ -136,8 +131,10 @@ def test_multiplicative_arrays_near_cap():
     windows = [(cap - 3000, cap + 1)]
     windows += [(q - 300, q + 301) for q in (2**29, 3**18, 5**12, 7**10, 13**8, 31607**2)]
     want = oracles.multiplicative_slow(np.concatenate([np.arange(lo, hi) for lo, hi in windows]))
-    cfg = SieveConfig(limit=cap)
-    blocks = [sieve_block(cfg, lo, hi, primes) for lo, hi in windows]
+    blocks = []
+    for lo, hi in windows:
+        r0, r1, r2 = oracles.joined_windows(lo, hi, primes)
+        blocks.append(oracles.Block(lo, hi, r0, chi4_divisor_sums(lo, r0), r1, r2))
     # r0_div comes from r0_pair alone, before any walk has run.
     pairs = ("r0_pair", "r1", "r2", "r0_div")
     before = {f: np.concatenate([getattr(b, f) for b in blocks]) for f in pairs}
@@ -216,7 +213,7 @@ def test_multiplicative_arrays_lattice_edges():
 
 
 def _assert_pairs_match(lo: int, hi: int, want: tuple[np.ndarray, ...]) -> None:
-    got = sieve._pair_tallies(lo, hi, CAP_PRIMES)
+    got = oracles.joined_windows(lo, hi, CAP_PRIMES)
     for name, mine, ref in zip(("r0_pair", "r1", "r2"), got, want):
         assert mine.dtype == np.uint16 and np.array_equal(mine, ref), (name, lo, hi)
 
@@ -296,28 +293,13 @@ def test_block_partition_invariance():
             assert np.array_equal(a, b), block_size
 
 
-def test_sieve_block_validation():
-    cfg = SieveConfig(limit=1000)
-    primes = sieve_primes(40)
-    block = sieve_block(cfg, 1, 1001, primes)
-    assert (block.lo, block.hi) == (1, 1001)
-    with pytest.raises(ValidationError):
-        sieve_block(cfg, 0, 10, primes)
-    with pytest.raises(ValidationError):
-        sieve_block(cfg, 10, 10, primes)
-    with pytest.raises(ValidationError):
-        sieve_block(cfg, 1, 1002, primes)
-    with pytest.raises(ValidationError):
-        sieve_block(cfg, 1, 1001, sieve_primes(10))
-
-
 def test_dump_round_trip():
     cfg = SieveConfig(limit=9000, block_size=2048)
-    blocks = list(sieve_all(cfg))
+    blocks = list(oracles.blocks(cfg))
     buf = io.BytesIO()
-    assert write_blocks(buf, blocks) == len(blocks)
+    assert write_blocks(buf, cfg) == len(blocks)
     buf.seek(0)
-    loaded = list(read_blocks(buf))
+    loaded = list(oracles.read_blocks(buf))
     assert len(loaded) == len(blocks)
     for a, b in zip(blocks, loaded):
         assert (a.lo, a.hi) == (b.lo, b.hi)
@@ -327,74 +309,25 @@ def test_dump_round_trip():
         assert np.array_equal(a.r2, b.r2)
 
 
-def test_read_blocks_sieves_no_primes(monkeypatch):
-    # A dump holds the pair tallies only, and reading it back sieves nothing,
-    # even for blocks near the cap.
-    cfg = SieveConfig(limit=MAX_SIEVE_LIMIT, block_size=5000)
-    ranges = [(1, 5001), (5001, 9001), (MAX_SIEVE_LIMIT - 3000, MAX_SIEVE_LIMIT + 1)]
-    blocks = [sieve_block(cfg, lo, hi, CAP_PRIMES) for lo, hi in ranges]
+def test_dump_layout():
     buf = io.BytesIO()
-    write_blocks(buf, blocks)
-    buf.seek(0)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("reading a dump sieves no primes")
-
-    monkeypatch.setattr(sieve, "sieve_primes", refuse)
-    loaded = list(read_blocks(buf))
-    assert len(loaded) == len(blocks)
-    for a, b in zip(blocks, loaded):
-        assert (a.lo, a.hi) == (b.lo, b.hi)
-        for field in ("r0_pair", "r1", "r2", "r0_div"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), (field, a.lo)
-
-
-def test_dump_refuses_other_versions():
-    buf = io.BytesIO()
-    write_blocks(buf, sieve_all(SieveConfig(limit=5000, block_size=2048)))
-    data = buf.getvalue()
+    assert write_blocks(buf, SieveConfig(limit=5000, block_size=2048)) == 3
     # Three records, each a header and r0_pair, r1, r2; r0_div is not stored.
-    assert len(data) == 3 * sieve._HEADER.size + 3 * 2 * 5000
-    assert len(list(read_blocks(io.BytesIO(data)))) == 3
-    # Version 1 stored r0_div as well; no other version is read.
-    body = data[sieve._HEADER.size :]
-    for version in (0, 1, 3):
-        head = struct.pack("<4sIQQ", b"PCTY", version, 1, 2049)
-        with pytest.raises(ValidationError, match=f"^bad block header: .* version={version}$"):
-            list(read_blocks(io.BytesIO(head + body)))
-
-
-def test_dump_rejects_garbage():
-    buf = io.BytesIO(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(ValidationError):
-        list(read_blocks(buf))
-    good = io.BytesIO()
-    write_blocks(good, sieve_all(SieveConfig(limit=50)))
-    with pytest.raises(ValidationError, match="truncated block header"):
-        list(read_blocks(io.BytesIO(good.getvalue()[:10])))
-    # Empty, reversed or past-the-cap ranges are refused before any payload is read.
-    for lo, hi in ((9, 9), (9, 3), (0, 5), (1, 2**64 - 1)):
-        head = struct.pack("<4sIQQ", b"PCTY", sieve._VERSION, lo, hi)
-        with pytest.raises(ValidationError, match="bad block range"):
-            list(read_blocks(io.BytesIO(head + b"\x00" * 64)))
+    assert len(buf.getvalue()) == 3 * sieve._HEADER.size + 3 * 2 * 5000
 
 
 def test_block_type_validation():
-    ok = np.zeros(4, dtype=np.uint16)
     primes = sieve_primes(9)
-    with pytest.raises(ValidationError):
-        RepresentationBlock(lo=5, hi=5, r0_pair=ok, r1=ok, r2=ok)
-    with pytest.raises(ValidationError):
-        RepresentationBlock(lo=1, hi=5, r0_pair=ok[:2], r1=ok, r2=ok)
-    with pytest.raises(ValidationError):
-        RepresentationBlock(lo=1, hi=5, r0_pair=ok, r1=ok.astype(np.int16), r2=ok)
-    RepresentationBlock(lo=1, hi=5, r0_pair=ok, r1=ok, r2=ok)
     walk = multiplicative_arrays(1, 5, primes)
     assert oracles.spread_walk(1, 5, walk)[2].tolist() == [True, False, False, False]
     # The walk needs every prime up to sqrt(hi - 1): 9 covers hi = 100, not 101.
     multiplicative_arrays(96, 100, primes)
     with pytest.raises(ValidationError, match=r"below sqrt\(100\)"):
         multiplicative_arrays(97, 101, primes)
+    # So do the pair tallies.
+    next(sieve.pair_windows(96, 100, primes))
+    with pytest.raises(ValidationError, match=r"below sqrt\(100\)"):
+        next(sieve.pair_windows(97, 101, primes))
 
 
 def test_overflow_guard():
