@@ -1,9 +1,9 @@
-"""Elementary multiplicative machinery shared by every other module.
+"""Exact integer arithmetic on single integers: the non-principal character
+mod 4, and factorization and primality by trial division, with no table.
 
-Everything here is exact integer arithmetic on single integers: the
-non-principal character mod 4, and factorization and primality by trial
-division, with no table.  The congruence closed forms factor through these,
-and the tests factor with them to check the sieve's multiplicative arrays.
+Only `congruence` and the `congruence` command import it: the closed forms
+factor through it.  The tests also factor with it to check the sieve's
+multiplicative arrays.
 """
 
 from __future__ import annotations

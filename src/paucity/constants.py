@@ -1,10 +1,13 @@
 """Constants behind every predicted main term, and the statistic registry.
 
-G (Catalan) comes from the alternating series sum (-1)^k/(2k+1)^2 with
-pairwise term grouping; K (Landau-Ramanujan) from either Euler product form,
-evaluated in log space with an explicit tail bound.  The statistic registry
-(STATISTICS) defines every reported statistic once: its term over a sieve
-block, its normalization and its predicted constant, so that every CSV row is
+catalan computes G (Catalan) from the alternating series
+sum (-1)^k/(2k+1)^2 with pairwise term grouping, landau_ramanujan K
+(Landau-Ramanujan) from either Euler product form, and
+sieve_density_product V(z); the last two in log space with an explicit
+error bound.  Only the `constants` command runs them.  The statistic
+registry (STATISTICS) defines every reported statistic once: its term over
+a sieve block, its normalization and its predicted constant, a float
+written from the frozen bits of G and K, so that every CSV row is
 recomputable from this module alone.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -39,7 +42,6 @@ class ConstantValue:
 _CHUNK = 1 << 16
 
 
-@cache
 def catalan(eps: float = 1e-10) -> ConstantValue:
     """Catalan's constant G = sum_{k>=0} (-1)^k / (2k+1)^2 to within eps.
 
@@ -63,7 +65,6 @@ def catalan(eps: float = 1e-10) -> ConstantValue:
     return ConstantValue("G", value, bound, f"alternating-series-pairs:{pairs}")
 
 
-@cache
 def landau_ramanujan(prime_limit: int = 10**7, form: str = "1mod4") -> ConstantValue:
     """Landau-Ramanujan constant K via an Euler product over primes <= prime_limit.
 
@@ -120,7 +121,6 @@ def check_density_z(z: float) -> None:
         raise CapacityError(f"z {z:g} needs primes beyond the sieve cap {MAX_SIEVE_LIMIT}")
 
 
-@cache
 def sieve_density_product(z: float) -> ConstantValue:
     """V(z) = prod_{2 < p < z} (1 - (3p-2)/p^2), evaluated in log space."""
     check_density_z(z)
@@ -142,11 +142,14 @@ def sieve_density_product(z: float) -> ConstantValue:
 # slice of a sieve block, whose dtype sets its summation (int and bool terms
 # exactly, float64 terms compensated), its normalization and its limit
 # constant.  A block's walk behind its list of A runs only when a term
-# reads it: LEMMA31, LEMMA32 and COUNT_A.  Constants are thunks evaluated on
-# first use, so only LANDAU_B and COUNT_A pay for landau_ramanujan's prime
-# sieve.
+# reads it: LEMMA31, LEMMA32 and COUNT_A.  Each constant is a float written
+# from pi, _G and _K, so the registry runs no series and no prime sieve.
 
 _PI = math.pi
+# The bits of catalan(1e-10) and of landau_ramanujan(10**7) in the 1 mod 4
+# form; a test pins them to both functions.
+_G = float.fromhex("0x1.d4f9713e13449p-1")
+_K = float.fromhex("0x1.874852a79b634p-1")
 
 
 def _a_slice(index: int) -> property:
@@ -265,7 +268,7 @@ class Statistic:
     name: str
     term: Callable[[Tallies], np.ndarray]
     normalization: Callable[[float, int, float], float]
-    constant: Callable[[], float] | None = None
+    constant: float | None = None
     parameter: str | None = None
 
     def label(self, value: float) -> str:
@@ -281,42 +284,34 @@ def _dispersion_terms(v: Tallies) -> np.ndarray:
     return v.scatter(v.support, res * res)
 
 
-def _g() -> float:
-    return catalan().value
-
-
-def _k() -> float:
-    return landau_ramanujan().value
-
-
 STATISTICS: dict[str, Statistic] = {s.name: s for s in (
     Statistic("S00", lambda v: v.r0s * v.r0s, _AFFINE),
-    Statistic("S01", lambda v: v.r0s * v.r1s, _PER_X, lambda: 0.5),
-    Statistic("S02", lambda v: v.r0s * v.r2s, _LOG, lambda: 12.0 * _g() / _PI**2),
-    Statistic("S11", lambda v: v.r1s * v.r1s, _LOG, lambda: _PI / 2.0 + 9.0 / 4.0),
+    Statistic("S01", lambda v: v.r0s * v.r1s, _PER_X, 0.5),
+    Statistic("S02", lambda v: v.r0s * v.r2s, _LOG, 12.0 * _G / _PI**2),
+    Statistic("S11", lambda v: v.r1s * v.r1s, _LOG, _PI / 2.0 + 9.0 / 4.0),
     Statistic("S12", lambda v: v.r1s * v.r2s, _LOG2),
-    Statistic("S22", lambda v: v.r2s * v.r2s, _LOG2, lambda: 2.0 * _PI),
-    Statistic("M1", lambda v: v.r1s, _LOG, lambda: _PI / 2.0),
-    Statistic("M2", lambda v: v.r2s, _LOG2, lambda: _PI),
-    Statistic("R2CUBE", lambda v: v.r2s * v.r2s * v.r2s, _LOG2, lambda: 4.0 * _PI),
-    Statistic("SUPP1", lambda v: v.r1s > 0, _LOG, lambda: _PI / 2.0),
-    Statistic("SUPP2", lambda v: v.r2s > 0, _LOG2, lambda: _PI / 2.0),
+    Statistic("S22", lambda v: v.r2s * v.r2s, _LOG2, 2.0 * _PI),
+    Statistic("M1", lambda v: v.r1s, _LOG, _PI / 2.0),
+    Statistic("M2", lambda v: v.r2s, _LOG2, _PI),
+    Statistic("R2CUBE", lambda v: v.r2s * v.r2s * v.r2s, _LOG2, 4.0 * _PI),
+    Statistic("SUPP1", lambda v: v.r1s > 0, _LOG, _PI / 2.0),
+    Statistic("SUPP2", lambda v: v.r2s > 0, _LOG2, _PI / 2.0),
     Statistic("DISPERSION", _dispersion_terms, _LOG, parameter="c"),
     Statistic(
         "LEMMA31",
         lambda v: v.scatter(v.on_a, v.lemma_weight / (v.on_a + v.lo).astype(np.float64)),
-        _PER_LOG, lambda: 1.0 / _PI,
+        _PER_LOG, 1.0 / _PI,
     ),
     Statistic(
         "LEMMA32",
         lambda v: v.scatter(v.on_a, v.lemma_weight / v.phi_a.astype(np.float64)),
-        _PER_LOG, lambda: 12.0 * _g() / _PI**3,
+        _PER_LOG, 12.0 * _G / _PI**3,
     ),
     # b(n) = [r0_div(n) > 0] under either r0 convention.
-    Statistic("LANDAU_B", lambda v: v.r0_div > 0, _SQRT_LOG, _k),
+    Statistic("LANDAU_B", lambda v: v.r0_div > 0, _SQRT_LOG, _K),
     # One True per n of A, listed on A only.
     Statistic("COUNT_A", lambda v: np.ones(v.phi_a.size, dtype=bool), _SQRT_LOG,
-              lambda: 1.0 / (4.0 * _k())),
+              1.0 / (4.0 * _K)),
 )}
 
 # What `paucity mean` reports when no --stats is given.
@@ -334,8 +329,7 @@ def find_statistic(identifier: str) -> Statistic:
 
 def predicted_constant(statistic: str) -> float | None:
     """Limit constant of the normalized statistic, or None where no limit is claimed."""
-    constant = find_statistic(statistic).constant
-    return None if constant is None else constant()
+    return find_statistic(statistic).constant
 
 
 def normalized_value(statistic: str, x: int, raw: float) -> float:

@@ -103,19 +103,16 @@ class CheckpointGrid:
 
 @dataclass(frozen=True)
 class MeanValueSeries:
-    """Per-checkpoint partial sums of one statistic up to `limit`."""
+    """Per-checkpoint partial sums of one statistic."""
 
     statistic: str
     values: tuple
-    limit: int
 
     def __post_init__(self) -> None:
         if not self.statistic:
             raise ValidationError("statistic name must be non-empty")
         if not self.values:
             raise ValidationError(f"series {self.statistic} has no values")
-        if self.limit < 1:
-            raise ValidationError(f"limit must be >= 1, got {self.limit}")
 
 
 class _Sums:
@@ -269,7 +266,7 @@ class _Plan:
             for run, sums in zip(runs, red.sums):
                 run.sums += sums
         return [
-            MeanValueSeries(stat.label(self.dispersion_c), tuple(run.values()), covered)
+            MeanValueSeries(stat.label(self.dispersion_c), tuple(run.values()))
             for stat, run in zip(self.stats, runs)
         ]
 
@@ -295,12 +292,6 @@ def accumulate(
     same, bit for bit, at every worker count.
     """
     plan = _Plan(cfg, grid, statistics, r0_convention, dispersion_c)
-    # The predicted constants are computed first, on the small heap of a
-    # fresh process.  Computed in write_csv, landau_ramanujan's prime sieve
-    # (about 10 MB) ran on top of the heap the blocks left: mean --limit
-    # 100000000 --stats all peaked at 50.3 MB that way, 43.7 MB this way.
-    for stat in plan.stats:
-        predicted_constant(stat.name)
     primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
     raise_malloc_thresholds()
     return ordered_map(

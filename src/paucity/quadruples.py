@@ -91,7 +91,6 @@ class OffdiagCensus:
     probe's diagonal test.
     """
 
-    limit: int
     n: int
     n1: int
     n1_prime: int
@@ -107,7 +106,6 @@ class OffdiagCensus:
 class ParamCensus:
     """Counts from the (d, t, n1, n2)-side enumeration of N1."""
 
-    limit: int
     n1: int
     tuples: tuple[ParamTuple, ...] | None
 
@@ -207,7 +205,6 @@ def enumerate_offdiag(limit: int, collect: bool = True) -> OffdiagCensus:
     # are one row when a = p, that is for the primes with 2p^2 <= limit.
     equal_pairs = int(np.count_nonzero(2 * pp <= limit))
     return OffdiagCensus(
-        limit=limit,
         n=n_total,
         n1=n_1,
         n1_prime=n_1p,
@@ -266,7 +263,7 @@ def enumerate_n1_params(limit: int, collect: bool = False) -> ParamCensus:
     check_limit(limit)
     s = math.isqrt(max(limit - 9, 0))
     if s < 3:
-        return ParamCensus(limit=limit, n1=0, tuples=() if collect else None)
+        return ParamCensus(n1=0, tuples=() if collect else None)
     is_p = sieve_primes(s).is_prime
     total = 0
     found: list[ParamTuple] = []
@@ -294,4 +291,4 @@ def enumerate_n1_params(limit: int, collect: bool = False) -> ParamCensus:
                     ParamTuple,
                     dc[hits].tolist(), tc[hits].tolist(), n1c[hits].tolist(), n2[hits].tolist(),
                 )
-    return ParamCensus(limit=limit, n1=total, tuples=tuple(found) if collect else None)
+    return ParamCensus(n1=total, tuples=tuple(found) if collect else None)

@@ -103,10 +103,6 @@ class PrimeTable:
     limit: int
     primes: np.ndarray
 
-    @property
-    def count(self) -> int:
-        return int(self.primes.size)
-
     @cached_property
     def is_prime(self) -> np.ndarray:
         """is_prime[n] for 0 <= n <= limit, as bool."""

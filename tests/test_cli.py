@@ -589,6 +589,31 @@ def test_report_joins_and_plots(tmp_path):
     assert "plot_S22.csv" in manifest["outputs"]
 
 
+def test_mean_and_report_compute_no_constant(tmp_path, monkeypatch):
+    # The registry's constants are literals, so neither command runs a
+    # series or a prime sieve for them: with all three constant functions
+    # made to raise, every statistic's rows keep their bytes.
+    def csv_bytes(root: Path) -> dict[str, bytes]:
+        mean_dir, rep_dir = root / "m", root / "r"
+        assert run_cli(
+            "mean", "--limit", "100000", "--stats", "all", "--out-dir", str(mean_dir)
+        ) == 0
+        assert run_cli(
+            "report", "--inputs", str(mean_dir / "mean.csv"), "--out-dir", str(rep_dir)
+        ) == 0
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*.csv")}
+
+    plain = csv_bytes(tmp_path / "plain")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constant was computed")
+
+    for name in ("catalan", "landau_ramanujan", "sieve_density_product"):
+        monkeypatch.setattr(paucity.constants, name, refuse)
+    assert csv_bytes(tmp_path / "patched") == plain
+    assert len(plain) == 2 + len(STATISTICS)  # mean.csv, report.csv and one plot each
+
+
 def test_report_rejects_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,nope\n1,2\n")

@@ -83,7 +83,14 @@ def test_landau_bits_frozen_across_chunks(monkeypatch, chunk):
     # including one chunk above pi(1e7) = 664579 that holds every prime.
     monkeypatch.setattr(constants, "_CHUNK", chunk)
     for form, bits in LANDAU_BITS.items():
-        assert landau_ramanujan.__wrapped__(10**7, form).value.hex() == bits, form
+        assert landau_ramanujan(10**7, form).value.hex() == bits, form
+
+
+def test_registry_literals_keep_the_computed_bits():
+    # The registry writes G and K as literals; they are the bits of the
+    # values the `constants` command computes with its default flags.
+    assert constants._G.hex() == catalan(1e-10).value.hex()
+    assert constants._K.hex() == landau_ramanujan(10**7).value.hex() == LANDAU_BITS["1mod4"]
 
 
 def test_landau_memory():
@@ -92,7 +99,7 @@ def test_landau_memory():
     # four arrays of the selected primes (20.3 MiB before).
     tracemalloc.start()
     try:
-        landau_ramanujan.__wrapped__(10**7, "1mod4")
+        landau_ramanujan(10**7, "1mod4")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -363,9 +363,9 @@ def test_accumulate_memory():
     # The walk keeps only its list of A (offsets, omega and phi there), its
     # temporaries are lattice-sized, and it dies with its block's reduction;
     # the pair tallies are reduced a window at a time.  Every statistic at
-    # 1e7 peaks at 9.8 MiB with landau_ramanujan's sieve for the constants
-    # and at 8.0 MiB once it is cached, the size of the allocator step's
-    # array, never touched.  It peaked at 13.9 MiB while two blocks of pair
+    # 1e7 peaks at 8.0 MiB, the size of the allocator step's array, never
+    # touched; the constants are literals, so no prime sieve runs for them
+    # (9.8 MiB while one did).  It peaked at 13.9 MiB while two blocks of pair
     # tallies were alive, 15.0 MiB while the last block kept its walk and
     # 19.9 MiB with omega, phi and in_a at every n.
     cfg = SieveConfig(limit=10**7)
@@ -504,10 +504,10 @@ def test_csv_rejects_bad_header():
 
 def test_series_validation():
     with pytest.raises(ValidationError):
-        MeanValueSeries(statistic="S01", values=(), limit=100)
+        MeanValueSeries(statistic="S01", values=())
     buf = io.StringIO()
     with pytest.raises(ValidationError):
-        write_csv(buf, [MeanValueSeries("S01", (1, 2), 100)], GRID)
+        write_csv(buf, [MeanValueSeries("S01", (1, 2))], GRID)
 
 
 @settings(max_examples=20)

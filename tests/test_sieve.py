@@ -45,12 +45,12 @@ def test_sieve_primes_small():
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
         53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
     ]
-    assert table.count == 25
+    assert table.primes.size == 25
     assert bool(table.is_prime[97]) and not bool(table.is_prime[91])
 
 
 def test_sieve_primes_pi_million():
-    assert sieve_primes(10**6).count == 78498
+    assert sieve_primes(10**6).primes.size == 78498
 
 
 def test_sieve_primes_match_eratosthenes():
@@ -64,7 +64,7 @@ def test_sieve_primes_match_eratosthenes():
 
 
 def test_sieve_primes_bounds():
-    assert sieve_primes(2).count == 1
+    assert sieve_primes(2).primes.size == 1
     with pytest.raises(ValidationError):
         sieve_primes(1)
     with pytest.raises(CapacityError):
@@ -170,7 +170,7 @@ def test_inverse_of_4_closed_form():
                 break
             pk *= p
     m = np.array(mods, dtype=np.int64)
-    assert 5**12 in mods and m.size > CAP_PRIMES.count
+    assert 5**12 in mods and m.size > CAP_PRIMES.primes.size
     inv = sieve._inverse_of_4(m)
     assert ((4 * inv) % m == 1).all() and ((0 < inv) & (inv < m)).all()
     for n0 in (1, 5, 1001, MAX_SIEVE_LIMIT - 3):
