@@ -19,8 +19,9 @@ finds the units mod d by striking the multiples of every divisor g > 1 of d
 of the squares.  It lists only half the residues, by two symmetries: u and
 d - u have the same square, and v and d - v are units together with the same
 -v^2.  nu_oracle uses only that F is homogeneous, scanning one full row per
-gcd class of n1 and counting (not deriving) the class sizes.  Both read the
-shared read-only tables of _tables, built on the first oracle call.
+gcd class of n1 and counting (not deriving) the class sizes, once per
+delta (_gcd_classes).  Both read the shared read-only tables of _tables,
+built on the first oracle call.
 """
 
 from __future__ import annotations
@@ -148,6 +149,18 @@ def nu_prime_closed(p: int, params: FormParams) -> CongruenceCount:
     return CongruenceCount(modulus=p, count=count)
 
 
+@cache
+def _gcd_classes(delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """(g, sizes): the divisors g of delta, ascending, and how many n mod
+    delta have gcd(n, delta) = g, counted by a bincount over every n.  They
+    depend on delta alone, so each delta is counted once; read-only."""
+    sizes = np.bincount(np.gcd(_tables()[0][1 : delta + 1], delta))
+    g = np.flatnonzero(sizes)
+    sizes = sizes[g]
+    g.flags.writeable = sizes.flags.writeable = False
+    return g, sizes
+
+
 def nu_oracle(delta: int, params: FormParams) -> CongruenceCount:
     """Exhaustive nu(delta): one full row of n2 per gcd class of n1 mod delta.
 
@@ -173,8 +186,7 @@ def nu_oracle(delta: int, params: FormParams) -> CongruenceCount:
         raise CapacityError(f"nu_oracle modulus {delta} exceeds cap {NU_ORACLE_CAP}")
     # Residues 1..delta, with delta standing for 0, so residue g sits at g - 1.
     n = _tables()[0][1 : delta + 1]
-    sizes = np.bincount(np.gcd(n, delta))
-    g = np.flatnonzero(sizes)
+    g, sizes = _gcd_classes(delta)
     vt = n * (params.t % delta) % delta
     vd = n * (params.d % delta) % delta
     rt, rd = vt[g - 1, None], vd[g - 1, None]
@@ -182,7 +194,7 @@ def nu_oracle(delta: int, params: FormParams) -> CongruenceCount:
     prod *= vd + rt
     prod *= rd + vt
     prod %= delta
-    count = delta * delta - int(sizes[g] @ np.count_nonzero(prod, axis=1))
+    count = delta * delta - int(sizes @ np.count_nonzero(prod, axis=1))
     return CongruenceCount(modulus=delta, count=count)
 
 

@@ -80,7 +80,7 @@ def landau_ramanujan(prime_limit: int = 10**7, form: str = "1mod4") -> ConstantV
     check_prime_limit(prime_limit)
     if form not in ("1mod4", "3mod4"):
         raise ValidationError(f"unknown product form {form!r}")
-    p = sieve_primes(prime_limit).primes
+    p = sieve_primes(prime_limit)
     residue = 1 if form == "1mod4" else 3
 
     def terms():
@@ -127,7 +127,7 @@ def sieve_density_product(z: float) -> ConstantValue:
     pmax = int(math.floor(z))
     if float(z).is_integer():
         pmax -= 1
-    p = sieve_primes(max(pmax, 2)).primes
+    p = sieve_primes(max(pmax, 2))
     p = p[p > 2].astype(np.float64)
     p = p[p < z]
     logsum = math.fsum(np.log1p(-(3.0 * p - 2.0) / (p * p)))

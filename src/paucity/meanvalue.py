@@ -46,15 +46,15 @@ from .constants import STATISTICS, Tallies, normalized_value, predicted_constant
 from .errors import ValidationError
 from .sieve import (
     MAX_SIEVE_LIMIT,
-    PrimeTable,
     SieveConfig,
     multiplicative_arrays,
     pair_windows,
     raise_malloc_thresholds,
-    sieve_primes,
 )
 from .workers import ordered_map
 
+# The first point of CheckpointGrid.geometric.
+_GRID_START = 1000
 _ATOM = 1 << 16
 # Windows are reduced in slices cut at the multiples of this width and at
 # the checkpoint edges.  It sets the order in which float terms are added,
@@ -87,12 +87,13 @@ class CheckpointGrid:
             raise ValidationError(f"checkpoints must increase strictly: {self.points}")
 
     @classmethod
-    def geometric(cls, limit: int, ratio: int = 10, start: int = 1000) -> "CheckpointGrid":
-        """Default decade grid: start, start*ratio, ... capped and closed at limit."""
+    def geometric(cls, limit: int, ratio: int = 10) -> "CheckpointGrid":
+        """Default decade grid: _GRID_START, _GRID_START*ratio, ... capped
+        and closed at limit."""
         if limit < 2:
             raise ValidationError(f"grid limit must be >= 2, got {limit}")
         pts = []
-        x = start
+        x = _GRID_START
         while x <= limit:
             pts.append(x)
             x *= ratio
@@ -232,21 +233,22 @@ class _Plan:
         self.r0_convention = r0_convention
         self.dispersion_c = dispersion_c + 0.0  # -0.0 becomes 0.0, so both label c=0
 
-    def reduce(self, lo: int, hi: int, primes: PrimeTable) -> _TaskSums:
+    def reduce(self, task: tuple[int, int]) -> _TaskSums:
         """Every statistic's interval sums over the task [lo, hi), a slice at a time.
 
         The task's pair tallies arrive one window of sieve.pair_windows at
         a time, and each window is cut on the sums' grid, the multiples of
         _ATOM and the checkpoint edges, so each slice lies inside one
         interval, and each slice's support and int64 tallies are built once
-        and shared by every statistic.  The task's walk over `primes`,
-        which must cover sqrt(hi - 1), runs the first time a slice reads A
-        and is shared by the slices after it.  The pieces the last task
-        leaves open lie past the last checkpoint and are dropped.
+        and shared by every statistic.  The task's walk runs the first time
+        a slice reads A and is shared by the slices after it.  The pieces
+        the last task leaves open lie past the last checkpoint and are
+        dropped.
         """
+        lo, hi = task
         parts = self._sums()
-        walk = cache(lambda: multiplicative_arrays(lo, hi, primes))
-        for s, e, *window in pair_windows(lo, hi, primes):
+        walk = cache(lambda: multiplicative_arrays(lo, hi))
+        for s, e, *window in pair_windows(lo, hi):
             bounds = [s, *_cuts(self.points, s, e - 1), e]
             for a, b in zip(bounds, bounds[1:]):
                 pairs = (arr[a - s : b - s] for arr in window)
@@ -292,11 +294,8 @@ def accumulate(
     same, bit for bit, at every worker count.
     """
     plan = _Plan(cfg, grid, statistics, r0_convention, dispersion_c)
-    primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
     raise_malloc_thresholds()
-    return ordered_map(
-        lambda bounds: plan.reduce(*bounds, primes), task_ranges(cfg), workers, plan.merge
-    )
+    return ordered_map(plan.reduce, task_ranges(cfg), workers, plan.merge)
 
 
 def csv_fields(statistic: str, x: int, raw: int | float) -> tuple[str, str, str, str]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .sieve import sieve_primes
+from .sieve import prime_mask, sieve_primes
 
 _ENUM_CAP = 10**8
 _COLLECT_CAP = 10**5
@@ -144,7 +144,7 @@ def enumerate_offdiag(limit: int, collect: bool = True) -> OffdiagCensus:
     that cap.
     """
     check_limit(limit)
-    primes = sieve_primes(max(math.isqrt(max(limit - 1, 1)), 2)).primes.astype(np.int64)
+    primes = sieve_primes(max(math.isqrt(max(limit - 1, 1)), 2))
     pp = primes * primes
     # Squares 0, 1, ..., (isqrt(limit) + 1)^2 for the probes' a-ranges.
     squares = np.arange(math.isqrt(limit) + 2, dtype=np.int64) ** 2
@@ -264,7 +264,7 @@ def enumerate_n1_params(limit: int, collect: bool = False) -> ParamCensus:
     s = math.isqrt(max(limit - 9, 0))
     if s < 3:
         return ParamCensus(n1=0, tuples=() if collect else None)
-    is_p = sieve_primes(s).is_prime
+    is_p = prime_mask(s)
     total = 0
     found: list[ParamTuple] = []
     for pair_d, pair_t, top in _pair_batches(s):

@@ -30,9 +30,11 @@ holds O(_SUB + sqrt(hi)) memory and runs no per-a Python loop.
 meanvalue reduces each window as it comes, and write_blocks copies the
 windows into one block's three arrays, the record of a sieve dump.
 
-sieve_primes sieves the odd numbers only, and a PrimeTable builds its
-full-width is_prime bitmap on first read, so callers that read only the
-primes never allocate it.
+pair_windows and multiplicative_arrays take a range [lo, hi) alone and
+sieve the primes up to sqrt(hi - 1) themselves, the rows of r1 and r2 and
+the strides of the walk, in tens of microseconds per range.  sieve_primes
+sieves the odd numbers only and returns the int64 primes; prime_mask
+spreads them into a bool bitmap.
 
 write_blocks sieves the dump's blocks one after another in the calling
 process.  numpy's bincount and repeat and the walk's short strided updates
@@ -67,7 +69,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import BinaryIO, Iterator
 
 import numpy as np
@@ -96,22 +97,6 @@ _HEADER = struct.Struct("<4sIQQ")
 
 
 @dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to `limit`: a sorted int64 array, and a membership
-    bitmap over 0..limit built on first read."""
-
-    limit: int
-    primes: np.ndarray
-
-    @cached_property
-    def is_prime(self) -> np.ndarray:
-        """is_prime[n] for 0 <= n <= limit, as bool."""
-        mask = np.zeros(self.limit + 1, dtype=bool)
-        mask[self.primes] = True
-        return mask
-
-
-@dataclass(frozen=True)
 class SieveConfig:
     """Run geometry: the overall limit and the block width."""
 
@@ -134,16 +119,12 @@ class SieveConfig:
             yield lo, min(lo + self.block_size, self.limit + 1)
 
 
-def _check_cover(primes: PrimeTable, hi: int) -> None:
-    """Refuse a prime table that misses a prime up to sqrt(hi - 1)."""
-    if primes.limit < math.isqrt(hi - 1):
-        raise ValidationError(f"prime table limit {primes.limit} below sqrt({hi - 1})")
+def sieve_primes(limit: int) -> np.ndarray:
+    """Every prime up to `limit` inclusive, ascending, as int64.
 
-
-def sieve_primes(limit: int) -> PrimeTable:
-    """Eratosthenes up to `limit` inclusive, over the odd numbers only: slot
-    i >= 1 of the mask stands for 2i + 1, and each odd p strikes p^2,
-    p^2 + 2p, ... at a stride of p slots.  Slot 0 stands for 2, not 1."""
+    Eratosthenes over the odd numbers only: slot i >= 1 of the mask stands
+    for 2i + 1, and each odd p strikes p^2, p^2 + 2p, ... at a stride of p
+    slots.  Slot 0 stands for 2, not 1."""
     if limit < 2:
         raise ValidationError(f"sieve_primes needs limit >= 2, got {limit}")
     if limit > MAX_SIEVE_LIMIT:
@@ -156,7 +137,14 @@ def sieve_primes(limit: int) -> PrimeTable:
     primes *= 2
     primes += 1
     primes[0] = 2
-    return PrimeTable(limit=limit, primes=primes)
+    return primes
+
+
+def prime_mask(limit: int) -> np.ndarray:
+    """is_prime[n] for 0 <= n <= limit, as bool, from sieve_primes(limit)."""
+    mask = np.zeros(limit + 1, dtype=bool)
+    mask[sieve_primes(limit)] = True
+    return mask
 
 
 def _check_tally(name: str, arr: np.ndarray, lo: int) -> np.ndarray:
@@ -212,12 +200,11 @@ def _cells(
 
 
 def pair_windows(
-    lo: int, hi: int, primes: PrimeTable
+    lo: int, hi: int
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """(s, e, r0_pair, r1, r2) for each window [s, e) of [lo, hi), in order:
     each e is the next multiple of _SUB after s, or hi, and the three
-    tallies are uint16 arrays indexed by n - s.  `primes` must cover
-    sqrt(hi - 1).
+    tallies are uint16 arrays indexed by n - s.
 
     Each window's counts are complete, so they do not depend on where the
     windows are cut.  Each tally lists only the cells it needs:
@@ -234,8 +221,8 @@ def pair_windows(
     O(width + cells + (width / _SUB + 1) * sqrt(hi)), where cells is about
     half the lattice for r0_pair plus an eighth of it for the prime rows.
     """
-    _check_cover(primes, hi)
-    is_p = primes.is_prime
+    is_p = prime_mask(max(2, math.isqrt(hi - 1)))
+    primes = np.flatnonzero(is_p)
     s = lo
     while s < hi:
         e = min((s // _SUB + 1) * _SUB, hi)
@@ -247,7 +234,7 @@ def pair_windows(
         counts[2 * diag * diag - s] -= 1
         r0 = _check_tally("r0_pair", counts, s)
         del counts
-        rows = primes.primes[: np.searchsorted(primes.primes, math.isqrt(e - 1), side="right")]
+        rows = primes[: np.searchsorted(primes, math.isqrt(e - 1), side="right")]
         col, idx = _cells(rows, s, e)
         r1 = _check_tally("r1", np.bincount(idx, minlength=e - s), s)
         r2 = _check_tally("r2", np.bincount(idx[is_p[col]], minlength=e - s), s)
@@ -273,12 +260,9 @@ def _live_strides(
     return zip(p[live].tolist(), m[live].tolist(), j[live].tolist())
 
 
-def multiplicative_arrays(
-    lo: int, hi: int, primes: PrimeTable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def multiplicative_arrays(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """on_a, omega_a, phi_a for [lo, hi): the ascending offsets n - lo of
     the n in A (int64), and omega (int8) and phi (int32) at those n.
-    `primes` must cover sqrt(hi - 1).
 
     Every n in A is 1 mod 4, so the walk runs only on the lattice
     n = n0 + 4j of the block, with strided slice updates and no per-prime
@@ -297,7 +281,6 @@ def multiplicative_arrays(
     Headroom: smooth and phi never exceed n <= MAX_SIEVE_LIMIT < 2^31, so
     both are int32.  omega is at most 9 < 2^7.
     """
-    _check_cover(primes, hi)
     top = hi - 1
     n0 = lo + (1 - lo) % 4
     n = np.arange(n0, hi, 4, dtype=np.int32)
@@ -306,8 +289,7 @@ def multiplicative_arrays(
     om = np.zeros(size, dtype=np.int8)
     ph = np.ones(size, dtype=np.int32)
     ina = np.ones(size, dtype=bool)
-    cut = int(np.searchsorted(primes.primes, math.isqrt(top), side="right"))
-    odd = primes.primes[1:cut].astype(np.int64)
+    odd = sieve_primes(max(2, math.isqrt(top)))[1:]
     p3, p1 = odd[odd & 3 == 3], odd[odd & 3 == 1]
     for _, p, s in _live_strides(n0, size, p3, p3):
         ina[s::p] = False
@@ -365,12 +347,11 @@ def write_blocks(handle: BinaryIO, cfg: SieveConfig) -> int:
     copied from pair_windows.  r0_div is not stored: it is r0_pair +
     [n is a square].
     """
-    primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
     raise_malloc_thresholds()
     tallies = np.empty((3, min(cfg.block_size, cfg.limit)), dtype="<u2")
     count = 0
     for lo, hi in cfg.block_ranges():
-        for s, e, *window in pair_windows(lo, hi, primes):
+        for s, e, *window in pair_windows(lo, hi):
             for row, part in zip(tallies, window):
                 row[s - lo : e - lo] = part
         handle.write(_HEADER.pack(_MAGIC, _VERSION, lo, hi))

@@ -18,7 +18,7 @@ import numpy as np
 from paucity.arith import Factorization
 from paucity.errors import ValidationError
 from paucity.quadruples import ParamTuple, Quadruple
-from paucity.sieve import PrimeTable, SieveConfig, chi4_divisor_sums, pair_windows, sieve_primes
+from paucity.sieve import SieveConfig, chi4_divisor_sums, pair_windows
 
 
 def chi4_slow(n: int) -> int:
@@ -284,11 +284,11 @@ class Block(NamedTuple):
     r2: np.ndarray
 
 
-def joined_windows(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ...]:
+def joined_windows(lo: int, hi: int) -> tuple[np.ndarray, ...]:
     """r0_pair, r1, r2 on [lo, hi) as uint16: the windows of
     sieve.pair_windows, checked to tile [lo, hi) in order, joined."""
     edge, parts = lo, []
-    for s, e, *tallies in pair_windows(lo, hi, primes):
+    for s, e, *tallies in pair_windows(lo, hi):
         assert s == edge < e and all(t.shape == (e - s,) for t in tallies), (lo, hi, s, e)
         edge = e
         parts.append(tallies)
@@ -299,9 +299,8 @@ def joined_windows(lo: int, hi: int, primes: PrimeTable) -> tuple[np.ndarray, ..
 def blocks(cfg: SieveConfig) -> Iterator[Block]:
     """The Block of each (lo, hi) of cfg.block_ranges(), in order: the pair
     tallies from sieve.pair_windows, r0_div from sieve.chi4_divisor_sums."""
-    primes = sieve_primes(max(2, math.isqrt(cfg.limit)))
     for lo, hi in cfg.block_ranges():
-        r0, r1, r2 = joined_windows(lo, hi, primes)
+        r0, r1, r2 = joined_windows(lo, hi)
         yield Block(lo, hi, r0, chi4_divisor_sums(lo, r0), r1, r2)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from paucity.arith import Factorization, chi4, factorize, is_prime
 from paucity.errors import ValidationError
-from paucity.sieve import sieve_primes
+from paucity.sieve import prime_mask, sieve_primes
 
 import oracles
 from oracles import divisor_chi4_sum, in_A, is_sum_two_squares, omega, phi, tau
@@ -36,22 +36,24 @@ def test_factorize_random_large():
         assert list(factorize(n).factors) == oracles.factorize_slow(n), n
 
 
-ROOT_PRIMES = sieve_primes(31622)  # every prime up to sqrt(1e9)
+ROOT_LIMIT = 31622  # sqrt(1e9)
+ROOT_PRIMES = sieve_primes(ROOT_LIMIT)
+ROOT_IS_PRIME = prime_mask(ROOT_LIMIT)
 
 
 def _assert_factored_into_primes(n: int) -> None:
     """Checked by the sieve, not by trial division: every factor is prime by
-    sieve_primes' bitmap, or, above its limit, has no sieved prime factor up
+    the sieve's bitmap, or, above its limit, has no sieved prime factor up
     to its root; the factors ascend strictly and multiply to n."""
     factors = factorize(n).factors
     product = 1
     for (p, _), (q, _) in zip(factors, factors[1:]):
         assert p < q, n
     for p, e in factors:
-        if p <= ROOT_PRIMES.limit:
-            assert bool(ROOT_PRIMES.is_prime[p]), (n, p)
+        if p <= ROOT_LIMIT:
+            assert bool(ROOT_IS_PRIME[p]), (n, p)
         else:
-            root = ROOT_PRIMES.primes[ROOT_PRIMES.primes * ROOT_PRIMES.primes <= p]
+            root = ROOT_PRIMES[ROOT_PRIMES * ROOT_PRIMES <= p]
             assert (p % root != 0).all(), (n, p)
         assert e >= 1, n
         product *= p**e
@@ -99,7 +101,7 @@ def test_is_prime_matches_oracle():
     assert [n for n in range(-2, 2000) if is_prime(n)] == [
         n for n in range(2, 2000) if oracles.is_prime_slow(n)
     ]
-    assert [n for n in range(-2, 20001) if is_prime(n)] == sieve_primes(20000).primes.tolist()
+    assert [n for n in range(-2, 20001) if is_prime(n)] == sieve_primes(20000).tolist()
 
 
 def test_predicate_classes():

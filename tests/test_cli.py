@@ -198,7 +198,8 @@ def test_thread_cap_refused_before_work(tmp_path, monkeypatch, capsys):
         raise AssertionError("no work may start")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(paucity.meanvalue, "sieve_primes", refuse)
+    monkeypatch.setattr(paucity.meanvalue, "pair_windows", refuse)
+    monkeypatch.setattr(paucity.meanvalue, "multiplicative_arrays", refuse)
     out = str(tmp_path)
     assert run_cli("mean", "--limit", "1000", "--threads", "100000000", "--out-dir", out) == 2
     assert capsys.readouterr().err == "error: --threads must be from 1 to 64, got 100000000\n"
@@ -260,7 +261,8 @@ def test_validation_exit_codes(tmp_path, monkeypatch, capsys):
     out = str(tmp_path)
     with monkeypatch.context() as patched:
         # accumulate checks the names and the grid, once, before any sieve.
-        patched.setattr(paucity.meanvalue, "sieve_primes", refuse)
+        patched.setattr(paucity.meanvalue, "pair_windows", refuse)
+        patched.setattr(paucity.meanvalue, "multiplicative_arrays", refuse)
         assert run_cli("mean", "--limit", "1000", "--stats", "BOGUS", "--out-dir", out) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'BOGUS'" in err, err
@@ -317,7 +319,8 @@ def test_unwritable_out_dir_exits_cleanly(tmp_path, monkeypatch, capsys):
     a_file.write_text("not a directory\n")
     with monkeypatch.context() as patched:
         # --out-dir is a file, or lies under one: refused before any sieve.
-        patched.setattr(paucity.meanvalue, "sieve_primes", refuse)
+        patched.setattr(paucity.meanvalue, "pair_windows", refuse)
+        patched.setattr(paucity.meanvalue, "multiplicative_arrays", refuse)
         for out in (a_file, a_file / "x"):
             assert run_cli("mean", "--limit", "1000", "--out-dir", str(out)) == 2, out
             err = capsys.readouterr().err
@@ -329,7 +332,8 @@ def test_unwritable_out_dir_exits_cleanly(tmp_path, monkeypatch, capsys):
     # An output, or the manifest, whose path is a directory: refused before
     # any work, and no file is added.
     with monkeypatch.context() as patched:
-        patched.setattr(paucity.meanvalue, "sieve_primes", refuse)
+        patched.setattr(paucity.meanvalue, "pair_windows", refuse)
+        patched.setattr(paucity.meanvalue, "multiplicative_arrays", refuse)
         patched.setattr(paucity.cli, "enumerate_offdiag", refuse_census)
         patched.setattr(paucity.cli, "enumerate_n1_params", refuse_census)
         for argv, name in (
@@ -878,7 +882,8 @@ def _bad_argv(command: str, flag: str, bad) -> list[str]:
 
 # The work each command may start only once its input is checked.
 _HEAVY = [
-    (paucity.cli, "write_blocks"), (paucity.meanvalue, "sieve_primes"),
+    (paucity.cli, "write_blocks"), (paucity.meanvalue, "pair_windows"),
+    (paucity.meanvalue, "multiplicative_arrays"),
     (paucity.cli, "catalan"), (paucity.cli, "landau_ramanujan"),
     (paucity.cli, "sieve_density_product"), (paucity.cli, "rho_oracle"),
     (paucity.cli, "nu_oracle"), (paucity.cli, "rho_closed"), (paucity.cli, "nu_closed"),

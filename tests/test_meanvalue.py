@@ -25,7 +25,7 @@ from paucity.meanvalue import (
     write_csv,
 )
 from paucity.quadruples import enumerate_offdiag
-from paucity.sieve import SieveConfig, sieve_primes
+from paucity.sieve import SieveConfig
 
 import oracles
 from oracles import in_A, omega, phi
@@ -52,7 +52,7 @@ def test_grid_validation():
         CheckpointGrid(points=(1, 10))
     with pytest.raises(ValidationError):
         CheckpointGrid(points=(10, 10))
-    geo = CheckpointGrid.geometric(25000, ratio=10, start=1000)
+    geo = CheckpointGrid.geometric(25000, ratio=10)
     assert geo.points == (1000, 10000, 25000)
 
 
@@ -180,8 +180,7 @@ def test_slice_width_does_not_change_any_series(monkeypatch):
 
 def _block_walk(block):
     """The walk of `block`, run once on first call, as _Plan.reduce runs it."""
-    primes = sieve_primes(max(2, math.isqrt(block.hi - 1)))
-    return cache(lambda: sieve.multiplicative_arrays(block.lo, block.hi, primes))
+    return cache(lambda: sieve.multiplicative_arrays(block.lo, block.hi))
 
 
 def _sliced_tallies(block, lo, hi, c, convention):
@@ -228,7 +227,6 @@ def test_float_accumulator_keeps_no_view():
     # pieces the last task leaves open past the last checkpoint.
     atom = meanvalue._ATOM
     cfg = SieveConfig(limit=(1 << 21) + 4999, block_size=1 << 20)
-    primes = sieve_primes(math.isqrt(cfg.limit))
     grid = CheckpointGrid(points=(100000, 500000, (1 << 21) + 2999))
     stats = [*sorted(FLOAT_STATISTICS), "S01", "SUPP1", "COUNT_A"]
     plan = meanvalue._Plan(cfg, grid, stats, "pair", 1.0)
@@ -238,7 +236,7 @@ def test_float_accumulator_keeps_no_view():
         (1 << 20, 1 << 21, range((1 << 20) + atom, (1 << 21) + 1, atom)),
         (1 << 21, cfg.limit + 1, [(1 << 21) + 3000]),
     ):
-        reduction = plan.reduce(lo, hi, primes)
+        reduction = plan.reduce((lo, hi))
         assert (reduction.lo, reduction.hi) == (lo, hi)
         assert vars(reduction).keys() == {"lo", "hi", "sums"}
         for name, sums in zip(stats, reduction.sums):
@@ -271,8 +269,8 @@ def test_accumulate_validation(monkeypatch):
         raise AssertionError("no sieve may run")
 
     # Every refusal comes before the first sieve.
-    monkeypatch.setattr(meanvalue, "sieve_primes", refuse)
     monkeypatch.setattr(meanvalue, "pair_windows", refuse)
+    monkeypatch.setattr(meanvalue, "multiplicative_arrays", refuse)
     too_large = math.nextafter(meanvalue.MAX_DISPERSION_C, math.inf)
     for cfg, stats, options in (
         (_cfg(), [], {}),
@@ -296,9 +294,9 @@ def test_walk_runs_only_when_read(monkeypatch):
     calls = []
     walk = sieve.multiplicative_arrays
 
-    def counted(lo, hi, primes):
+    def counted(lo, hi):
         calls.append((lo, hi))
-        return walk(lo, hi, primes)
+        return walk(lo, hi)
 
     monkeypatch.setattr(meanvalue, "multiplicative_arrays", counted)
     monkeypatch.setattr(meanvalue, "_ATOM", 2048)
@@ -344,9 +342,9 @@ def test_block_size_sets_no_finer_task(monkeypatch):
     calls = []
     windows = sieve.pair_windows
 
-    def counted(lo, hi, primes):
+    def counted(lo, hi):
         calls.append((lo, hi))
-        return windows(lo, hi, primes)
+        return windows(lo, hi)
 
     monkeypatch.setattr(meanvalue, "pair_windows", counted)
     grid = CheckpointGrid.geometric(300000)

@@ -16,10 +16,10 @@ from paucity.errors import CapacityError, TallyOverflowError, ValidationError
 from paucity.sieve import (
     MAX_BLOCK_SIZE,
     MAX_SIEVE_LIMIT,
-    PrimeTable,
     SieveConfig,
     chi4_divisor_sums,
     multiplicative_arrays,
+    prime_mask,
     sieve_primes,
     write_blocks,
 )
@@ -40,31 +40,32 @@ def _collect(cfg: SieveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 
 
 def test_sieve_primes_small():
-    table = sieve_primes(100)
-    assert table.primes.tolist() == [
+    primes = sieve_primes(100)
+    assert primes.tolist() == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
         53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
     ]
-    assert table.primes.size == 25
-    assert bool(table.is_prime[97]) and not bool(table.is_prime[91])
+    assert primes.size == 25
+    is_prime = prime_mask(100)
+    assert bool(is_prime[97]) and not bool(is_prime[91])
 
 
 def test_sieve_primes_pi_million():
-    assert sieve_primes(10**6).primes.size == 78498
+    assert sieve_primes(10**6).size == 78498
 
 
 def test_sieve_primes_match_eratosthenes():
     for limit in [*range(2, 2001), 10**6]:
-        table = sieve_primes(limit)
-        assert "is_prime" not in vars(table), limit  # built on first read only
+        primes = sieve_primes(limit)
         mask = oracles.eratosthenes(limit)
-        assert table.primes.dtype == np.int64, limit
-        assert np.array_equal(table.primes, np.flatnonzero(mask)), limit
-        assert table.is_prime.dtype == np.bool_ and np.array_equal(table.is_prime, mask), limit
+        assert primes.dtype == np.int64, limit
+        assert np.array_equal(primes, np.flatnonzero(mask)), limit
+        is_prime = prime_mask(limit)
+        assert is_prime.dtype == np.bool_ and np.array_equal(is_prime, mask), limit
 
 
 def test_sieve_primes_bounds():
-    assert sieve_primes(2).primes.size == 1
+    assert sieve_primes(2).size == 1
     with pytest.raises(ValidationError):
         sieve_primes(1)
     with pytest.raises(CapacityError):
@@ -104,11 +105,13 @@ def test_divisor_form_counts_square_root_term():
 
 def test_multiplicative_arrays_match_factorize():
     limit = 20000
-    primes = sieve_primes(141)
-    # n = 1, blocks with lo > 1, and a block ending at the limit.
-    for lo, hi in ((1, 600), (500, 1200), (9999, 10500), (19000, limit + 1)):
-        r0_div = chi4_divisor_sums(lo, oracles.joined_windows(lo, hi, primes)[0])
-        om, ph, in_a = oracles.spread_walk(lo, hi, multiplicative_arrays(lo, hi, primes))
+    # n = 1, blocks with lo > 1, and a block ending at the limit.  Each
+    # kernel sieves the primes up to sqrt(hi - 1), and the blocks ending at
+    # hi - 1 = 7^2 and 13^2 need that root, one prime of each residue mod 4.
+    for lo, hi in ((1, 600), (30, 50), (150, 170), (500, 1200), (9999, 10500),
+                   (19000, limit + 1)):
+        r0_div = chi4_divisor_sums(lo, oracles.joined_windows(lo, hi)[0])
+        om, ph, in_a = oracles.spread_walk(lo, hi, multiplicative_arrays(lo, hi))
         for n in range(lo, hi):
             f = factorize(n)
             i = n - lo
@@ -124,23 +127,21 @@ def test_multiplicative_arrays_near_cap():
     # The multiplicative walk keeps smooth parts and phi (both <= n) in int32.
     assert MAX_SIEVE_LIMIT < 2**31
     cap = MAX_SIEVE_LIMIT
-    primes = sieve_primes(math.isqrt(cap))
     # 31607 is the largest prime below sqrt(cap); its square needs every
-    # prime of the table, and the powers are the highest of their primes.
-    assert oracles.is_prime_slow(31607) and primes.primes[-1] == 31607
+    # prime up to the root, and the powers are the highest of their primes.
+    assert oracles.is_prime_slow(31607) and sieve_primes(math.isqrt(cap))[-1] == 31607
     windows = [(cap - 3000, cap + 1)]
     windows += [(q - 300, q + 301) for q in (2**29, 3**18, 5**12, 7**10, 13**8, 31607**2)]
     want = oracles.multiplicative_slow(np.concatenate([np.arange(lo, hi) for lo, hi in windows]))
     blocks = []
     for lo, hi in windows:
-        r0, r1, r2 = oracles.joined_windows(lo, hi, primes)
+        r0, r1, r2 = oracles.joined_windows(lo, hi)
         blocks.append(oracles.Block(lo, hi, r0, chi4_divisor_sums(lo, r0), r1, r2))
     # r0_div comes from r0_pair alone, before any walk has run.
     pairs = ("r0_pair", "r1", "r2", "r0_div")
     before = {f: np.concatenate([getattr(b, f) for b in blocks]) for f in pairs}
     assert np.array_equal(before["r0_div"], want[0])
-    walks = [oracles.spread_walk(lo, hi, multiplicative_arrays(lo, hi, primes))
-             for lo, hi in windows]
+    walks = [oracles.spread_walk(lo, hi, multiplicative_arrays(lo, hi)) for lo, hi in windows]
     got = {f: np.concatenate([w[i] for w in walks]) for i, f in enumerate(("omega", "phi", "in_a"))}
     got["r0_div"] = np.concatenate([b.r0_div for b in blocks])
     r0_div, om, ph, in_a = want
@@ -157,12 +158,13 @@ def test_multiplicative_arrays_near_cap():
 
 
 CAP_PRIMES = sieve_primes(math.isqrt(MAX_SIEVE_LIMIT + 1))
+CAP_IS_PRIME = prime_mask(math.isqrt(MAX_SIEVE_LIMIT + 1))
 
 
 def test_inverse_of_4_closed_form():
     # Every p^k <= MAX_SIEVE_LIMIT for p = 1 (mod 4), and every p = 3 (mod 4).
     mods = []
-    for p in CAP_PRIMES.primes[1:].tolist():
+    for p in CAP_PRIMES[1:].tolist():
         pk = p
         while pk <= MAX_SIEVE_LIMIT:
             mods.append(pk)
@@ -170,7 +172,7 @@ def test_inverse_of_4_closed_form():
                 break
             pk *= p
     m = np.array(mods, dtype=np.int64)
-    assert 5**12 in mods and m.size > CAP_PRIMES.primes.size
+    assert 5**12 in mods and m.size > CAP_PRIMES.size
     inv = sieve._inverse_of_4(m)
     assert ((4 * inv) % m == 1).all() and ((0 < inv) & (inv < m)).all()
     for n0 in (1, 5, 1001, MAX_SIEVE_LIMIT - 3):
@@ -192,7 +194,7 @@ def test_multiplicative_arrays_lattice_edges():
     windows += [(q - 300, q + 301) for q in (5**12, 13**8, 17**7)]
     ns = np.concatenate([np.arange(lo, hi) for lo, hi in windows])
     _, om, ph, in_a = oracles.multiplicative_slow(ns)
-    arrays = [multiplicative_arrays(lo, hi, CAP_PRIMES) for lo, hi in windows]
+    arrays = [multiplicative_arrays(lo, hi) for lo, hi in windows]
     for walk in arrays:
         assert tuple(a.dtype for a in walk) == (np.int64, np.int8, np.int32)
     walks = [oracles.spread_walk(lo, hi, walk) for (lo, hi), walk in zip(windows, arrays)]
@@ -213,13 +215,13 @@ def test_multiplicative_arrays_lattice_edges():
 
 
 def _assert_pairs_match(lo: int, hi: int, want: tuple[np.ndarray, ...]) -> None:
-    got = oracles.joined_windows(lo, hi, CAP_PRIMES)
+    got = oracles.joined_windows(lo, hi)
     for name, mine, ref in zip(("r0_pair", "r1", "r2"), got, want):
         assert mine.dtype == np.uint16 and np.array_equal(mine, ref), (name, lo, hi)
 
 
 def _assert_pairs_match_loop(lo: int, hi: int) -> None:
-    _assert_pairs_match(lo, hi, oracles.pair_tallies_loop(lo, hi, CAP_PRIMES.is_prime))
+    _assert_pairs_match(lo, hi, oracles.pair_tallies_loop(lo, hi, CAP_IS_PRIME))
 
 
 def test_pair_tallies_match_loop():
@@ -227,12 +229,14 @@ def test_pair_tallies_match_loop():
     # slice of the loop over the widest window ending at hi.
     for hi in range(2, 300):
         base = max(1, hi - 40)
-        wide = oracles.pair_tallies_loop(base, hi, CAP_PRIMES.is_prime)
+        wide = oracles.pair_tallies_loop(base, hi, CAP_IS_PRIME)
         for lo in range(base, hi):
             _assert_pairs_match(lo, hi, tuple(arr[lo - base :] for arr in wide))
     top = MAX_SIEVE_LIMIT + 1
     rng = random.Random(2024)
-    windows = []
+    # pair_windows sieves its rows up to sqrt(hi - 1): at hi - 1 = 11^2 + 1,
+    # r1 needs the row p = 11 = isqrt(hi - 1).
+    windows = [(11**2 + 2 - 40, 11**2 + 2)]
     for _ in range(50):
         width = rng.randint(1, 3000)
         lo = rng.randint(1, top - width)
@@ -270,7 +274,7 @@ def test_pair_tallies_diagonal_at_window_edges(monkeypatch):
     for a in (1, 2, 3, 22349, 22360):
         d = 2 * a * a
         base = max(1, d - span)
-        wide = oracles.pair_tallies_loop(base, d + span, CAP_PRIMES.is_prime)
+        wide = oracles.pair_tallies_loop(base, d + span, CAP_IS_PRIME)
         for sub in subs:
             monkeypatch.setattr(sieve, "_SUB", sub)
             w = 2 * sub + 1
@@ -317,17 +321,8 @@ def test_dump_layout():
 
 
 def test_block_type_validation():
-    primes = sieve_primes(9)
-    walk = multiplicative_arrays(1, 5, primes)
+    walk = multiplicative_arrays(1, 5)
     assert oracles.spread_walk(1, 5, walk)[2].tolist() == [True, False, False, False]
-    # The walk needs every prime up to sqrt(hi - 1): 9 covers hi = 100, not 101.
-    multiplicative_arrays(96, 100, primes)
-    with pytest.raises(ValidationError, match=r"below sqrt\(100\)"):
-        multiplicative_arrays(97, 101, primes)
-    # So do the pair tallies.
-    next(sieve.pair_windows(96, 100, primes))
-    with pytest.raises(ValidationError, match=r"below sqrt\(100\)"):
-        next(sieve.pair_windows(97, 101, primes))
 
 
 def test_overflow_guard():
