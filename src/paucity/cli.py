@@ -20,6 +20,12 @@ name, manifest last, only when the whole run has succeeded: a failed run
 adds no file, though one killed by a signal may leave a temporary behind.
 CSVs are deterministic (byte-identical across thread counts and block
 sizes); manifests carry timestamps and are not.
+
+This module imports only the standard library and errors, so no numpy.
+Each command imports the modules it uses when it runs (sieve: sieve; mean
+and report: meanvalue; constants: constants; congruence: arith and
+congruence; offdiag: quadruples), so --version, --help and argparse errors
+start at about the interpreter's own speed.
 """
 
 from __future__ import annotations
@@ -33,35 +39,13 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 from . import __version__
-from .arith import factorize
-from .congruence import (
-    NU_ORACLE_CAP,
-    RHO_ORACLE_CAP,
-    FormParams,
-    nu_closed,
-    nu_oracle,
-    rho_closed,
-    rho_oracle,
-)
-from .constants import (
-    DEFAULT_STATISTICS,
-    STATISTICS,
-    catalan,
-    check_density_z,
-    check_eps,
-    check_prime_limit,
-    landau_ramanujan,
-    sieve_density_product,
-)
 from .errors import CapacityError, PaucityError, ValidationError
-from .meanvalue import (
-    CheckpointGrid, accumulate, csv_fields, read_csv, task_ranges, task_width, write_csv,
-)
-from .quadruples import check_limit, enumerate_n1_params, enumerate_offdiag
-from .sieve import SieveConfig, write_blocks
+
+if TYPE_CHECKING:
+    from .meanvalue import CheckpointGrid
 
 _CENSUS_NOTE = (
     "classification over normalized quadruples (q <= r); N1'' interval (p,a) "
@@ -115,6 +99,8 @@ def _thread_count(args: argparse.Namespace) -> int:
 
 def _parse_grid(spec: str, limit: int) -> CheckpointGrid:
     """Checkpoints from the --grid spec; each must be >= 3, where rows can be normalized."""
+    from .meanvalue import CheckpointGrid
+
     kind, _, rest = spec.partition(":")
     try:
         numbers = [int(tok) for tok in rest.split(",")] if rest else []
@@ -138,12 +124,16 @@ def _parse_grid(spec: str, limit: int) -> CheckpointGrid:
 
 def _parse_stats(spec: str) -> list[str]:
     """The names in the --stats spec; accumulate checks them."""
+    from .constants import STATISTICS
+
     if spec.strip().lower() == "all":
         return list(STATISTICS)
     return [tok.strip() for tok in spec.split(",") if tok.strip()]
 
 
 def _cmd_sieve(args: argparse.Namespace, out: _Outputs) -> None:
+    from .sieve import SieveConfig, write_blocks
+
     cfg = SieveConfig(limit=args.limit, block_size=args.block_size)
     args.sieve = {"processes": 1}
     count = write_blocks(out.open("blocks.pcty", "wb"), cfg)
@@ -151,8 +141,15 @@ def _cmd_sieve(args: argparse.Namespace, out: _Outputs) -> None:
 
 
 def _cmd_mean(args: argparse.Namespace, out: _Outputs) -> None:
-    # The manifest then records the count in effect, PAUCITY_THREADS included.
+    from .constants import DEFAULT_STATISTICS
+    from .meanvalue import accumulate, task_ranges, task_width, write_csv
+    from .sieve import SieveConfig
+
+    # The manifest then records the count in effect, PAUCITY_THREADS included,
+    # and the statistics in effect, the registry's default when --stats is absent.
     args.threads = _thread_count(args)
+    if args.stats is None:
+        args.stats = ",".join(DEFAULT_STATISTICS)
     if args.limit < 2:
         raise ValidationError(f"limit must be >= 2, got {args.limit}")
     stats = _parse_stats(args.stats)
@@ -168,6 +165,11 @@ def _cmd_mean(args: argparse.Namespace, out: _Outputs) -> None:
 
 
 def _cmd_constants(args: argparse.Namespace, out: _Outputs) -> None:
+    from .constants import (
+        catalan, check_density_z, check_eps, check_prime_limit, landau_ramanujan,
+        sieve_density_product,
+    )
+
     # Every --z, --eps and --prime-limit is checked before the first sieve runs.
     for z in args.z:
         check_density_z(z)
@@ -202,6 +204,11 @@ def _cmd_constants(args: argparse.Namespace, out: _Outputs) -> None:
 
 
 def _cmd_congruence(args: argparse.Namespace, out: _Outputs) -> None:
+    from .arith import factorize
+    from .congruence import (
+        NU_ORACLE_CAP, RHO_ORACLE_CAP, FormParams, nu_closed, nu_oracle, rho_closed, rho_oracle,
+    )
+
     params = FormParams(t=args.t, d=args.d)
     for flag, value, cap in (
         ("--rho-max", args.rho_max, RHO_ORACLE_CAP), ("--nu-max", args.nu_max, NU_ORACLE_CAP)
@@ -231,6 +238,8 @@ def _cmd_congruence(args: argparse.Namespace, out: _Outputs) -> None:
 
 
 def _cmd_offdiag(args: argparse.Namespace, out: _Outputs) -> None:
+    from .quadruples import check_limit, enumerate_n1_params, enumerate_offdiag
+
     check_limit(args.limit)
     if args.emit_quadruples and args.mode == "param":
         raise ValidationError("--emit-quadruples lists the census; use --mode direct or both")
@@ -280,6 +289,8 @@ def _plot_name(statistic: str) -> str:
 
 
 def _cmd_report(args: argparse.Namespace, out: _Outputs) -> None:
+    from .meanvalue import csv_fields, read_csv
+
     if not args.inputs:
         raise ValidationError("report needs at least one input CSV")
     missing = [path for path in args.inputs if not os.path.isfile(path)]
@@ -332,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mean", help="checkpointed mean values")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--stats", default=",".join(DEFAULT_STATISTICS), help="comma list or 'all'")
+    p.add_argument("--stats", help="comma list or 'all' (default: constants.DEFAULT_STATISTICS)")
     p.add_argument("--grid", default="geometric:10")
     p.add_argument("--block-size", type=int, default=1 << 20,
                    help="task width, rounded up to a multiple of 65536 (default: 2^20)")

@@ -23,8 +23,11 @@ from hypothesis import strategies as st
 
 import paucity
 import paucity.cli
+import paucity.congruence
 import paucity.constants
 import paucity.meanvalue
+import paucity.quadruples
+import paucity.sieve
 from paucity.cli import MAX_THREADS, main
 from paucity.congruence import NU_ORACLE_CAP, RHO_ORACLE_CAP
 from paucity.constants import STATISTICS, catalan
@@ -334,8 +337,8 @@ def test_unwritable_out_dir_exits_cleanly(tmp_path, monkeypatch, capsys):
     with monkeypatch.context() as patched:
         patched.setattr(paucity.meanvalue, "pair_windows", refuse)
         patched.setattr(paucity.meanvalue, "multiplicative_arrays", refuse)
-        patched.setattr(paucity.cli, "enumerate_offdiag", refuse_census)
-        patched.setattr(paucity.cli, "enumerate_n1_params", refuse_census)
+        patched.setattr(paucity.quadruples, "enumerate_offdiag", refuse_census)
+        patched.setattr(paucity.quadruples, "enumerate_n1_params", refuse_census)
         for argv, name in (
             (["mean", "--limit", "1000"], "mean.csv"),
             (["mean", "--limit", "1000"], "mean_manifest.json"),
@@ -400,9 +403,10 @@ def test_one_process_imports_no_pool(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False False", proc.stderr
 
 
-def test_cli_import_loads_only_numpy_and_paucity():
-    # What `import paucity.cli` adds to sys.modules sets every command's
-    # start-up time.  Only the delta is checked: a site hook may preload more.
+def test_cli_import_loads_only_paucity():
+    # What `import paucity.cli` adds to sys.modules sets the start-up time of
+    # --version, --help and argparse errors: the package and its errors, and
+    # no numpy.  Only the delta is checked: a site hook may preload more.
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -411,11 +415,71 @@ def test_cli_import_loads_only_numpy_and_paucity():
         "tops = {name.partition('.')[0] for name in new}\n"
         "print(sorted(tops - set(sys.stdlib_module_names)))\n"
         "print(sorted(tops & {'multiprocessing', 'concurrent'}))\n"
+        "print(sorted(name for name in new if name.startswith('paucity')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=_child_env(), text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["['numpy', 'paucity']", "[]"]
+    assert proc.stdout.splitlines() == [
+        "['paucity']", "[]", "['paucity', 'paucity.cli', 'paucity.errors']",
+    ]
+
+
+# The paucity modules each command loads besides paucity, paucity.cli and
+# paucity.errors, and whether it loads numpy.
+_MEAN_MODULES = {"meanvalue", "constants", "sieve", "workers"}
+_COMMAND_MODULES = [
+    (["--version"], set(), False),
+    (["--help"], set(), False),
+    (["definitely-not-a-command"], set(), False),
+    (["sieve", "--limit", "100", "--block-size", "64"], {"sieve"}, True),
+    (["mean", "--limit", "100", "--grid", "explicit:100"], _MEAN_MODULES, True),
+    (["constants", "--eps", "1e-6", "--prime-limit", "1000", "--z", "10"],
+     {"constants", "sieve"}, True),
+    (["congruence", "--rho-max", "10", "--nu-max", "10"], {"congruence", "arith"}, True),
+    (["offdiag", "--limit", "100"], {"quadruples", "sieve"}, True),
+    (["report", "--inputs", "@csv"], _MEAN_MODULES, True),
+]
+
+
+def test_each_command_imports_only_its_modules(tmp_path):
+    # Each run is a fresh interpreter, so what sys.modules gains between the
+    # import of paucity.cli and the return of main is what that command loaded.
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from paucity.cli import main\n"
+        "try:\n"
+        "    rc = main(json.loads(sys.argv[1]))\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "new = set(sys.modules) - before\n"
+        "print(json.dumps([rc, 'numpy' in new,"
+        " sorted(n.removeprefix('paucity.') for n in new if n.startswith('paucity.'))]))\n"
+    )
+    data = tmp_path / "in.csv"
+    data.write_text(_REPORT_HEADER + "1000,S01,5,1,1,0\n")
+    env = {k: v for k, v in _child_env().items() if k != "PAUCITY_THREADS"}
+    for i, (argv, modules, numpy) in enumerate(_COMMAND_MODULES):
+        argv = [str(data) if arg == "@csv" else arg for arg in argv]
+        if argv[0] in _GRAMMAR:
+            argv += ["--out-dir", str(tmp_path / str(i))]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              capture_output=True, env=env, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        rc, loaded, names = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == (2 if argv[0].startswith("definitely") else 0), (argv, proc.stderr)
+        assert (loaded, set(names)) == (numpy, {"cli", "errors", *modules}), argv
+
+
+def test_mean_default_stats_are_the_registry_default(tmp_path):
+    # With no --stats, mean runs DEFAULT_STATISTICS and its manifest records
+    # them as if they had been given.
+    assert run_cli("mean", "--limit", "1000", "--out-dir", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "mean_manifest.json").read_text())
+    assert manifest["config"]["stats"] == "S01,S02,S22"
+    with open(tmp_path / "mean.csv", encoding="utf-8") as fh:
+        assert {row["statistic"] for row in read_csv(fh)} == {"S01", "S02", "S22"}
 
 
 def test_sieve_dump_round_trip(tmp_path):
@@ -882,12 +946,13 @@ def _bad_argv(command: str, flag: str, bad) -> list[str]:
 
 # The work each command may start only once its input is checked.
 _HEAVY = [
-    (paucity.cli, "write_blocks"), (paucity.meanvalue, "pair_windows"),
+    (paucity.sieve, "write_blocks"), (paucity.meanvalue, "pair_windows"),
     (paucity.meanvalue, "multiplicative_arrays"),
-    (paucity.cli, "catalan"), (paucity.cli, "landau_ramanujan"),
-    (paucity.cli, "sieve_density_product"), (paucity.cli, "rho_oracle"),
-    (paucity.cli, "nu_oracle"), (paucity.cli, "rho_closed"), (paucity.cli, "nu_closed"),
-    (paucity.cli, "enumerate_offdiag"), (paucity.cli, "enumerate_n1_params"),
+    (paucity.constants, "catalan"), (paucity.constants, "landau_ramanujan"),
+    (paucity.constants, "sieve_density_product"), (paucity.congruence, "rho_oracle"),
+    (paucity.congruence, "nu_oracle"), (paucity.congruence, "rho_closed"),
+    (paucity.congruence, "nu_closed"),
+    (paucity.quadruples, "enumerate_offdiag"), (paucity.quadruples, "enumerate_n1_params"),
 ]
 
 
